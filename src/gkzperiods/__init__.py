@@ -70,6 +70,7 @@ from .support_lattice import (
 )
 from .verifier import (
     DerivativeCache,
+    DerivativeOrderError,
     DiffSettings,
     ResidualReport,
     apply_operator,
@@ -88,6 +89,7 @@ __all__ = [
     "CycleSpec",
     "CycleTerm",
     "DerivativeCache",
+    "DerivativeOrderError",
     "DiffSettings",
     "EulerOperator",
     "EvalSettings",

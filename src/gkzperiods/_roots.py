@@ -1,7 +1,8 @@
 """Internal helper: roots of a dense univariate polynomial.
 
-Companion-matrix eigenvalues followed by a few Newton polish steps.  Kept
-separate so both path resolution and residue evaluation share one
+Companion-matrix eigenvalues followed by a few Newton polish steps, and
+the Horner evaluation they share with root continuation.  Kept separate
+so path resolution, root continuation and residue evaluation share one
 implementation.
 """
 
@@ -9,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["univariate_roots", "polish_root"]
+__all__ = ["univariate_roots", "polish_root", "eval_with_derivative"]
 
 
-def _eval_with_derivative(coeffs: np.ndarray, x: complex) -> tuple[complex, complex]:
+def eval_with_derivative(coeffs: np.ndarray, x: complex) -> tuple[complex, complex]:
     # Horner on ascending coefficients, value and derivative together.
     f = 0.0 + 0.0j
     df = 0.0 + 0.0j
@@ -25,7 +26,7 @@ def _eval_with_derivative(coeffs: np.ndarray, x: complex) -> tuple[complex, comp
 def polish_root(coeffs: np.ndarray, x: complex, steps: int = 8) -> complex:
     """A few Newton steps; returns the input unchanged if Newton stalls."""
     for _ in range(steps):
-        f, df = _eval_with_derivative(coeffs, x)
+        f, df = eval_with_derivative(coeffs, x)
         if df == 0:
             break
         step = f / df

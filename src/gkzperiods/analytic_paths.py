@@ -39,6 +39,7 @@ __all__ = [
     "continued_logs",
     "BranchState",
     "continue_branch",
+    "integrand_values",
     "integrand_eval",
 ]
 
@@ -205,16 +206,6 @@ class ResolvedPath:
         return out if out.shape else complex(out)
 
 
-def _dense_univariate(spec: ScenarioSpec, a: np.ndarray, factor: int) -> np.ndarray:
-    fac = spec.factors[factor - 1]
-    coeffs = spec.coefficients_for(a, factor)
-    deg = max(mono[0] for mono in fac.monomials)
-    dense = np.zeros(deg + 1, dtype=complex)
-    for mono, c in zip(fac.monomials, coeffs):
-        dense[mono[0]] += c
-    return dense
-
-
 def _resolve_endpoint(pt, spec: ScenarioSpec, a: np.ndarray) -> tuple[complex, int]:
     if isinstance(pt, RootAnchor):
         if spec.m != 1:
@@ -222,7 +213,7 @@ def _resolve_endpoint(pt, spec: ScenarioSpec, a: np.ndarray) -> tuple[complex, i
         fac = spec.factors[pt.factor - 1]
         if fac.kind != "power":
             raise ScenarioError("cycle", "root anchor must point at a power factor")
-        roots = univariate_roots(_dense_univariate(spec, a, pt.factor))
+        roots = univariate_roots(spec.dense_univariate(a, pt.factor))
         if roots.size == 0:
             raise PathSingularityError(
                 f"factor {pt.factor} has no roots to anchor a path endpoint"
@@ -530,58 +521,83 @@ def _coords_vec(points, coordinate, pin, m):
     )
 
 
+def integrand_values(
+    spec: ScenarioSpec,
+    a: np.ndarray,
+    grids: Sequence[np.ndarray],
+    factor_logs: dict,
+    coord_logs: dict,
+) -> np.ndarray:
+    """Values of the multivalued integrand on coordinate grids.
+
+    ``grids`` holds one array per coordinate; tracked logs broadcast against
+    them.  Power factors with tracked logs use exp(lam * L); untracked power
+    factors must have integer lam and are evaluated by direct powers.  Exp
+    factors contribute exp(f(x)); coordinate twists exp((beta-1) log x_p)
+    use tracked logs when present, integer powers otherwise.
+    """
+    shape = grids[0].shape
+    w = np.zeros(shape, dtype=complex)
+    direct = np.ones(shape, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for fac in spec.factors:
+            coeffs = spec.coefficients_for(a, fac.index)
+            if fac.kind == "exp":
+                w = w + fac.values(coeffs, tuple(grids))
+                continue
+            lam = complex(fac.lam)
+            if fac.index in factor_logs:
+                w = w + lam * factor_logs[fac.index]
+            elif is_real_integer(lam):
+                vals = fac.values(coeffs, tuple(grids))
+                direct = direct * vals ** int(lam.real)
+            else:
+                raise ScenarioError(
+                    "cycle",
+                    f"factor {fac.index} has non-integer exponent but no "
+                    f"tracked branch",
+                )
+        for p in range(1, spec.m + 1):
+            beta = complex(spec.twist_beta[p - 1])
+            if p in coord_logs:
+                w = w + (beta - 1.0) * coord_logs[p]
+            elif not is_real_integer(beta):
+                raise ScenarioError(
+                    "cycle",
+                    f"coordinate {p} has non-integer twist but no tracked "
+                    f"branch",
+                )
+            elif int(beta.real) != 1:
+                direct = direct * grids[p - 1] ** (int(beta.real) - 1)
+    wr = np.real(w)
+    if np.any(wr > _EXP_CAP):
+        k = np.unravel_index(int(np.argmax(wr)), shape)
+        loc = tuple(complex(g[k]) for g in grids)
+        raise IntegrandOverflowError(
+            f"integrand magnitude exp({float(wr[k]):.1f}) overflows at x = {loc}"
+        )
+    vals = np.exp(w) * direct
+    if not np.all(np.isfinite(vals)):
+        bad = ~np.isfinite(vals)
+        k = np.unravel_index(int(np.argmax(bad)), shape)
+        loc = tuple(complex(g[k]) for g in grids)
+        raise PathSingularityError(f"integrand not finite at node x = {loc}")
+    return vals
+
+
 def integrand_eval(
     x: Sequence[complex],
     branch: BranchState,
     spec: ScenarioSpec,
     a: np.ndarray | None = None,
 ) -> complex:
-    """Value of the multivalued integrand at one point with branch data.
-
-    Power factors with tracked logs use exp(lam * L); untracked power
-    factors must have integer lam and are evaluated by direct powers.  Exp
-    factors contribute exp(f(x)); coordinate twists exp((beta-1) log x_p)
-    use tracked logs when present, integer powers otherwise.
-    """
+    """Value of the multivalued integrand at one point with branch data."""
     if a is None:
         a = spec.coefficient_vector()
-    a = np.asarray(a, dtype=complex)
-    x = tuple(complex(z) for z in x)
-
-    w = 0.0 + 0.0j
-    direct = 1.0 + 0.0j
-    for fac in spec.factors:
-        coeffs = spec.coefficients_for(a, fac.index)
-        if fac.kind == "exp":
-            w += complex(fac.values(coeffs, x))
-            continue
-        lam = complex(fac.lam)
-        if fac.index in branch.factor_logs:
-            w += lam * branch.factor_logs[fac.index]
-        else:
-            if not is_real_integer(lam):
-                raise ScenarioError(
-                    "cycle",
-                    f"factor {fac.index} has non-integer exponent but no "
-                    f"tracked branch",
-                )
-            direct *= complex(fac.values(coeffs, x)) ** int(lam.real)
-    for p in range(1, spec.m + 1):
-        beta = complex(spec.twist_beta[p - 1])
-        if p in branch.coord_logs:
-            w += (beta - 1.0) * branch.coord_logs[p]
-        else:
-            if not is_real_integer(beta):
-                raise ScenarioError(
-                    "cycle",
-                    f"coordinate {p} has non-integer twist but no tracked "
-                    f"branch",
-                )
-            k = int(beta.real) - 1
-            if k != 0:
-                direct *= x[p - 1] ** k
-    if w.real > _EXP_CAP:
-        raise IntegrandOverflowError(
-            f"integrand magnitude exp({w.real:.1f}) overflows at x = {x}"
+    grids = [np.asarray(complex(z)) for z in x]
+    return complex(
+        integrand_values(
+            spec, np.asarray(a, dtype=complex), grids,
+            branch.factor_logs, branch.coord_logs,
         )
-    return cmath.exp(w) * direct
+    )

@@ -30,7 +30,7 @@ from .scenario_io import (
     loads_scenario,
     resolve_scenario_source,
 )
-from .verifier import DiffSettings, ResidualReport, verify
+from .verifier import ResidualReport, verify
 
 __all__ = ["main"]
 
@@ -74,7 +74,6 @@ def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
         ("seed", "seed"),
         ("points", "points"),
         ("degree_bound", "degree_bound"),
-        ("jobs", "jobs"),
     ):
         val = getattr(args, arg_name, None)
         if val is not None:
@@ -220,12 +219,7 @@ def _cmd_verify(args) -> int:
     phi = make_period_function(spec)
 
     t0 = time.perf_counter()
-    rep = verify(
-        system,
-        phi,
-        settings=DiffSettings.from_eval_settings(spec.settings),
-        jobs=spec.settings.jobs,
-    )
+    rep = verify(system, phi)
     elapsed = time.perf_counter() - t0
 
     source = str(path) if path is not None else f"builtin:{spec.name}"
@@ -357,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, help="verification point seed override")
     p_ver.add_argument("--points", type=int, help="number of verification points")
     p_ver.add_argument("--degree-bound", type=int, help="box search bound override")
-    p_ver.add_argument("--jobs", type=int, help="worker threads over points")
     p_ver.add_argument("--out", help="report path (default: beside the scenario)")
     p_ver.add_argument(
         "--corrupt-eigenvalue",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._roots import univariate_roots
+from ._roots import eval_with_derivative, univariate_roots
 from .analytic_paths import EvaluationError
 from .quadrature import integrate_cycle
 from .scenario import EvalSettings, ScenarioSpec, is_real_integer
@@ -35,7 +35,6 @@ __all__ = [
     "eval_root",
     "track_root",
     "eval_gl_residue",
-    "effective_univariate",
 ]
 
 
@@ -67,37 +66,6 @@ class BranchAmbiguityError(PeriodEvaluationError):
 # root continuation
 
 
-def effective_univariate(spec: ScenarioSpec, a: np.ndarray) -> np.ndarray:
-    """Dense coefficients of the factor in the root variable, frozen folded.
-
-    Frozen parameter variables are substituted at their declared values;
-    the result is ascending-degree dense coefficients in the remaining
-    variable.  Linear in a, so straight segments in coefficient space map
-    to straight segments of effective coefficients.
-    """
-    fac = spec.factors[0]
-    q = spec.root_variable() - 1
-    frozen = dict(spec.frozen)
-    coeffs = spec.coefficients_for(a, fac.index)
-    deg = max(mono[q] for mono in fac.monomials)
-    dense = np.zeros(deg + 1, dtype=complex)
-    for mono, c in zip(fac.monomials, coeffs):
-        w = complex(c)
-        for p, val in frozen.items():
-            w *= complex(val) ** mono[p - 1]
-        dense[mono[q]] += w
-    return dense
-
-
-def _poly_eval(dense: np.ndarray, x: complex) -> tuple[complex, complex]:
-    f = 0.0 + 0.0j
-    df = 0.0 + 0.0j
-    for c in dense[::-1]:
-        df = df * x + f
-        f = f * x + c
-    return f, df
-
-
 def _poly_scale(dense: np.ndarray, x: complex) -> float:
     m = max(1.0, abs(x))
     return float(sum(abs(c) * m**k for k, c in enumerate(dense)))
@@ -106,7 +74,7 @@ def _poly_scale(dense: np.ndarray, x: complex) -> float:
 def _newton(dense: np.ndarray, x: complex, tol_rel: float = 1e-13,
             max_iter: int = 10) -> complex | None:
     for _ in range(max_iter):
-        f, df = _poly_eval(dense, x)
+        f, df = eval_with_derivative(dense, x)
         scale = _poly_scale(dense, x)
         if abs(f) <= tol_rel * scale:
             return x
@@ -116,7 +84,7 @@ def _newton(dense: np.ndarray, x: complex, tol_rel: float = 1e-13,
         if abs(step) > 0.5 * (1.0 + abs(x)):
             return None
         x = x - step
-    f, _ = _poly_eval(dense, x)
+    f, _ = eval_with_derivative(dense, x)
     if abs(f) <= tol_rel * _poly_scale(dense, x):
         return x
     return None
@@ -141,7 +109,7 @@ def _continue_root_segment(
                 f"leading coefficient degenerates at segment parameter {tn:.6f}"
             )
         fdot = complex(np.polyval(ddense[::-1], x))
-        _, df = _poly_eval(dense0 + t * ddense, x)
+        _, df = eval_with_derivative(dense0 + t * ddense, x)
         pred = x - dt * fdot / df if df != 0 else x
         corrected = _newton(dense_t, pred)
         if corrected is None:
@@ -176,8 +144,8 @@ def eval_root(
     """
     a = np.asarray(a, dtype=complex)
     base = spec.coefficient_vector()
-    dense0 = effective_univariate(spec, base)
-    dense1 = effective_univariate(spec, a)
+    dense0 = spec.dense_univariate(base)
+    dense1 = spec.dense_univariate(a)
     x0 = complex(spec.base_root)
     start = _newton(dense0, x0)
     if start is None:
@@ -208,7 +176,7 @@ def track_root(
 ) -> RootTrack:
     """Continue the base root along straight segments between waypoints."""
     base = spec.coefficient_vector()
-    dense_prev = effective_univariate(spec, base)
+    dense_prev = spec.dense_univariate(base)
     x = complex(spec.base_root)
     x0 = _newton(dense_prev, x)
     if x0 is None:
@@ -218,14 +186,16 @@ def track_root(
     x = x0
     escape = 1e6 * (1.0 + abs(x))
     roots = [x]
-    residuals = [abs(_poly_eval(dense_prev, x)[0]) / _poly_scale(dense_prev, x)]
+    residuals = [
+        abs(eval_with_derivative(dense_prev, x)[0]) / _poly_scale(dense_prev, x)
+    ]
     pts = [np.asarray(w, dtype=complex) for w in waypoints]
     for w in pts:
-        dense_next = effective_univariate(spec, w)
+        dense_next = spec.dense_univariate(w)
         x = _continue_root_segment(dense_prev, dense_next, x, escape)
         roots.append(x)
         residuals.append(
-            abs(_poly_eval(dense_next, x)[0]) / _poly_scale(dense_next, x)
+            abs(eval_with_derivative(dense_next, x)[0]) / _poly_scale(dense_next, x)
         )
         dense_prev = dense_next
     return RootTrack(
@@ -251,10 +221,7 @@ def eval_gl_residue(
     hugging) the negative real axis makes that choice ambiguous and raises.
     """
     a = np.asarray(a, dtype=complex)
-    fac = spec.factors[0]
-    dense = np.zeros(max(mono[0] for mono in fac.monomials) + 1, dtype=complex)
-    for mono, c in zip(fac.monomials, spec.coefficients_for(a, fac.index)):
-        dense[mono[0]] += c
+    dense = spec.dense_univariate(a)
     mags = np.abs(dense)
     if mags[-1] < 1e-10 * max(float(np.max(mags)), 1e-300):
         raise RootEscapeError("leading coefficient of the factor degenerates")

@@ -18,14 +18,13 @@ import numpy as np
 from .analytic_paths import (
     CycleSpec,
     CycleTerm,
-    IntegrandOverflowError,
-    PathSingularityError,
     ResolvedPath,
     continued_logs,
+    integrand_values,
     resolve_path,
     tracked_requirements,
 )
-from .scenario import EvalSettings, ScenarioSpec, is_real_integer
+from .scenario import EvalSettings, ScenarioSpec
 
 __all__ = ["IntegralResult", "integrate_term", "integrate_cycle"]
 
@@ -215,50 +214,6 @@ def _comb_logs(
     return rec(0, [], None)
 
 
-def _integrand_grid(
-    spec: ScenarioSpec,
-    a: np.ndarray,
-    grids: list[np.ndarray],
-    factor_logs: dict,
-    coord_logs: dict,
-) -> np.ndarray:
-    shape = grids[0].shape
-    w = np.zeros(shape, dtype=complex)
-    direct = np.ones(shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for fac in spec.factors:
-            coeffs = spec.coefficients_for(a, fac.index)
-            if fac.kind == "exp":
-                w = w + fac.values(coeffs, tuple(grids))
-                continue
-            lam = complex(fac.lam)
-            if fac.index in factor_logs:
-                w = w + lam * factor_logs[fac.index]
-            else:
-                vals = fac.values(coeffs, tuple(grids))
-                direct = direct * vals ** int(lam.real)
-        for p in range(1, spec.m + 1):
-            beta = complex(spec.twist_beta[p - 1])
-            if p in coord_logs:
-                w = w + (beta - 1.0) * coord_logs[p]
-            elif is_real_integer(beta) and int(beta.real) != 1:
-                direct = direct * grids[p - 1] ** (int(beta.real) - 1)
-    wr = np.real(w)
-    if np.any(wr > 700.0):
-        k = np.unravel_index(int(np.argmax(wr)), shape)
-        loc = tuple(complex(g[k]) for g in grids)
-        raise IntegrandOverflowError(
-            f"integrand magnitude exp({float(wr[k]):.1f}) overflows at x = {loc}"
-        )
-    vals = np.exp(w) * direct
-    if not np.all(np.isfinite(vals)):
-        bad = ~np.isfinite(vals)
-        k = np.unravel_index(int(np.argmax(bad)), shape)
-        loc = tuple(complex(g[k]) for g in grids)
-        raise PathSingularityError(f"integrand not finite at node x = {loc}")
-    return vals
-
-
 def _term_level_value(
     spec: ScenarioSpec,
     a: np.ndarray,
@@ -302,7 +257,7 @@ def _term_level_value(
         shape[p - 1] = lam1d.size
         coord_logs[p] = lam1d.reshape(shape)
 
-    vals = _integrand_grid(spec, a, grids, factor_logs, coord_logs)
+    vals = integrand_values(spec, a, grids, factor_logs, coord_logs)
 
     diagnostics: dict = {}
     mags = np.abs(vals)

@@ -99,9 +99,11 @@ class EvalSettings:
     """Numerical knobs carried by a scenario.
 
     Defaults match the documented contract: quadrature tolerance 1e-10 with
-    level cap 14, box search bound 4, verification threshold 1e-6 with three
+    levels 5..14, box search bound 4, verification threshold 1e-6 with three
     seeded points perturbed by 10..20 percent, and Cauchy-circle
-    differentiation with 16 nodes at radius 0.1 * max(1, |a|).
+    differentiation with 16 nodes at radius 0.1 * max(1, |a|).  Values the
+    verifier cannot use are rejected here, for scenario files and command
+    line overrides alike.
     """
 
     tol: float = 1e-10
@@ -115,10 +117,16 @@ class EvalSettings:
     point_rel_min: float = 0.1
     radius_factor: float = 0.1
     diff_nodes: int = 16
-    diff_method: str = "cauchy-circle"
-    fd_step: float = 1e-3
-    richardson: int = 2
-    jobs: int = 1
+
+    def __post_init__(self):
+        if self.points < 1:
+            raise ScenarioError("settings.points", "need at least one point")
+        if self.diff_nodes < 8 or self.diff_nodes % 2 != 0:
+            raise ScenarioError(
+                "settings.diff_nodes", "must be an even integer >= 8"
+            )
+        if not self.radius_factor > 0:
+            raise ScenarioError("settings.radius_factor", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -207,6 +215,25 @@ class ScenarioSpec:
                 "frozen", "root scenarios need exactly one non-frozen variable"
             )
         return free[0]
+
+    def dense_univariate(self, a: np.ndarray, index: int = 1) -> np.ndarray:
+        """Dense coefficients of factor ``index`` in the root variable.
+
+        Frozen variables (root scenarios only) are substituted at their
+        declared values; the result is ascending-degree dense coefficients
+        in the remaining variable.  Linear in a, so straight segments in
+        coefficient space map to straight segments of dense coefficients.
+        """
+        fac = self.factors[index - 1]
+        q = self.root_variable() - 1
+        coeffs = self.coefficients_for(a, index)
+        dense = np.zeros(fac.degree_in(q) + 1, dtype=complex)
+        for mono, c in zip(fac.monomials, coeffs):
+            w = complex(c)
+            for p, val in self.frozen:
+                w *= complex(val) ** mono[p - 1]
+            dense[mono[q]] += w
+        return dense
 
 
 def _validate_factor(fac: FactorSupport, m: int, function_kind: str) -> None:

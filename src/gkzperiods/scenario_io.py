@@ -273,12 +273,8 @@ def _settings_in(node, where: str) -> EvalSettings:
     for key, val in node.items():
         if key not in _SETTING_NAMES:
             raise ScenarioError(where + f".{key}", "unknown setting")
-        if key == "diff_method":
-            if not isinstance(val, str):
-                raise ScenarioError(where + ".diff_method", "expected a string")
-            kwargs[key] = val
-        elif key in ("level_start", "level_cap", "degree_bound", "seed", "points",
-                     "diff_nodes", "richardson", "jobs"):
+        if key in ("level_start", "level_cap", "degree_bound", "seed", "points",
+                   "diff_nodes"):
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ScenarioError(where + f".{key}", "expected an integer")
             kwargs[key] = val

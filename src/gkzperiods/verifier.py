@@ -3,18 +3,15 @@
 Derivatives of the holomorphic coefficient function come from tensor
 Cauchy-circle quadrature (trapezoid on circles, exact for coordinate
 degree below the node count), with a halved-radius rerun as a built-in
-diagnostic; central differences with Richardson extrapolation remain as a
-cross-check method.  Residuals are normalized by the sum of the operator's
-term magnitudes so they stay meaningful where the function is small.
+diagnostic.  Residuals are normalized by the sum of the operator's term
+magnitudes so they stay meaningful where the function is small.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +20,7 @@ from .gkz_system import BoxOperator, EulerOperator, GkzSystem
 from .scenario import EvalSettings, ScenarioSpec
 
 __all__ = [
+    "DerivativeOrderError",
     "DiffSettings",
     "DerivativeCache",
     "DerivResult",
@@ -38,6 +36,12 @@ __all__ = [
 _MAX_ORDER = 6
 # below this fraction of |phi| the operator's own scale is numerically zero
 _DEGENERATE_FRACTION = 1e-8
+# full- and half-radius derivatives disagreeing by more than this warn
+_AGREEMENT_TOL = 1e-4
+
+
+class DerivativeOrderError(EvaluationError, ValueError):
+    """A derivative above the supported total order was requested."""
 
 
 @dataclass(frozen=True)
@@ -49,30 +53,18 @@ class DiffSettings:
     scenario settings carry their own value).
     """
 
-    method: str = "cauchy-circle"
     radius_factor: float = 0.5
     nodes: int = 16
-    fd_step_rel: float = 1e-3
-    richardson: int = 2
-    diagnostic_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.method not in ("cauchy-circle", "central-difference"):
-            raise ValueError(f"unknown differentiation method {self.method!r}")
         if self.nodes < 8 or self.nodes % 2 != 0:
             raise ValueError("nodes must be an even integer >= 8")
-        if self.radius_factor <= 0 or self.fd_step_rel <= 0:
-            raise ValueError("radius and step factors must be positive")
+        if self.radius_factor <= 0:
+            raise ValueError("radius factor must be positive")
 
     @classmethod
     def from_eval_settings(cls, s: EvalSettings) -> "DiffSettings":
-        return cls(
-            method=s.diff_method,
-            radius_factor=s.radius_factor,
-            nodes=s.diff_nodes,
-            fd_step_rel=s.fd_step,
-            richardson=s.richardson,
-        )
+        return cls(radius_factor=s.radius_factor, nodes=s.diff_nodes)
 
 
 class DerivativeCache:
@@ -128,28 +120,6 @@ def _cauchy_tensor(
     return pref * acc
 
 
-def _central_tensor(
-    phi, a: np.ndarray, vars_orders: list, steps: list, cache
-) -> complex:
-    axes = []
-    for (v, q), h in zip(vars_orders, steps):
-        offs = [(j - q / 2.0) * h for j in range(q + 1)]
-        coefs = [((-1) ** (q - j)) * math.comb(q, j) for j in range(q + 1)]
-        axes.append((v, q, h, offs, coefs))
-    acc = 0.0 + 0.0j
-    for combo in itertools.product(*[range(q + 1) for _, q, _, _, _ in axes]):
-        point = a.copy()
-        coef = 1.0
-        for (v, q, h, offs, coefs), j in zip(axes, combo):
-            point[v] = a[v] + offs[j]
-            coef *= coefs[j]
-        acc += coef * cache.value(phi, point)
-    denom = 1.0
-    for _, q, h, _, _ in axes:
-        denom *= h**q
-    return acc / denom
-
-
 def differentiate(
     phi,
     a: np.ndarray,
@@ -161,8 +131,9 @@ def differentiate(
 
     Cauchy-circle evaluation is exact for polynomials of coordinate degree
     below the node count; the same derivative recomputed at half radius is
-    returned as an agreement diagnostic, with a warning when it exceeds the
-    configured tolerance.
+    returned as an agreement diagnostic, with a warning when it exceeds
+    _AGREEMENT_TOL.  Orders above _MAX_ORDER raise DerivativeOrderError,
+    which verify() reports as an error cell.
     """
     if settings is None:
         settings = DiffSettings()
@@ -176,58 +147,41 @@ def differentiate(
         raise ValueError("multi-index entries must be nonnegative")
     order = sum(multi)
     if order > _MAX_ORDER:
-        raise ValueError(f"derivative order {order} exceeds cap {_MAX_ORDER}")
+        raise DerivativeOrderError(
+            f"derivative order {order} exceeds cap {_MAX_ORDER}"
+        )
     if order == 0:
         v = cache.value(phi, a)
         return DerivResult(value=v, diagnostic=0.0)
 
-    key = (a.tobytes(), multi, settings.method, settings.radius_factor,
-           settings.nodes, settings.fd_step_rel)
+    key = (a.tobytes(), multi, settings.radius_factor, settings.nodes)
     if key in cache.derivs:
         return cache.derivs[key]
 
     vars_orders = [(v, q) for v, q in enumerate(multi) if q > 0]
     warnings: list[str] = []
-    if settings.method == "cauchy-circle":
-        radii = [
-            settings.radius_factor * max(1.0, abs(a[v])) for v, _ in vars_orders
-        ]
-        val = _cauchy_tensor(phi, a, vars_orders, radii, settings.nodes, cache)
-        half = _cauchy_tensor(
-            phi, a, vars_orders, [r / 2.0 for r in radii], settings.nodes, cache
-        )
-        # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
-        amp = 1.0
-        for (_, q), rho in zip(vars_orders, radii):
-            amp *= math.factorial(q) / (rho / 2.0) ** q
-    else:
-        steps = [
-            settings.fd_step_rel * max(1.0, abs(a[v])) for v, _ in vars_orders
-        ]
-        coarse = _central_tensor(phi, a, vars_orders, steps, cache)
-        fine = _central_tensor(
-            phi, a, vars_orders, [h / 2.0 for h in steps], cache
-        )
-        if settings.richardson >= 2:
-            val = (4.0 * fine - coarse) / 3.0
-            half = fine
-        else:
-            val = fine
-            half = coarse
-        amp = 1.0
-        for (_, q), h in zip(vars_orders, steps):
-            amp *= 2.0**q / (h / 2.0) ** q
+    radii = [
+        settings.radius_factor * max(1.0, abs(a[v])) for v, _ in vars_orders
+    ]
+    val = _cauchy_tensor(phi, a, vars_orders, radii, settings.nodes, cache)
+    half = _cauchy_tensor(
+        phi, a, vars_orders, [r / 2.0 for r in radii], settings.nodes, cache
+    )
+    # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
+    amp = 1.0
+    for (_, q), rho in zip(vars_orders, radii):
+        amp *= math.factorial(q) / (rho / 2.0) ** q
     val = complex(val)
     # a derivative whose both estimates sit at the noise floor is zero, not
     # disagreeing; measure agreement against value, halved value, and floor
     # (floor = 1e-10 * amplified rounding scale, >= 1e4 x the eps-level noise
-    # so vanishing derivatives stay comfortably below diagnostic_tol)
+    # so vanishing derivatives stay comfortably below _AGREEMENT_TOL)
     floor = amp * max(abs(cache.value(phi, a)), 1e-300) * 1e-10
     diag = float(abs(val - half) / max(abs(val), abs(half), floor))
-    if diag > settings.diagnostic_tol:
+    if diag > _AGREEMENT_TOL:
         warnings.append(
             f"derivative d^{multi} agreement {diag:.2e} above "
-            f"{settings.diagnostic_tol:g}; value may be unreliable"
+            f"{_AGREEMENT_TOL:g}; value may be unreliable"
         )
     result = DerivResult(value=val, diagnostic=diag, warnings=tuple(warnings))
     cache.derivs[key] = result
@@ -378,7 +332,6 @@ def verify(
     settings: DiffSettings | None = None,
     threshold: float | None = None,
     cache: DerivativeCache | None = None,
-    jobs: int = 1,
 ) -> ResidualReport:
     """Residuals of every operator at every point, assembled deterministically.
 
@@ -400,30 +353,32 @@ def verify(
             spec.settings.point_rel_min,
         )
     points = [np.asarray(p, dtype=complex) for p in points]
+    if not points:
+        raise ValueError("verify needs at least one point")
     operators = list(system.eulers) + list(system.boxes)
     if cache is None:
         cache = DerivativeCache()
 
-    def run_point(k: int):
-        pt = points[k]
-        out = []
+    cells: list[ResidualCell] = []
+    phi_values: list = []
+    for k, pt in enumerate(points):
         try:
-            phi_val = cache.value(phi, pt)
+            phi_values.append(cache.value(phi, pt))
             phi_err = None
         except EvaluationError as exc:
-            phi_val = None
+            phi_values.append(None)
             phi_err = f"{type(exc).__name__}: {exc}"
         for op in operators:
             label = _operator_label(op)
             if phi_err is not None:
-                out.append(
+                cells.append(
                     ResidualCell(operator=label, point_index=k, error=phi_err)
                 )
                 continue
             try:
                 app = apply_operator(op, phi, pt, settings, cache)
             except EvaluationError as exc:
-                out.append(
+                cells.append(
                     ResidualCell(
                         operator=label,
                         point_index=k,
@@ -431,7 +386,7 @@ def verify(
                     )
                 )
                 continue
-            out.append(
+            cells.append(
                 ResidualCell(
                     operator=label,
                     point_index=k,
@@ -443,26 +398,6 @@ def verify(
                     warnings=app.warnings,
                 )
             )
-        return phi_val, out
-
-    results: list = [None] * len(points)
-    if jobs > 1 and len(points) > 1:
-        # Cache writes are guarded by the GIL on dict level; points rarely
-        # share stencil nodes, so contention is harmless.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_point, k): k for k in range(len(points))}
-            for fut, k in futures.items():
-                results[k] = fut.result()
-    else:
-        for k in range(len(points)):
-            results[k] = run_point(k)
-
-    cells: list[ResidualCell] = []
-    phi_values: list = []
-    for k in range(len(points)):
-        phi_val, out = results[k]
-        phi_values.append(phi_val)
-        cells.extend(out)
 
     usable = [
         c.relative for c in cells if c.error is None and not c.degenerate

@@ -27,6 +27,21 @@ DUPLICATE_DOC = """\
 }
 """
 
+DENSE_SEPTIC_DOC = """\
+{
+  "schema": "gkz-scenario@1",
+  "name": "septic",
+  "m": 1,
+  "factors": [
+    {"kind": "power", "monomials": [[0], [1], [2], [3], [4], [5], [6], [7]],
+     "coefficients": [1.0, 0.3, -0.2, 0.5, 0.1, -0.4, 0.2, 1.0]}
+  ],
+  "twist_beta": [1.0],
+  "function": {"kind": "gl_residue"},
+  "settings": {"degree_bound": 1, "points": 1}
+}
+"""
+
 
 def child_env():
     # no empty entry: that would put the child's cwd on its path
@@ -195,16 +210,36 @@ def test_verify_seed_changes_points(tmp_path):
     assert d1["seed"] == 1 and d2["seed"] == 2
 
 
-def test_verify_jobs_flag_matches_serial(tmp_path):
-    res = run_cli("verify", "gl_quadratic", "--out", str(tmp_path / "s.json"),
+def test_verify_zero_points_is_input_error(tmp_path):
+    out = tmp_path / "r.json"
+    res = run_cli("verify", "gl_quadratic", "--points", "0", "--out", str(out),
                   cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    res = run_cli("verify", "gl_quadratic", "--jobs", "3", "--out",
-                  str(tmp_path / "p.json"), cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    ds = json.loads((tmp_path / "s.json").read_text())
-    dp = json.loads((tmp_path / "p.json").read_text())
-    assert ds["residuals"] == dp["residuals"]
+    assert res.returncode == 2
+    assert "error: settings.points" in res.stderr
+    assert "PASS" not in res.stdout
+    assert not out.exists()
+
+
+def test_verify_unusable_diff_setting_is_input_error(tmp_path):
+    for key, val in (("diff_nodes", 7), ("radius_factor", -1)):
+        doc = json.loads(DENSE_SEPTIC_DOC)
+        doc["settings"] = {key: val}
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("verify", str(path), cwd=tmp_path)
+        assert res.returncode == 2
+        assert f"error: settings.{key}" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_verify_derivative_order_above_cap_is_error_cell(tmp_path):
+    # degree bound 1 still keeps the order-7 basis vector of a dense septic
+    path = tmp_path / "septic.json"
+    path.write_text(DENSE_SEPTIC_DOC)
+    res = run_cli("verify", str(path), cwd=tmp_path)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "DerivativeOrderError" in res.stdout
 
 
 def test_verify_file_scenario_writes_report_beside_it(tmp_path):

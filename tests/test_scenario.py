@@ -127,9 +127,29 @@ def test_coefficient_count_mismatch_rejected():
 
 def test_unknown_setting_key_rejected():
     doc = minimal_root_doc()
-    doc["settings"] = {"tol": 1e-10, "nonsense": 3}
-    with pytest.raises(ScenarioError, match="unknown setting"):
+    # settings that no longer exist must not load silently
+    for key, val in (("nonsense", 3), ("jobs", 2),
+                     ("diff_method", "central-difference"), ("fd_step", 1e-3),
+                     ("richardson", 2)):
+        doc["settings"] = {"tol": 1e-10, key: val}
+        with pytest.raises(ScenarioError, match="unknown setting") as info:
+            loads_scenario(json.dumps(doc))
+        assert info.value.where == f"settings.{key}"
+
+
+@pytest.mark.parametrize("key, val", [
+    ("points", 0),
+    ("diff_nodes", 7),
+    ("diff_nodes", 6),
+    ("radius_factor", -1.0),
+    ("radius_factor", 0.0),
+])
+def test_unusable_setting_value_rejected_on_load(key, val):
+    doc = minimal_root_doc()
+    doc["settings"] = {key: val}
+    with pytest.raises(ScenarioError) as info:
         loads_scenario(json.dumps(doc))
+    assert info.value.where == f"settings.{key}"
 
 
 def test_unknown_top_level_key_rejected():
@@ -201,7 +221,6 @@ def test_settings_defaults():
     assert s.threshold == 1e-6
     assert s.points == 3
     assert s.diff_nodes == 16
-    assert s.diff_method == "cauchy-circle"
 
 
 def test_scenario_settings_override_defaults():

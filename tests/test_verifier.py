@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,14 +79,6 @@ def test_differentiation_is_linear():
     df = differentiate(f, a, multi).value
     dg = differentiate(g, a, multi).value
     assert abs(dh - alpha * df - beta * dg) < 1e-10 * max(1.0, abs(dh))
-
-
-def test_central_difference_fallback():
-    settings = DiffSettings(method="central-difference")
-    d = differentiate(lambda a: np.exp(a[0]), np.array([0.0j]), (1,), settings)
-    assert abs(d.value - 1.0) < 1e-9
-    d2 = differentiate(lambda a: a[0] ** 4, np.array([0.5 + 0.5j]), (2,), settings)
-    assert abs(d2.value - 12.0 * (0.5 + 0.5j) ** 2) < 1e-7
 
 
 def test_order_zero_returns_value():
@@ -230,14 +223,25 @@ def test_verify_fails_after_corruption():
     assert report.max_relative > 1e-2
 
 
-def test_verify_parallel_matches_serial():
+def test_verify_reports_order_above_cap_as_error_cell():
+    spec = builtin("gl_quadratic")
+    base = build_system(spec)
+    n = base.n_columns
+    too_high = BoxOperator(
+        u_plus=(7,) + (0,) * (n - 1), u_minus=(0,) * n, label="order 7"
+    )
+    system = replace(base, eulers=(), boxes=(too_high,))
+    report = verify(system, lambda a: complex(a[0]), points=[np.ones(n)])
+    assert len(report.cells) == 1
+    assert "DerivativeOrderError" in report.cells[0].error
+    assert report.has_errors
+    assert not report.passed
+
+
+def test_verify_rejects_empty_point_list():
     spec = builtin("quadratic_root")
-    system = build_system(spec)
-    pf = PeriodFunction(scenario=spec)
-    serial = verify(system, pf, jobs=1)
-    parallel = verify(system, pf, jobs=3)
-    assert serial.cells == parallel.cells
-    assert serial.max_relative == parallel.max_relative
+    with pytest.raises(ValueError, match="at least one point"):
+        verify(build_system(spec), PeriodFunction(scenario=spec), points=[])
 
 
 def test_verify_collects_evaluation_errors():
@@ -273,8 +277,6 @@ def test_verify_shared_cache_reuses_values():
 
 
 def test_diff_settings_validation():
-    with pytest.raises(ValueError, match="method"):
-        DiffSettings(method="simpson")
     with pytest.raises(ValueError, match="nodes"):
         DiffSettings(nodes=7)
     with pytest.raises(ValueError, match="positive"):
@@ -286,4 +288,3 @@ def test_diff_settings_from_eval_settings():
     s = DiffSettings.from_eval_settings(spec.settings)
     assert s.radius_factor == spec.settings.radius_factor
     assert s.nodes == spec.settings.diff_nodes
-    assert s.method == spec.settings.diff_method
