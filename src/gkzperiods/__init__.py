@@ -41,7 +41,6 @@ from .period_functions import (
     eval_gl_residue,
     eval_period,
     eval_root,
-    make_period_function,
     track_root,
 )
 from .quadrature import IntegralResult, integrate_cycle, integrate_term
@@ -132,7 +131,6 @@ __all__ = [
     "integrate_term",
     "load_scenario",
     "loads_scenario",
-    "make_period_function",
     "render_system",
     "scenario_to_document",
     "track_root",

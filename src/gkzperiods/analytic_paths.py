@@ -37,10 +37,7 @@ __all__ = [
     "resolve_path",
     "tracked_requirements",
     "continued_logs",
-    "BranchState",
-    "continue_branch",
     "integrand_values",
-    "integrand_eval",
 ]
 
 # Overflow guard for exp() of the accumulated log-integrand.
@@ -400,127 +397,6 @@ def continued_logs(
     return logs
 
 
-# ---------------------------------------------------------------------------
-# branch states along a path (test- and user-facing transport)
-
-
-@dataclass(frozen=True)
-class BranchState:
-    """Continuous-log data of the integrand factors at one path point."""
-
-    t: float
-    point: complex
-    factor_logs: dict
-    coord_logs: dict
-
-    def log_for_factor(self, index: int) -> complex:
-        return self.factor_logs[index]
-
-
-def _factor_eval_on_curve(
-    spec: ScenarioSpec, a: np.ndarray, factor: int, coords_at
-) -> Callable:
-    fac = spec.factors[factor - 1]
-    coeffs = spec.coefficients_for(a, factor)
-
-    def eval_at(t):
-        return fac.values(coeffs, coords_at(t))
-
-    return eval_at
-
-
-def continue_branch(
-    path: Path1D,
-    spec: ScenarioSpec,
-    a: np.ndarray | None = None,
-    coordinate: int = 1,
-    fixed: Sequence[complex] = (),
-    samples_per_segment: int = 64,
-    track_factors: Sequence[int] | None = None,
-    track_coords: Sequence[int] | None = None,
-) -> list[BranchState]:
-    """Transport branch data along one path in one coordinate.
-
-    The path moves coordinate ``coordinate`` while the remaining coordinates
-    (if any) are pinned to ``fixed`` (length m-1, in increasing coordinate
-    order).  By default every power factor is tracked, plus every coordinate
-    whose twist exponent is non-integer.
-    """
-    if a is None:
-        a = spec.coefficient_vector()
-    a = np.asarray(a, dtype=complex)
-    rpath = resolve_path(path, spec, a)
-
-    fixed = tuple(complex(z) for z in fixed)
-    others = [p for p in range(1, spec.m + 1) if p != coordinate]
-    if len(fixed) != len(others):
-        raise ScenarioError(
-            "cycle", f"need {len(others)} fixed coordinates, got {len(fixed)}"
-        )
-    pin = dict(zip(others, fixed))
-
-    def coords_at(t):
-        x = rpath.point(t)
-        return tuple(
-            x if p == coordinate else pin[p] for p in range(1, spec.m + 1)
-        )
-
-    if track_factors is None:
-        track_factors = tuple(f.index for f in spec.factors if f.kind == "power")
-    if track_coords is None:
-        _, auto_coords = tracked_requirements(spec)
-        track_coords = tuple(p for p in auto_coords)
-
-    nseg = rpath.nsegments
-    ts = np.unique(
-        np.concatenate(
-            [
-                np.linspace(k, k + 1, samples_per_segment + 1)
-                for k in range(nseg)
-            ]
-        )
-    )
-    points = rpath.point(ts)
-
-    factor_logs: dict[int, np.ndarray] = {}
-    for fi in track_factors:
-        fac = spec.factors[fi - 1]
-        if fac.kind != "power":
-            raise ScenarioError("cycle", f"factor {fi} is not a power factor")
-        coeffs = spec.coefficients_for(a, fi)
-        vmono = fac.values(coeffs, _coords_vec(points, coordinate, pin, spec.m))
-        eval_at = _factor_eval_on_curve(spec, a, fi, coords_at)
-        factor_logs[fi] = continued_logs(ts, vmono, eval_at, rpath.anchor_t)
-
-    coord_logs: dict[int, np.ndarray] = {}
-    for p in track_coords:
-        if p == coordinate:
-            coord_logs[p] = continued_logs(
-                ts, points, lambda t: complex(rpath.point(t)), rpath.anchor_t
-            )
-        else:
-            z = pin[p]
-            coord_logs[p] = np.full(ts.size, cmath.log(z), dtype=complex)
-
-    states = []
-    for k in range(ts.size):
-        states.append(
-            BranchState(
-                t=float(ts[k]),
-                point=complex(points[k]),
-                factor_logs={fi: complex(v[k]) for fi, v in factor_logs.items()},
-                coord_logs={p: complex(v[k]) for p, v in coord_logs.items()},
-            )
-        )
-    return states
-
-
-def _coords_vec(points, coordinate, pin, m):
-    return tuple(
-        points if p == coordinate else pin[p] for p in range(1, m + 1)
-    )
-
-
 def integrand_values(
     spec: ScenarioSpec,
     a: np.ndarray,
@@ -583,21 +459,3 @@ def integrand_values(
         loc = tuple(complex(g[k]) for g in grids)
         raise PathSingularityError(f"integrand not finite at node x = {loc}")
     return vals
-
-
-def integrand_eval(
-    x: Sequence[complex],
-    branch: BranchState,
-    spec: ScenarioSpec,
-    a: np.ndarray | None = None,
-) -> complex:
-    """Value of the multivalued integrand at one point with branch data."""
-    if a is None:
-        a = spec.coefficient_vector()
-    grids = [np.asarray(complex(z)) for z in x]
-    return complex(
-        integrand_values(
-            spec, np.asarray(a, dtype=complex), grids,
-            branch.factor_logs, branch.coord_logs,
-        )
-    )

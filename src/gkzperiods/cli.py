@@ -21,10 +21,12 @@ import numpy as np
 from . import __version__
 from .analytic_paths import EvaluationError
 from .gkz_system import GkzSystem, build_system, corrupt_eigenvalue, render_system
-from .period_functions import make_period_function
+from .period_functions import PeriodFunction
 from .quadrature import integrate_cycle
 from .scenario import ScenarioError, ScenarioSpec
 from .scenario_io import (
+    _complex_in,
+    _complex_out,
     builtin_scenario_names,
     dumps_scenario,
     loads_scenario,
@@ -52,11 +54,6 @@ def _fmt_value(z: complex, digits: int = 12) -> str:
     if im == 0.0:
         return re_s
     return f"{re_s}{'+' if im >= 0 else '-'}{abs(im):.{digits}g}i"
-
-
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _load(arg: str) -> tuple:
@@ -90,19 +87,10 @@ def _parse_point(text: str, n: int) -> np.ndarray:
         raise ScenarioError("--point", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, list) or len(doc) != n:
         raise ScenarioError("--point", f"expected a list of {n} entries")
-    out = []
-    for k, entry in enumerate(doc):
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            out.append(complex(entry))
-        elif (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(x, (int, float)) for x in entry)
-        ):
-            out.append(complex(entry[0], entry[1]))
-        else:
-            raise ScenarioError(f"--point[{k}]", "expected a number or [re, im] pair")
-    return np.asarray(out, dtype=complex)
+    return np.asarray(
+        [_complex_in(entry, f"--point[{k}]") for k, entry in enumerate(doc)],
+        dtype=complex,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +131,7 @@ def _cmd_period(args) -> int:
         value = res.value
         error_estimate = res.error_estimate
     else:
-        value = make_period_function(spec)(a)
+        value = PeriodFunction(spec)(a)
     print(f"value = {_fmt_value(value)}")
     if error_estimate is not None:
         print(f"error estimate = {error_estimate:.3e}")
@@ -152,8 +140,8 @@ def _cmd_period(args) -> int:
             "schema": "gkz-period-report@1",
             "tool_version": __version__,
             "scenario": {"name": spec.name, "sha256": sha},
-            "point": [_pair(z) for z in a],
-            "value": _pair(value),
+            "point": [_complex_out(z) for z in a],
+            "value": _complex_out(value),
             "error_estimate": error_estimate,
         }
         Path(args.out).write_text(
@@ -177,7 +165,7 @@ def _report_document(
             {
                 "point": c.point_index,
                 "operator": c.operator,
-                "raw": _pair(c.raw),
+                "raw": _complex_out(c.raw),
                 "normalization": c.normalization,
                 "relative": c.relative,
                 "degenerate": c.degenerate,
@@ -193,8 +181,10 @@ def _report_document(
         "system": render_system(system).splitlines(),
         "threshold": rep.threshold,
         "seed": spec.settings.seed,
-        "points": [[_pair(z) for z in pt] for pt in rep.points],
-        "phi_values": [None if v is None else _pair(v) for v in rep.phi_values],
+        "points": [[_complex_out(z) for z in pt] for pt in rep.points],
+        "phi_values": [
+            None if v is None else _complex_out(v) for v in rep.phi_values
+        ],
         "residuals": residuals,
         "max_relative": rep.max_relative,
         "passed": rep.passed,
@@ -208,15 +198,8 @@ def _cmd_verify(args) -> int:
     spec = _apply_overrides(spec, args)
     system = build_system(spec)
     if args.corrupt_eigenvalue is not None:
-        if not 0 <= args.corrupt_eigenvalue < len(system.eulers):
-            print(
-                f"error: --corrupt-eigenvalue index out of range "
-                f"(system has {len(system.eulers)} euler operators)",
-                file=sys.stderr,
-            )
-            return 2
         system = corrupt_eigenvalue(system, args.corrupt_eigenvalue)
-    phi = make_period_function(spec)
+    phi = PeriodFunction(spec)
 
     t0 = time.perf_counter()
     rep = verify(system, phi)

@@ -30,7 +30,6 @@ __all__ = [
     "BranchAmbiguityError",
     "PeriodFunction",
     "RootTrack",
-    "make_period_function",
     "eval_period",
     "eval_root",
     "track_root",
@@ -131,11 +130,7 @@ def _continue_root_segment(
     return x
 
 
-def eval_root(
-    spec: ScenarioSpec,
-    a: np.ndarray,
-    settings: EvalSettings | None = None,
-) -> complex:
+def eval_root(spec: ScenarioSpec, a: np.ndarray) -> complex:
     """Analytic continuation of the base root to coefficients a.
 
     Predictor-corrector continuation along the straight segment from the
@@ -169,11 +164,7 @@ class RootTrack:
         return self.roots[-1]
 
 
-def track_root(
-    spec: ScenarioSpec,
-    waypoints,
-    settings: EvalSettings | None = None,
-) -> RootTrack:
+def track_root(spec: ScenarioSpec, waypoints) -> RootTrack:
     """Continue the base root along straight segments between waypoints."""
     base = spec.coefficient_vector()
     dense_prev = spec.dense_univariate(base)
@@ -209,11 +200,7 @@ def track_root(
 # residue sums
 
 
-def eval_gl_residue(
-    spec: ScenarioSpec,
-    a: np.ndarray,
-    settings: EvalSettings | None = None,
-) -> complex:
+def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray) -> complex:
     """Sum of r^(beta-1) / f'(r) over all roots r of the factor.
 
     Roots come from companion-matrix eigenvalues plus Newton polish.  For
@@ -315,12 +302,5 @@ class PeriodFunction:
         if kind == "period":
             return eval_period(self.scenario, a, self.settings)
         if kind == "root":
-            return eval_root(self.scenario, a, self.settings)
-        return eval_gl_residue(self.scenario, a, self.settings)
-
-
-def make_period_function(
-    spec: ScenarioSpec, settings: EvalSettings | None = None
-) -> PeriodFunction:
-    pf = PeriodFunction(scenario=spec, settings=settings)
-    return pf
+            return eval_root(self.scenario, a)
+        return eval_gl_residue(self.scenario, a)

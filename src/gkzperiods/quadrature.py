@@ -26,7 +26,7 @@ from .analytic_paths import (
 )
 from .scenario import EvalSettings, ScenarioSpec
 
-__all__ = ["IntegralResult", "integrate_term", "integrate_cycle"]
+__all__ = ["IntegralResult", "branch_logs", "integrate_term", "integrate_cycle"]
 
 # tanh-sinh parameter range; tanh((pi/2) sinh 3.2) is within 2e-17 of 1
 _TS_TMAX = 3.2
@@ -167,51 +167,74 @@ def _axis_nodes(
     )
 
 
-def _comb_logs(
+def branch_logs(
     spec: ScenarioSpec,
     a: np.ndarray,
-    factor_index: int,
     rpaths: list[ResolvedPath],
     axes_ts: list[np.ndarray],
     axes_pts: list[np.ndarray],
-) -> np.ndarray:
-    """Continuous logs of one factor on the full tensor grid.
+    factors,
+    coords,
+) -> tuple[dict, dict]:
+    """Continuous logs of tracked factors and coordinates on a tensor grid.
 
-    Transport runs along a comb: down the first axis with the other
+    ``axes_ts`` and ``axes_pts`` hold the sorted global parameters of each
+    axis and their points on ``rpaths``.  A factor's logs fill the whole
+    grid: transport runs along a comb, down the first axis with the other
     coordinates held at their anchors, then recursively along later axes
-    starting from the already-transported log.
+    starting from the already-transported log.  A coordinate's logs vary
+    along its own axis only and are shaped to broadcast against the grid.
+    Every branch is principal at the path anchors.
     """
     m = len(rpaths)
-    fac = spec.factors[factor_index - 1]
-    coeffs = spec.coefficients_for(a, factor_index)
-    anchors_t = [rp.anchor_t for rp in rpaths]
-    anchors_x = [complex(rp.point(rp.anchor_t)) for rp in rpaths]
+    factor_logs = {}
+    if factors:
+        anchors_x = [complex(rp.point(rp.anchor_t)) for rp in rpaths]
+    for fi in factors:
+        fac = spec.factors[fi - 1]
+        coeffs = spec.coefficients_for(a, fi)
 
-    def rec(d: int, fixed_x: list, anchor_log):
-        ts = axes_ts[d]
-        pts = axes_pts[d]
-        coords = tuple(
-            pts if i == d else (fixed_x[i] if i < d else anchors_x[i])
-            for i in range(m)
+        def rec(d: int, fixed_x: list, anchor_log):
+            ts = axes_ts[d]
+            pts = axes_pts[d]
+            coords_d = tuple(
+                pts if i == d else (fixed_x[i] if i < d else anchors_x[i])
+                for i in range(m)
+            )
+            vals = fac.values(coeffs, coords_d)
+
+            def eval_at(t: float) -> complex:
+                x = [
+                    (fixed_x[i] if i < d else anchors_x[i]) for i in range(m)
+                ]
+                x[d] = complex(rpaths[d].point(t))
+                return complex(fac.values(coeffs, tuple(x)))
+
+            logs = continued_logs(
+                ts, vals, eval_at, rpaths[d].anchor_t, anchor_log=anchor_log
+            )
+            if d == m - 1:
+                return logs
+            out = np.empty([len(axes_ts[i]) for i in range(d, m)], dtype=complex)
+            for k in range(len(ts)):
+                out[k] = rec(d + 1, fixed_x + [complex(pts[k])], logs[k])
+            return out
+
+        factor_logs[fi] = rec(0, [], None)
+
+    coord_logs = {}
+    for p in coords:
+        rp = rpaths[p - 1]
+        logs = continued_logs(
+            axes_ts[p - 1],
+            axes_pts[p - 1],
+            lambda t, _rp=rp: complex(_rp.point(t)),
+            rp.anchor_t,
         )
-        vals = fac.values(coeffs, coords)
-
-        def eval_at(t: float) -> complex:
-            x = [
-                (fixed_x[i] if i < d else anchors_x[i]) for i in range(m)
-            ]
-            x[d] = complex(rpaths[d].point(t))
-            return complex(fac.values(coeffs, tuple(x)))
-
-        logs = continued_logs(ts, vals, eval_at, anchors_t[d], anchor_log=anchor_log)
-        if d == m - 1:
-            return logs
-        out = np.empty([len(axes_ts[i]) for i in range(d, m)], dtype=complex)
-        for k in range(len(ts)):
-            out[k] = rec(d + 1, fixed_x + [complex(pts[k])], logs[k])
-        return out
-
-    return rec(0, [], None)
+        shape = [1] * m
+        shape[p - 1] = logs.size
+        coord_logs[p] = logs.reshape(shape)
+    return factor_logs, coord_logs
 
 
 def _term_level_value(
@@ -239,23 +262,9 @@ def _term_level_value(
 
     grids = list(np.meshgrid(*axes_pts, indexing="ij")) if m > 1 else [axes_pts[0]]
 
-    factor_logs = {}
-    for fi in tracked_factors:
-        logs = _comb_logs(spec, a, fi, rpaths, axes_ts, axes_pts)
-        factor_logs[fi] = logs if m == 1 else logs.reshape(grids[0].shape)
-
-    coord_logs = {}
-    for p in tracked_coords:
-        rp = rpaths[p - 1]
-        lam1d = continued_logs(
-            axes_ts[p - 1],
-            axes_pts[p - 1],
-            lambda t, _rp=rp: complex(_rp.point(t)),
-            rp.anchor_t,
-        )
-        shape = [1] * m
-        shape[p - 1] = lam1d.size
-        coord_logs[p] = lam1d.reshape(shape)
+    factor_logs, coord_logs = branch_logs(
+        spec, a, rpaths, axes_ts, axes_pts, tracked_factors, tracked_coords
+    )
 
     vals = integrand_values(spec, a, grids, factor_logs, coord_logs)
 

@@ -119,6 +119,17 @@ class EvalSettings:
     diff_nodes: int = 16
 
     def __post_init__(self):
+        if not self.tol > 0:
+            raise ScenarioError("settings.tol", "must be positive")
+        if self.level_start < 0:
+            raise ScenarioError("settings.level_start", "must be non-negative")
+        if self.level_cap < self.level_start:
+            raise ScenarioError(
+                "settings.level_cap",
+                f"must be at least level_start ({self.level_start})",
+            )
+        if not self.threshold > 0:
+            raise ScenarioError("settings.threshold", "must be positive")
         if self.points < 1:
             raise ScenarioError("settings.points", "need at least one point")
         if self.diff_nodes < 8 or self.diff_nodes % 2 != 0:
@@ -181,10 +192,6 @@ class ScenarioSpec:
     def coefficients_for(self, a: np.ndarray, index: int) -> np.ndarray:
         """Slice of coefficient vector ``a`` belonging to factor ``index``."""
         return a[self.factor_slices()[index - 1]]
-
-    def factor_values(self, a: np.ndarray, coords: Sequence, index: int) -> Any:
-        fac = self.factors[index - 1]
-        return fac.values(self.coefficients_for(a, index), coords)
 
     def with_coefficients(self, a: Sequence[complex]) -> "ScenarioSpec":
         """Copy of the scenario with the coefficient vector replaced."""

@@ -10,6 +10,7 @@ the original file describe the same system.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import fields
 from importlib import resources
@@ -52,14 +53,19 @@ def _want(node, typ, where: str, what: str):
 
 def _complex_in(node, where: str) -> complex:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(node)
-    if (
+        z = complex(node)
+    elif (
         isinstance(node, list)
         and len(node) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
     ):
-        return complex(node[0], node[1])
-    raise ScenarioError(where, "expected a number or [re, im] pair")
+        z = complex(node[0], node[1])
+    else:
+        raise ScenarioError(where, "expected a number or [re, im] pair")
+    # JSON text may spell NaN and Infinity, and Python's parser accepts them
+    if not cmath.isfinite(z):
+        raise ScenarioError(where, "expected a finite number")
+    return z
 
 
 def _complex_out(z: complex) -> list:

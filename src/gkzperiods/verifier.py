@@ -291,9 +291,6 @@ class ResidualReport:
     passed: bool
     has_errors: bool
 
-    def cells_for_point(self, k: int):
-        return [c for c in self.cells if c.point_index == k]
-
 
 def verification_points(
     base: np.ndarray,

@@ -25,7 +25,6 @@ from gkzperiods import (
     eval_period,
     integer_kernel_basis,
 )
-from gkzperiods.analytic_paths import continue_branch
 from gkzperiods.gkz_system import corrupt_eigenvalue
 from gkzperiods.verifier import (
     DerivativeCache,
@@ -50,7 +49,7 @@ from oracles import (
 from test_scenario import BUILTINS, builtin
 from test_support_lattice import structure_spec
 from test_period_functions import gl_spec
-from test_analytic_paths import full_circle
+from test_analytic_paths import full_circle, transport
 
 
 def _report(capsys, num, label, failures, detail, elapsed, budget=None):
@@ -305,11 +304,10 @@ def test_criterion_7_contour_and_branch_invariants(capsys):
 
     # full loop around a factor root multiplies the branch by exp(2*pi*i*lam)
     gauss = builtin("gauss")
-    states = continue_branch(
-        full_circle(center=2.0, radius=0.3), gauss,
-        track_factors=(1,), track_coords=(),
+    _, _, factor_logs, _ = transport(
+        gauss, full_circle(center=2.0, radius=0.3), factors=(1,), coords=()
     )
-    drift = states[-1].factor_logs[1] - states[0].factor_logs[1]
+    drift = factor_logs[1][-1] - factor_logs[1][0]
     lam = complex(gauss.factors[0].lam)
     mono_err = abs(cmath.exp(lam * drift) - cmath.exp(2j * math.pi * lam))
     if mono_err >= 1e-8:

@@ -15,11 +15,11 @@ from gkzperiods import (
     ScenarioError,
 )
 from gkzperiods.analytic_paths import (
-    continue_branch,
-    integrand_eval,
+    integrand_values,
     resolve_path,
     tracked_requirements,
 )
+from gkzperiods.quadrature import branch_logs
 
 from test_scenario import builtin
 
@@ -35,9 +35,32 @@ def full_circle(center=0.0, radius=1.0, turns=1, anchor_t=0.0):
     )
 
 
+def transport(spec, path, factors=None, coords=None, samples=64):
+    """Branch logs along one path at the base coefficients.
+
+    Each segment is sampled at ``samples + 1`` equispaced parameters; the
+    factors and coordinates default to those the quadrature tracks.
+    Returns the parameters, their points, and the factor and coordinate
+    logs keyed by index.
+    """
+    a = spec.coefficient_vector()
+    rpath = resolve_path(path, spec, a)
+    ts = np.unique(np.concatenate(
+        [np.linspace(k, k + 1, samples + 1) for k in range(rpath.nsegments)]
+    ))
+    pts = rpath.point(ts)
+    auto_factors, auto_coords = tracked_requirements(spec)
+    factor_logs, coord_logs = branch_logs(
+        spec, a, [rpath], [ts], [pts],
+        auto_factors if factors is None else factors,
+        auto_coords if coords is None else coords,
+    )
+    return ts, pts, factor_logs, coord_logs
+
+
 def coord_log_drift(spec, path, **kw):
-    states = continue_branch(path, spec, track_factors=(), track_coords=(1,), **kw)
-    return states[-1].coord_logs[1] - states[0].coord_logs[1]
+    _, _, _, coord_logs = transport(spec, path, factors=(), coords=(1,), **kw)
+    return coord_logs[1][-1] - coord_logs[1][0]
 
 
 def test_full_turn_adds_two_pi_i_to_coordinate_log():
@@ -67,8 +90,8 @@ def test_square_root_continues_to_i():
                        angle_end=math.pi),
         ),
     )
-    states = continue_branch(path, spec, track_factors=(), track_coords=(1,))
-    end = states[-1].coord_logs[1]
+    _, _, _, coord_logs = transport(spec, path, factors=(), coords=(1,))
+    end = coord_logs[1][-1]
     assert abs(cmath.exp(0.5 * end) - 1j) < 1e-12
 
 
@@ -76,15 +99,15 @@ def test_exp_of_log_reproduces_tracked_value():
     # interior piece of the gauss segment: both factors stay away from zero
     spec = builtin("gauss")
     path = Path1D(segments=(LineSegment(start=0.6, end=1.8),))
-    states = continue_branch(path, spec)
+    _, pts, factor_logs, coord_logs = transport(spec, path)
     a = spec.coefficient_vector()
-    for st in states:
-        for fi, L in st.factor_logs.items():
+    for k, point in enumerate(pts):
+        for fi, logs in factor_logs.items():
             fac = spec.factors[fi - 1]
-            val = fac.values(spec.coefficients_for(a, fi), (st.point,))
-            assert abs(cmath.exp(L) - val) < 1e-10 * max(1.0, abs(val))
-        for p, L in st.coord_logs.items():
-            assert abs(cmath.exp(L) - st.point) < 1e-10
+            val = fac.values(spec.coefficients_for(a, fi), (point,))
+            assert abs(cmath.exp(logs[k]) - val) < 1e-10 * max(1.0, abs(val))
+        for p, logs in coord_logs.items():
+            assert abs(cmath.exp(logs[k]) - point) < 1e-10
 
 
 def test_tracking_through_a_factor_root_raises():
@@ -93,16 +116,16 @@ def test_tracking_through_a_factor_root_raises():
     spec = builtin("gauss")
     path = spec.cycle.terms[0].paths[0]
     with pytest.raises(PathSingularityError):
-        continue_branch(path, spec)
+        transport(spec, path)
 
 
 def test_branch_transport_is_refinement_invariant():
     spec = builtin("pochhammer")
     path = spec.cycle.terms[0].paths[0]
-    coarse = continue_branch(path, spec, samples_per_segment=32)
-    fine = continue_branch(path, spec, samples_per_segment=256)
-    for fi in coarse[-1].factor_logs:
-        assert abs(coarse[-1].factor_logs[fi] - fine[-1].factor_logs[fi]) < 1e-9
+    _, _, coarse, _ = transport(spec, path, samples=32)
+    _, _, fine, _ = transport(spec, path, samples=256)
+    for fi in coarse:
+        assert abs(coarse[fi][-1] - fine[fi][-1]) < 1e-9
 
 
 def test_exact_zero_on_path_raises():
@@ -110,7 +133,7 @@ def test_exact_zero_on_path_raises():
     spec = builtin("residue_circle")
     path = Path1D(segments=(LineSegment(start=-1.0, end=1.0),))
     with pytest.raises(PathSingularityError):
-        continue_branch(path, spec, track_factors=(), track_coords=(1,))
+        transport(spec, path, factors=(), coords=(1,))
 
 
 def test_root_anchor_follows_coefficients():
@@ -164,40 +187,44 @@ def test_tracked_requirements_by_kind():
     assert tracked_requirements(builtin("quadratic_root")) == ((), ())
 
 
-def test_integrand_eval_airy_at_origin_is_one():
+def test_integrand_values_airy_at_origin_is_one():
     spec = builtin("airy")
     path = spec.cycle.terms[0].paths[0]
-    states = continue_branch(path, spec)
-    at_origin = min(states, key=lambda st: abs(st.point))
-    assert abs(at_origin.point) < 1e-12
-    val = integrand_eval((at_origin.point,), at_origin, spec)
-    assert abs(val - 1.0) < 1e-12
+    _, pts, factor_logs, coord_logs = transport(spec, path)
+    vals = integrand_values(
+        spec, spec.coefficient_vector(), [pts], factor_logs, coord_logs
+    )
+    k = int(np.argmin(np.abs(pts)))
+    assert abs(pts[k]) < 1e-12
+    assert abs(vals[k] - 1.0) < 1e-12
 
 
-def test_integrand_eval_beta_density():
+def test_integrand_values_beta_density():
     # integrand of the beta scenario is x (1 - x) on (0, 1)
     spec = builtin("beta")
     path = spec.cycle.terms[0].paths[0]
     # integer exponents need no tracking (the endpoints sit on zeros anyway)
-    states = continue_branch(path, spec, track_factors=(), track_coords=())
-    mid = min(states, key=lambda st: abs(st.point - 0.5))
-    val = integrand_eval((mid.point,), mid, spec)
-    x = mid.point
-    assert abs(val - x * (1.0 - x)) < 1e-12
+    _, pts, factor_logs, coord_logs = transport(spec, path, factors=(), coords=())
+    vals = integrand_values(
+        spec, spec.coefficient_vector(), [pts], factor_logs, coord_logs
+    )
+    k = int(np.argmin(np.abs(pts - 0.5)))
+    x = pts[k]
+    assert abs(vals[k] - x * (1.0 - x)) < 1e-12
 
 
 def test_branch_is_principal_at_anchor():
     spec = builtin("pochhammer")
     for term in spec.cycle.terms:
         path = term.paths[0]
-        states = continue_branch(path, spec)
-        anchor = min(states, key=lambda st: abs(st.t - path.anchor_t))
+        ts, pts, factor_logs, _ = transport(spec, path)
+        k = int(np.argmin(np.abs(ts - path.anchor_t)))
         a = spec.coefficient_vector()
-        for fi, L in anchor.factor_logs.items():
+        for fi, logs in factor_logs.items():
             fac = spec.factors[fi - 1]
-            val = fac.values(spec.coefficients_for(a, fi), (anchor.point,))
+            val = fac.values(spec.coefficients_for(a, fi), (pts[k],))
             principal = cmath.log(complex(val))
-            assert abs(L - principal) < 1e-10
+            assert abs(logs[k] - principal) < 1e-10
 
 
 def test_anchor_out_of_range_rejected():

@@ -121,6 +121,16 @@ def test_period_bad_point_is_input_error():
     res = run_cli("period", "residue_circle", "--point", "[1, 2, 3]")
     assert res.returncode == 2
     assert "error:" in res.stderr
+    # booleans are not numbers, and JSON's NaN and Infinity are not finite
+    for name, point, where in (
+        ("residue_circle", "[[true, 0]]", "--point[0]"),
+        ("residue_circle", "[NaN]", "--point[0]"),
+        ("quadratic_root", "[1, Infinity, 1]", "--point[1]"),
+    ):
+        res = run_cli("period", name, "--point", point)
+        assert res.returncode == 2, point
+        assert f"error: {where}:" in res.stderr, res.stderr
+        assert "value =" not in res.stdout
 
 
 def test_emit_normalized_round_trip(tmp_path):
@@ -218,6 +228,24 @@ def test_verify_zero_points_is_input_error(tmp_path):
     assert "error: settings.points" in res.stderr
     assert "PASS" not in res.stdout
     assert not out.exists()
+
+
+def test_verify_unusable_tol_override_is_input_error(tmp_path):
+    out = tmp_path / "r.json"
+    res = run_cli("verify", "gl_quadratic", "--tol", "-1", "--out", str(out),
+                  cwd=tmp_path)
+    assert res.returncode == 2
+    assert "error: settings.tol" in res.stderr
+    assert not out.exists()
+
+
+def test_verify_corrupt_eigenvalue_out_of_range_is_input_error(tmp_path):
+    res = run_cli("verify", "quadratic_root", "--corrupt-eigenvalue", "9",
+                  cwd=tmp_path)
+    assert res.returncode == 2
+    assert "error: corrupt:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_unusable_diff_setting_is_input_error(tmp_path):

@@ -18,7 +18,6 @@ from gkzperiods import (
     ScenarioSpec,
     eval_gl_residue,
     eval_root,
-    make_period_function,
     track_root,
     validate_scenario,
 )
@@ -164,7 +163,7 @@ def test_root_escape_raises():
 
 
 def test_period_function_wrapper_checks_shape():
-    pf = make_period_function(builtin("quadratic_root"))
+    pf = PeriodFunction(builtin("quadratic_root"))
     assert pf.kind == "root"
     assert pf.dimension == 3
     with pytest.raises(ValueError, match="length 3"):

@@ -22,7 +22,7 @@ from gkzperiods import (
     integrate_term,
     validate_scenario,
 )
-from gkzperiods.quadrature import _term_level_value, _path_rules
+from gkzperiods.quadrature import _term_level_value, _path_rules, branch_logs
 from gkzperiods.analytic_paths import resolve_path, tracked_requirements
 
 from oracles import GAUSS_SEGMENT_VALUE, airy_ai0
@@ -106,6 +106,51 @@ def test_torus_residue_in_two_variables():
     spec = period_spec("torus", (fac,), (1.0, 1.0), cycle, m=2)
     val = eval_period(spec, spec.coefficient_vector())
     assert abs(val - (2j * math.pi) ** 2) < 1e-10 * abs(val)
+
+
+def bilinear_spec(a):
+    # f = a0 + a1 y + a2 x + a3 x y with lam = 1/2, x = x1 and y = x2, on
+    # the torus |x| = |y| = 1/2
+    fac = FactorSupport(index=1, kind="power",
+                        monomials=((0, 0), (0, 1), (1, 0), (1, 1)),
+                        coefficients=tuple(complex(c) for c in a), lam=0.5)
+    circle = unit_circle(radius=0.5)
+    cycle = CycleSpec((CycleTerm(1.0, (circle, circle)),))
+    return period_spec("bilinear", (fac,), (1.0, 1.0), cycle, m=2)
+
+
+def comb_logs(spec):
+    """Transported logs of factor 1 on a 65 x 49 grid over the torus."""
+    a = spec.coefficient_vector()
+    rpaths = [resolve_path(p, spec, a) for p in spec.cycle.terms[0].paths]
+    axes_ts = [np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 49)]
+    axes_pts = [rp.point(ts) for rp, ts in zip(rpaths, axes_ts)]
+    factor_logs, _ = branch_logs(spec, a, rpaths, axes_ts, axes_pts, (1,), ())
+    return axes_pts, factor_logs[1]
+
+
+def test_comb_transport_is_principal_off_the_zero_locus():
+    # |f - 3| <= 1.2 (r + r + r^2) = 1.5 on the torus, so f stays in a disk
+    # that excludes 0 and log 3 + Log(f/3) is a continuous branch there
+    rng = np.random.default_rng(5)
+    a = np.concatenate([[3.0], 1.2 * np.exp(2j * np.pi * rng.uniform(size=3))])
+    (xs, ys), logs = comb_logs(bilinear_spec(a))
+    assert logs.shape == (65, 49)
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    f = a[0] + a[1] * y + a[2] * x + a[3] * x * y
+    assert np.max(np.abs(logs - (math.log(3.0) + np.log(f / 3.0)))) < 1e-12
+
+
+def test_comb_transport_winds_along_the_dominant_axis():
+    # f = 0.3 + 2y + 0.4x: |2y| = 1 beats |0.3 + 0.4x| <= 0.5, so f winds
+    # once around 0 as y turns, and never as x turns with y fixed; swapping
+    # the x and y coefficients swaps the axes
+    for a, winding_axis in (([0.3, 2.0, 0.4, 0.0], 1), ([0.3, 0.4, 2.0, 0.0], 0)):
+        _, logs = comb_logs(bilinear_spec(a))
+        gains = (logs[-1, :] - logs[0, :], logs[:, -1] - logs[:, 0])
+        for axis, gain in enumerate(gains):
+            expect = 2j * math.pi if axis == winding_axis else 0.0
+            assert np.max(np.abs(gain - expect)) < 1e-12, (a, axis)
 
 
 def test_divergent_endpoint_exponents_stay_honest():

@@ -143,6 +143,13 @@ def test_unknown_setting_key_rejected():
     ("diff_nodes", 6),
     ("radius_factor", -1.0),
     ("radius_factor", 0.0),
+    ("tol", -1.0),
+    ("tol", 0.0),
+    ("tol", float("nan")),
+    ("level_start", -1),
+    ("level_cap", 4),
+    ("threshold", 0.0),
+    ("threshold", -1e-6),
 ])
 def test_unusable_setting_value_rejected_on_load(key, val):
     doc = minimal_root_doc()
@@ -150,6 +157,15 @@ def test_unusable_setting_value_rejected_on_load(key, val):
     with pytest.raises(ScenarioError) as info:
         loads_scenario(json.dumps(doc))
     assert info.value.where == f"settings.{key}"
+
+
+def test_non_finite_number_rejected_with_document_path():
+    doc = scenario_to_document(builtin("residue_circle"))
+    seg = doc["function"]["cycle"]["terms"][0]["paths"][0]["segments"][0]
+    seg["radius"] = float("nan")
+    with pytest.raises(ScenarioError, match="expected a finite number") as info:
+        loads_scenario(json.dumps(doc))
+    assert info.value.where == "function.cycle.terms[0].paths[0].segments[0].radius"
 
 
 def test_unknown_top_level_key_rejected():
