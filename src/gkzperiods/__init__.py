@@ -27,7 +27,6 @@ from .gkz_system import (
     GkzSystem,
     build_system,
     corrupt_eigenvalue,
-    parse_matrix_block,
     render_system,
 )
 from .period_functions import (
@@ -41,7 +40,6 @@ from .period_functions import (
     eval_gl_residue,
     eval_period,
     eval_root,
-    track_root,
 )
 from .quadrature import IntegralResult, integrate_cycle, integrate_term
 from .scenario import (
@@ -70,7 +68,6 @@ from .support_lattice import (
 from .verifier import (
     DerivativeCache,
     DerivativeOrderError,
-    DiffSettings,
     ResidualReport,
     apply_operator,
     differentiate,
@@ -89,7 +86,6 @@ __all__ = [
     "CycleTerm",
     "DerivativeCache",
     "DerivativeOrderError",
-    "DiffSettings",
     "EulerOperator",
     "EvalSettings",
     "EvaluationError",
@@ -119,7 +115,6 @@ __all__ = [
     "build_system",
     "builtin_scenario_names",
     "corrupt_eigenvalue",
-    "parse_matrix_block",
     "differentiate",
     "dumps_scenario",
     "enumerate_box_vectors",
@@ -133,7 +128,6 @@ __all__ = [
     "loads_scenario",
     "render_system",
     "scenario_to_document",
-    "track_root",
     "validate_scenario",
     "verification_points",
     "verify",

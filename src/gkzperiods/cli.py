@@ -120,7 +120,7 @@ def _cmd_period(args) -> int:
         a = _parse_point(args.point, spec.n_columns())
     error_estimate = None
     if spec.function_kind == "period":
-        res = integrate_cycle(spec.cycle, spec, a=a, settings=spec.settings)
+        res = integrate_cycle(spec, a)
         if not res.converged:
             print(
                 f"error: quadrature did not converge "

@@ -3,12 +3,11 @@
 Given a scenario, assemble its exponent matrix, pick the eigenvalue for
 each Euler operator from the function kind, and enumerate box operators
 from the integer kernel lattice.  Also provides a plain-text rendering of
-the system and its inverse parser, used by the CLI round-trip.
+the system, which the CLI prints.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 
 from .scenario import ScenarioError, ScenarioSpec
@@ -28,7 +27,6 @@ __all__ = [
     "GkzSystem",
     "build_system",
     "render_system",
-    "parse_matrix_block",
     "corrupt_eigenvalue",
 ]
 
@@ -90,7 +88,7 @@ def _euler_eigenvalue(spec: ScenarioSpec, label: RowLabel) -> complex:
     return -complex(spec.twist_beta[idx - 1])
 
 
-def build_system(spec: ScenarioSpec, degree_bound: int | None = None) -> GkzSystem:
+def build_system(spec: ScenarioSpec) -> GkzSystem:
     """Build the full annihilator system for a scenario.
 
     Every matrix row gets an eigenvalue slot in ``parameters``.  For the
@@ -100,8 +98,7 @@ def build_system(spec: ScenarioSpec, degree_bound: int | None = None) -> GkzSyst
     """
     matrix = build_exponent_matrix(spec)
     kernel = integer_kernel_basis(matrix)
-    bound = spec.settings.degree_bound if degree_bound is None else degree_bound
-    enumeration = enumerate_box_vectors(kernel, bound)
+    enumeration = enumerate_box_vectors(kernel, spec.settings.degree_bound)
 
     frozen_vars = {idx for idx, _ in spec.frozen}
     parameters: list[complex] = []
@@ -203,49 +200,6 @@ def render_system(system: GkzSystem) -> str:
     for w in system.warnings:
         lines.append(f"warning: {w}")
     return "\n".join(lines)
-
-
-_ROW_RE = re.compile(r"^\s*(indicator|exponent)\((\d+)\)\s*\|\s*([0-9\s-]+)$")
-
-
-def parse_matrix_block(text: str) -> ExponentMatrix:
-    """Parse the exponent-matrix portion of a rendered system.
-
-    Accepts the output of :func:`render_system` (or just its matrix lines)
-    and rebuilds rows and labels.  Column labels are parsed from a leading
-    ``columns:`` line when present, otherwise they are synthesized.
-    """
-    rows: list[tuple[int, ...]] = []
-    labels: list[RowLabel] = []
-    column_labels: tuple[tuple[int, tuple[int, ...]], ...] | None = None
-    for line in text.splitlines():
-        line = line.rstrip()
-        if line.startswith("columns:"):
-            cols = []
-            for tok in line[len("columns:"):].split():
-                m = re.match(r"a\[(\d+)\]\(([-0-9,]*)\)$", tok)
-                if not m:
-                    raise ScenarioError("columns", f"cannot parse column {tok!r}")
-                mono = tuple(int(s) for s in m.group(2).split(",") if s != "")
-                cols.append((int(m.group(1)), mono))
-            column_labels = tuple(cols)
-            continue
-        m = _ROW_RE.match(line)
-        if m:
-            rows.append(tuple(int(tok) for tok in m.group(3).split()))
-            labels.append((m.group(1), int(m.group(2))))
-    if not rows:
-        raise ScenarioError("matrix", "no matrix rows found in text")
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ScenarioError("matrix", "ragged matrix rows")
-    if column_labels is None:
-        column_labels = tuple((1, (k,)) for k in range(ncols))
-    elif len(column_labels) != ncols:
-        raise ScenarioError("matrix", "column label count does not match rows")
-    return ExponentMatrix(
-        rows=tuple(rows), row_labels=tuple(labels), column_labels=column_labels
-    )
 
 
 def corrupt_eigenvalue(system: GkzSystem, row: int, delta: complex = 1.0) -> GkzSystem:

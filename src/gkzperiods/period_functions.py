@@ -12,14 +12,14 @@ numerical differentiation:
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._roots import eval_with_derivative, univariate_roots
 from .analytic_paths import EvaluationError
 from .quadrature import integrate_cycle
-from .scenario import EvalSettings, ScenarioSpec, is_real_integer
+from .scenario import ScenarioSpec, is_real_integer
 
 __all__ = [
     "PeriodEvaluationError",
@@ -29,7 +29,6 @@ __all__ = [
     "MultipleRootError",
     "BranchAmbiguityError",
     "PeriodFunction",
-    "RootTrack",
     "eval_period",
     "eval_root",
     "track_root",
@@ -130,70 +129,34 @@ def _continue_root_segment(
     return x
 
 
-def eval_root(spec: ScenarioSpec, a: np.ndarray) -> complex:
-    """Analytic continuation of the base root to coefficients a.
+def track_root(spec: ScenarioSpec, waypoints) -> complex:
+    """Continue the base root along straight segments through the waypoints.
 
-    Predictor-corrector continuation along the straight segment from the
-    scenario base coefficients, with adaptive step halving and Newton
-    correction to |f| <= 1e-13 * coefficient scale.
+    Each segment is followed by predictor-corrector continuation with
+    adaptive step halving and Newton correction to |f| <= 1e-13 *
+    coefficient scale; the root at the last waypoint is returned.
     """
-    a = np.asarray(a, dtype=complex)
-    base = spec.coefficient_vector()
-    dense0 = spec.dense_univariate(base)
-    dense1 = spec.dense_univariate(a)
+    dense = spec.dense_univariate(spec.coefficient_vector())
     x0 = complex(spec.base_root)
-    start = _newton(dense0, x0)
-    if start is None:
+    x = _newton(dense, x0)
+    if x is None:
         raise PeriodEvaluationError(
             "base root does not satisfy the base coefficients"
         )
     escape = 1e6 * (1.0 + abs(x0))
-    return _continue_root_segment(dense0, dense1, start, escape)
+    for w in waypoints:
+        dense_next = spec.dense_univariate(np.asarray(w, dtype=complex))
+        x = _continue_root_segment(dense, dense_next, x, escape)
+        dense = dense_next
+    return x
 
 
-@dataclass(frozen=True)
-class RootTrack:
-    """Accepted root values along a polyline in coefficient space."""
+def eval_root(spec: ScenarioSpec, a: np.ndarray) -> complex:
+    """Analytic continuation of the base root to coefficients a.
 
-    waypoints: tuple
-    roots: tuple
-    residuals: tuple
-
-    @property
-    def final(self) -> complex:
-        return self.roots[-1]
-
-
-def track_root(spec: ScenarioSpec, waypoints) -> RootTrack:
-    """Continue the base root along straight segments between waypoints."""
-    base = spec.coefficient_vector()
-    dense_prev = spec.dense_univariate(base)
-    x = complex(spec.base_root)
-    x0 = _newton(dense_prev, x)
-    if x0 is None:
-        raise PeriodEvaluationError(
-            "base root does not satisfy the base coefficients"
-        )
-    x = x0
-    escape = 1e6 * (1.0 + abs(x))
-    roots = [x]
-    residuals = [
-        abs(eval_with_derivative(dense_prev, x)[0]) / _poly_scale(dense_prev, x)
-    ]
-    pts = [np.asarray(w, dtype=complex) for w in waypoints]
-    for w in pts:
-        dense_next = spec.dense_univariate(w)
-        x = _continue_root_segment(dense_prev, dense_next, x, escape)
-        roots.append(x)
-        residuals.append(
-            abs(eval_with_derivative(dense_next, x)[0]) / _poly_scale(dense_next, x)
-        )
-        dense_prev = dense_next
-    return RootTrack(
-        waypoints=tuple(tuple(map(complex, w)) for w in pts),
-        roots=tuple(roots),
-        residuals=tuple(residuals),
-    )
+    The path is the straight segment from the scenario base coefficients.
+    """
+    return track_root(spec, [a])
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +212,13 @@ def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray) -> complex:
 # periods
 
 
-def eval_period(
-    spec: ScenarioSpec,
-    a: np.ndarray,
-    settings: EvalSettings | None = None,
-) -> complex:
+def eval_period(spec: ScenarioSpec, a: np.ndarray) -> complex:
     """Cycle integral at coefficients a; raises instead of returning junk."""
-    if settings is None:
-        settings = spec.settings
-    res = integrate_cycle(spec.cycle, spec, a=np.asarray(a, dtype=complex),
-                          settings=settings)
+    res = integrate_cycle(spec, a=np.asarray(a, dtype=complex))
     if not res.converged:
         raise UnconvergedQuadratureError(
-            f"quadrature did not converge below tol {settings.tol:g} within "
-            f"level cap {settings.level_cap} (error estimate "
+            f"quadrature did not converge below tol {spec.settings.tol:g} "
+            f"within level cap {spec.settings.level_cap} (error estimate "
             f"{res.error_estimate:.3e})"
         )
     return res.value
@@ -277,11 +233,6 @@ class PeriodFunction:
     """Black-box holomorphic function of the coefficient vector."""
 
     scenario: ScenarioSpec
-    settings: EvalSettings = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.settings is None:
-            self.settings = self.scenario.settings
 
     @property
     def kind(self) -> str:
@@ -300,7 +251,7 @@ class PeriodFunction:
             )
         kind = self.scenario.function_kind
         if kind == "period":
-            return eval_period(self.scenario, a, self.settings)
+            return eval_period(self.scenario, a)
         if kind == "root":
             return eval_root(self.scenario, a)
         return eval_gl_residue(self.scenario, a)

@@ -16,7 +16,6 @@ from functools import reduce
 import numpy as np
 
 from .analytic_paths import (
-    CycleSpec,
     CycleTerm,
     ResolvedPath,
     continued_logs,
@@ -24,7 +23,7 @@ from .analytic_paths import (
     resolve_path,
     tracked_requirements,
 )
-from .scenario import EvalSettings, ScenarioSpec
+from .scenario import ScenarioSpec
 
 __all__ = ["IntegralResult", "branch_logs", "integrate_term", "integrate_cycle"]
 
@@ -308,19 +307,17 @@ def integrate_term(
     term: CycleTerm,
     spec: ScenarioSpec,
     a: np.ndarray | None = None,
-    settings: EvalSettings | None = None,
 ) -> IntegralResult:
     """Integrate one product-cycle term, refining until level agreement.
 
-    The returned value includes the term multiplicity.  If the level cap is
-    reached without agreement the result is flagged unconverged but still
-    returned.
+    Tolerance and levels come from ``spec.settings``.  The returned value
+    includes the term multiplicity.  If the level cap is reached without
+    agreement the result is flagged unconverged but still returned.
     """
     if a is None:
         a = spec.coefficient_vector()
     a = np.asarray(a, dtype=complex)
-    if settings is None:
-        settings = spec.settings
+    settings = spec.settings
     if len(term.paths) != spec.m:
         raise ValueError(
             f"cycle term has {len(term.paths)} path factors, scenario has m = {spec.m}"
@@ -373,13 +370,9 @@ def integrate_term(
     )
 
 
-def integrate_cycle(
-    cycle: CycleSpec,
-    spec: ScenarioSpec,
-    a: np.ndarray | None = None,
-    settings: EvalSettings | None = None,
-) -> IntegralResult:
-    """Multiplicity-weighted sum over the chain, errors added in quadrature."""
+def integrate_cycle(spec: ScenarioSpec, a: np.ndarray | None = None) -> IntegralResult:
+    """Multiplicity-weighted sum over ``spec.cycle``, errors added in quadrature."""
+    cycle = spec.cycle
     if not cycle.terms:
         raise ValueError("cycle has no terms")
     total = 0.0 + 0.0j
@@ -388,7 +381,7 @@ def integrate_cycle(
     converged = True
     term_diags = []
     for k, term in enumerate(cycle.terms):
-        res = integrate_term(term, spec, a=a, settings=settings)
+        res = integrate_term(term, spec, a=a)
         total += res.value
         err_sq += res.error_estimate**2
         nodes += res.nodes_used

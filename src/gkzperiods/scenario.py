@@ -51,10 +51,6 @@ def is_real_integer(z: complex) -> bool:
     return z.imag == 0.0 and float(z.real).is_integer()
 
 
-def _lex_key(mono: Monomial) -> tuple[int, ...]:
-    return tuple(mono)
-
-
 @dataclass(frozen=True)
 class FactorSupport:
     """One polynomial factor: its support monomials and base coefficients.
@@ -128,8 +124,12 @@ class EvalSettings:
                 "settings.level_cap",
                 f"must be at least level_start ({self.level_start})",
             )
+        if self.degree_bound < 1:
+            raise ScenarioError("settings.degree_bound", "must be at least 1")
         if not self.threshold > 0:
             raise ScenarioError("settings.threshold", "must be positive")
+        if self.seed < 0:
+            raise ScenarioError("settings.seed", "must be non-negative")
         if self.points < 1:
             raise ScenarioError("settings.points", "need at least one point")
         if self.diff_nodes < 8 or self.diff_nodes % 2 != 0:
@@ -266,7 +266,7 @@ def _validate_factor(fac: FactorSupport, m: int, function_kind: str) -> None:
                 where + ".support", f"duplicate monomial in factor {fac.index}"
             )
         seen.add(mono)
-    if list(fac.monomials) != sorted(fac.monomials, key=_lex_key):
+    if list(fac.monomials) != sorted(fac.monomials):
         raise ScenarioError(where + ".support", "monomials not in lex order")
     if len(fac.coefficients) != len(fac.monomials):
         raise ScenarioError(

@@ -264,7 +264,7 @@ def _factor_in(node, where: str, index: int, m: int) -> FactorSupport:
     lam = node.get("lambda")
     return FactorSupport(
         index=index,
-        kind=kind if isinstance(kind, str) else kind,
+        kind=kind,
         monomials=tuple(mono for mono, _ in pairs),
         coefficients=tuple(cf for _, cf in pairs),
         lam=None if lam is None else _complex_in(lam, where + ".lambda"),

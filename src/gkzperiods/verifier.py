@@ -17,11 +17,10 @@ import numpy as np
 
 from .analytic_paths import EvaluationError
 from .gkz_system import BoxOperator, EulerOperator, GkzSystem
-from .scenario import EvalSettings, ScenarioSpec
+from .scenario import EvalSettings
 
 __all__ = [
     "DerivativeOrderError",
-    "DiffSettings",
     "DerivativeCache",
     "DerivResult",
     "differentiate",
@@ -42,29 +41,6 @@ _AGREEMENT_TOL = 1e-4
 
 class DerivativeOrderError(EvaluationError, ValueError):
     """A derivative above the supported total order was requested."""
-
-
-@dataclass(frozen=True)
-class DiffSettings:
-    """Settings for numerical differentiation of a holomorphic function.
-
-    The default radius suits entire functions; callers differentiating a
-    function with nearby singularities should shrink radius_factor (the
-    scenario settings carry their own value).
-    """
-
-    radius_factor: float = 0.5
-    nodes: int = 16
-
-    def __post_init__(self):
-        if self.nodes < 8 or self.nodes % 2 != 0:
-            raise ValueError("nodes must be an even integer >= 8")
-        if self.radius_factor <= 0:
-            raise ValueError("radius factor must be positive")
-
-    @classmethod
-    def from_eval_settings(cls, s: EvalSettings) -> "DiffSettings":
-        return cls(radius_factor=s.radius_factor, nodes=s.diff_nodes)
 
 
 class DerivativeCache:
@@ -124,7 +100,7 @@ def differentiate(
     phi,
     a: np.ndarray,
     multi,
-    settings: DiffSettings | None = None,
+    settings: EvalSettings,
     cache: DerivativeCache | None = None,
 ) -> DerivResult:
     """Mixed partial derivative of phi at a for the given multi-index.
@@ -132,11 +108,10 @@ def differentiate(
     Cauchy-circle evaluation is exact for polynomials of coordinate degree
     below the node count; the same derivative recomputed at half radius is
     returned as an agreement diagnostic, with a warning when it exceeds
-    _AGREEMENT_TOL.  Orders above _MAX_ORDER raise DerivativeOrderError,
-    which verify() reports as an error cell.
+    _AGREEMENT_TOL.  The circles have radius settings.radius_factor *
+    max(1, |a_v|) and settings.diff_nodes nodes.  Orders above _MAX_ORDER
+    raise DerivativeOrderError, which verify() reports as an error cell.
     """
-    if settings is None:
-        settings = DiffSettings()
     if cache is None:
         cache = DerivativeCache()
     a = np.asarray(a, dtype=complex)
@@ -154,7 +129,7 @@ def differentiate(
         v = cache.value(phi, a)
         return DerivResult(value=v, diagnostic=0.0)
 
-    key = (a.tobytes(), multi, settings.radius_factor, settings.nodes)
+    key = (a.tobytes(), multi, settings.radius_factor, settings.diff_nodes)
     if key in cache.derivs:
         return cache.derivs[key]
 
@@ -163,9 +138,10 @@ def differentiate(
     radii = [
         settings.radius_factor * max(1.0, abs(a[v])) for v, _ in vars_orders
     ]
-    val = _cauchy_tensor(phi, a, vars_orders, radii, settings.nodes, cache)
+    nodes = settings.diff_nodes
+    val = _cauchy_tensor(phi, a, vars_orders, radii, nodes, cache)
     half = _cauchy_tensor(
-        phi, a, vars_orders, [r / 2.0 for r in radii], settings.nodes, cache
+        phi, a, vars_orders, [r / 2.0 for r in radii], nodes, cache
     )
     # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
     amp = 1.0
@@ -206,7 +182,7 @@ def apply_operator(
     op,
     phi,
     a: np.ndarray,
-    settings: DiffSettings | None = None,
+    settings: EvalSettings,
     cache: DerivativeCache | None = None,
 ) -> OperatorApplication:
     """Apply one annihilator to phi at a and normalize the residual.
@@ -216,8 +192,6 @@ def apply_operator(
     magnitudes.  If the normalization is numerically zero relative to |phi|
     the cell is flagged degenerate instead of dividing by noise.
     """
-    if settings is None:
-        settings = DiffSettings()
     if cache is None:
         cache = DerivativeCache()
     a = np.asarray(a, dtype=complex)
@@ -326,28 +300,24 @@ def verify(
     system: GkzSystem,
     phi,
     points=None,
-    settings: DiffSettings | None = None,
-    threshold: float | None = None,
     cache: DerivativeCache | None = None,
 ) -> ResidualReport:
     """Residuals of every operator at every point, assembled deterministically.
 
-    Evaluation errors mark their (operator, point) cell and the run keeps
-    going; the report fails if any non-degenerate relative residual crosses
-    the threshold, and flags errors separately.
+    Settings come from the system's scenario.  Evaluation errors mark
+    their (operator, point) cell and the run keeps going; the report fails
+    if any non-degenerate relative residual crosses the threshold, and
+    flags errors separately.
     """
     spec = system.scenario
-    if settings is None:
-        settings = DiffSettings.from_eval_settings(spec.settings)
-    if threshold is None:
-        threshold = spec.settings.threshold
+    settings = spec.settings
     if points is None:
         points = verification_points(
             spec.coefficient_vector(),
-            spec.settings.points,
-            spec.settings.seed,
-            spec.settings.point_rel,
-            spec.settings.point_rel_min,
+            settings.points,
+            settings.seed,
+            settings.point_rel,
+            settings.point_rel_min,
         )
     points = [np.asarray(p, dtype=complex) for p in points]
     if not points:
@@ -401,12 +371,12 @@ def verify(
     ]
     max_rel = max(usable) if usable else 0.0
     has_errors = any(c.error is not None for c in cells)
-    passed = (not has_errors) and max_rel < threshold
+    passed = (not has_errors) and max_rel < settings.threshold
     return ResidualReport(
         cells=tuple(cells),
         points=tuple(tuple(map(complex, p)) for p in points),
         phi_values=tuple(phi_values),
-        threshold=threshold,
+        threshold=settings.threshold,
         max_relative=max_rel,
         passed=passed,
         has_errors=has_errors,

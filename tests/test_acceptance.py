@@ -28,7 +28,6 @@ from gkzperiods import (
 from gkzperiods.gkz_system import corrupt_eigenvalue
 from gkzperiods.verifier import (
     DerivativeCache,
-    DiffSettings,
     differentiate,
     verification_points,
     verify,
@@ -90,7 +89,6 @@ def test_criterion_1_quadratic_root_operators_and_formula_oracle(capsys):
         failures.append(f"max relative {rep.max_relative:.2e} >= 1e-6")
 
     # same cache as verify: the oracle comparison reuses its circle samples
-    ds = DiffSettings.from_eval_settings(spec.settings)
     worst = 0.0
     for pt in points:
         x_pkg = complex(phi(pt))
@@ -99,12 +97,12 @@ def test_criterion_1_quadratic_root_operators_and_formula_oracle(capsys):
             failures.append(f"root value mismatch at {pt}")
         for j in range(3):
             multi = tuple(1 if i == j else 0 for i in range(3))
-            num = differentiate(phi, pt, multi, ds, cache).value
+            num = differentiate(phi, pt, multi, spec.settings, cache).value
             ref = quadratic_root_derivative(pt, x_orc, j)
             worst = max(worst, abs(num - ref) / abs(ref))
         ref2 = quadratic_root_second_mixed(pt, x_orc)
         for multi in ((1, 0, 1), (0, 2, 0)):
-            num = differentiate(phi, pt, multi, ds, cache).value
+            num = differentiate(phi, pt, multi, spec.settings, cache).value
             worst = max(worst, abs(num - ref2) / abs(ref2))
     if worst >= 1e-6:
         failures.append(f"formula-oracle derivative rel {worst:.2e} >= 1e-6")
@@ -136,10 +134,9 @@ def test_criterion_2_gauss_verifies_and_mixed_pair_agrees(capsys):
         failures.append(f"max relative {rep.max_relative:.2e} >= 1e-6")
 
     box = system.boxes[0]
-    ds = DiffSettings.from_eval_settings(spec.settings)
     a0 = spec.coefficient_vector()
-    d_plus = differentiate(phi, a0, box.u_plus, ds, cache).value
-    d_minus = differentiate(phi, a0, box.u_minus, ds, cache).value
+    d_plus = differentiate(phi, a0, box.u_plus, spec.settings, cache).value
+    d_minus = differentiate(phi, a0, box.u_minus, spec.settings, cache).value
     pair_rel = abs(d_plus - d_minus) / max(abs(d_plus), abs(d_minus))
     if pair_rel >= 1e-6:
         failures.append(f"mixed-pair rel {pair_rel:.2e} >= 1e-6")

@@ -239,6 +239,16 @@ def test_verify_unusable_tol_override_is_input_error(tmp_path):
     assert not out.exists()
 
 
+def test_verify_negative_seed_is_input_error(tmp_path):
+    out = tmp_path / "r.json"
+    res = run_cli("verify", "residue_circle", "--seed", "-1", "--out", str(out),
+                  cwd=tmp_path)
+    assert res.returncode == 2
+    assert "error: settings.seed" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_verify_corrupt_eigenvalue_out_of_range_is_input_error(tmp_path):
     res = run_cli("verify", "quadratic_root", "--corrupt-eigenvalue", "9",
                   cwd=tmp_path)

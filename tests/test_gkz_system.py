@@ -1,5 +1,7 @@
 """Operator assembly: Euler eigenvalues, box operators, rendering."""
 
+from dataclasses import replace
+
 import pytest
 
 from gkzperiods import (
@@ -8,7 +10,6 @@ from gkzperiods import (
     EulerOperator,
     build_system,
     corrupt_eigenvalue,
-    parse_matrix_block,
     render_system,
 )
 
@@ -68,7 +69,9 @@ def test_frozen_variable_gets_no_euler_operator():
 def test_degree_bound_argument_overrides_settings():
     spec = builtin("cubic_root_parametric")
     default = build_system(spec)
-    tight = build_system(spec, degree_bound=2)
+    tight = build_system(
+        replace(spec, settings=replace(spec.settings, degree_bound=2))
+    )
     assert len(tight.boxes) < len(default.boxes)
     # only basis vectors may exceed the bound (kept so the system stays
     # faithful to the lattice), and doing so is flagged
@@ -99,14 +102,6 @@ def test_render_contains_matrix_and_operators():
 def test_render_notes_missing_indicator_rows():
     text = render_system(build_system(builtin("airy")))
     assert "indicator rows: none (exp factor)" in text
-
-
-def test_parse_matrix_block_round_trip():
-    for name in ("quadratic_root", "gauss", "airy", "cubic_root_parametric"):
-        sys_ = build_system(builtin(name))
-        parsed = parse_matrix_block(render_system(sys_))
-        assert parsed.rows == sys_.matrix.rows
-        assert parsed.row_labels == sys_.matrix.row_labels
 
 
 def test_corrupt_eigenvalue_shifts_one_row():

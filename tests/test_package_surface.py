@@ -1,0 +1,78 @@
+"""Static checks of the package surface: no unused imports, no stale exports.
+
+Only the stdlib ``ast`` module is used, so the checks run without a linter.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PKG = Path(__file__).resolve().parents[1] / "src" / "gkzperiods"
+MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imported_names(tree):
+    """Module-level import bindings: bound name -> (source module, level)."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = (alias.name, 0)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = (node.module, node.level)
+    return out
+
+
+def defined_names(tree):
+    """Every name bound at module level, imports included."""
+    names = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                names.update(n.id for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def dunder_all(tree):
+    """The literal ``__all__`` list, or [] when the module has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_import_is_used(path):
+    tree = parse(path)
+    loaded = {
+        n.id for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    unused = sorted(set(imported_names(tree)) - loaded - set(dunder_all(tree)))
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", [*MODULES, PKG / "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    tree = parse(path)
+    missing = sorted(set(dunder_all(tree)) - defined_names(tree))
+    assert not missing, f"{path.name}: __all__ names {missing} are not defined"
+
+
+def test_package_reexports_exist_in_their_modules():
+    for name, (module, level) in imported_names(parse(PKG / "__init__.py")).items():
+        assert level == 1, f"__init__ imports {name} from outside the package"
+        source = parse(PKG / f"{module}.py")
+        assert name in defined_names(source), f"{module} defines no {name}"

@@ -166,15 +166,16 @@ def test_divergent_endpoint_exponents_stay_honest():
                                 anchor_t=0.5),)),)
     )
     spec = period_spec("halfpole", (fac,), (0.5,), cycle)
-    res = integrate_cycle(spec.cycle, spec, a=spec.coefficient_vector(),
-                          settings=spec.settings)
+    res = integrate_cycle(spec, a=spec.coefficient_vector())
     assert abs(res.value - math.pi) < 5e-7
     if not res.converged:
         with pytest.raises(UnconvergedQuadratureError):
             eval_period(spec, spec.coefficient_vector())
     # relaxing the tolerance to the honest floor converges cleanly
-    loose = dataclasses.replace(spec.settings, tol=1e-6)
-    val = eval_period(spec, spec.coefficient_vector(), settings=loose)
+    loose = dataclasses.replace(
+        spec, settings=dataclasses.replace(spec.settings, tol=1e-6)
+    )
+    val = eval_period(loose, loose.coefficient_vector())
     assert abs(val - math.pi) < 1e-6
 
 
@@ -190,15 +191,15 @@ def test_clipped_tail_enters_the_error_estimate():
                                 anchor_t=0.5),)),)
     )
     spec = period_spec("halfzero", (fac,), (0.5,), cycle, tol=1e-9)
-    res = integrate_cycle(spec.cycle, spec, a=spec.coefficient_vector(),
-                          settings=spec.settings)
+    res = integrate_cycle(spec, a=spec.coefficient_vector())
     true_err = abs(res.value - 0.5 * math.pi)
     assert not res.converged
     assert res.error_estimate >= true_err
     # at a tolerance the clipping floor can meet, the run converges honestly
-    loose = dataclasses.replace(spec.settings, tol=1e-6)
-    res2 = integrate_cycle(spec.cycle, spec, a=spec.coefficient_vector(),
-                           settings=loose)
+    loose = dataclasses.replace(
+        spec, settings=dataclasses.replace(spec.settings, tol=1e-6)
+    )
+    res2 = integrate_cycle(loose, a=loose.coefficient_vector())
     assert res2.converged
     assert abs(res2.value - 0.5 * math.pi) <= res2.error_estimate < 1.6e-6
 
@@ -215,8 +216,7 @@ def test_term_multiplicity_scales_value():
 
 def test_error_estimate_covers_true_error():
     spec = builtin("gauss")
-    res = integrate_cycle(spec.cycle, spec, a=spec.coefficient_vector(),
-                          settings=spec.settings)
+    res = integrate_cycle(spec, a=spec.coefficient_vector())
     assert res.converged
     true_err = abs(res.value - GAUSS_SEGMENT_VALUE)
     assert true_err < 10.0 * max(res.error_estimate, 1e-12)

@@ -150,6 +150,8 @@ def test_unknown_setting_key_rejected():
     ("level_cap", 4),
     ("threshold", 0.0),
     ("threshold", -1e-6),
+    ("seed", -1),
+    ("degree_bound", 0),
 ])
 def test_unusable_setting_value_rejected_on_load(key, val):
     doc = minimal_root_doc()

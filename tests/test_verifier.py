@@ -10,8 +10,8 @@ import pytest
 from gkzperiods import (
     BoxOperator,
     DerivativeCache,
-    DiffSettings,
     EulerOperator,
+    EvalSettings,
     PeriodFunction,
     apply_operator,
     build_system,
@@ -30,22 +30,26 @@ from oracles import (
 
 from test_scenario import builtin
 
+# spec-free tests differentiate entire or far-from-singular functions on
+# circles of radius 0.5 * max(1, |a_v|)
+DIFF = EvalSettings(radius_factor=0.5)
+
 
 def test_second_derivative_of_square():
-    d = differentiate(lambda a: a[0] ** 2, np.array([0.7 + 0.2j]), (2,))
+    d = differentiate(lambda a: a[0] ** 2, np.array([0.7 + 0.2j]), (2,), DIFF)
     assert abs(d.value - 2.0) < 1e-12
     assert d.warnings == ()
 
 
 def test_third_derivative_of_exp():
-    d = differentiate(lambda a: np.exp(a[0]), np.array([0.0j]), (3,))
+    d = differentiate(lambda a: np.exp(a[0]), np.array([0.0j]), (3,), DIFF)
     assert abs(d.value - 1.0) < 1e-12
 
 
 def test_mixed_partial_of_monomial():
     # d_a1 d_a2^2 of a1 a2^2 = 2, constant in a
     phi = lambda a: a[1] * a[2] ** 2
-    d = differentiate(phi, np.array([0.3, -0.8 + 0.1j, 1.4j]), (0, 1, 2))
+    d = differentiate(phi, np.array([0.3, -0.8 + 0.1j, 1.4j]), (0, 1, 2), DIFF)
     assert abs(d.value - 2.0) < 1e-12
 
 
@@ -64,7 +68,7 @@ def test_polynomial_exactness_below_node_count():
             for k, c in enumerate(coeffs)
             if k >= q
         )
-        d = differentiate(phi, a, (q,))
+        d = differentiate(phi, a, (q,), DIFF)
         assert abs(d.value - expect) < 1e-12 * max(1.0, abs(expect))
 
 
@@ -75,16 +79,16 @@ def test_differentiation_is_linear():
     h = lambda a: alpha * f(a) + beta * g(a)
     a = np.array([0.2 + 0.1j, -0.5])
     multi = (2, 1)
-    dh = differentiate(h, a, multi).value
-    df = differentiate(f, a, multi).value
-    dg = differentiate(g, a, multi).value
+    dh = differentiate(h, a, multi, DIFF).value
+    df = differentiate(f, a, multi, DIFF).value
+    dg = differentiate(g, a, multi, DIFF).value
     assert abs(dh - alpha * df - beta * dg) < 1e-10 * max(1.0, abs(dh))
 
 
 def test_order_zero_returns_value():
     cache = DerivativeCache()
     a = np.array([1.0 + 2.0j])
-    d = differentiate(lambda x: 3.0 * x[0], a, (0,), cache=cache)
+    d = differentiate(lambda x: 3.0 * x[0], a, (0,), DIFF, cache)
     assert d.value == 3.0 * (1.0 + 2.0j)
     assert d.diagnostic == 0.0
 
@@ -92,11 +96,11 @@ def test_order_zero_returns_value():
 def test_order_cap_and_negative_index_rejected():
     a = np.array([0.0j, 0.0j])
     with pytest.raises(ValueError, match="exceeds cap"):
-        differentiate(lambda x: x[0], a, (4, 3))
+        differentiate(lambda x: x[0], a, (4, 3), DIFF)
     with pytest.raises(ValueError, match="nonnegative"):
-        differentiate(lambda x: x[0], a, (-1, 0))
+        differentiate(lambda x: x[0], a, (-1, 0), DIFF)
     with pytest.raises(ValueError, match="length"):
-        differentiate(lambda x: x[0], a, (1,))
+        differentiate(lambda x: x[0], a, (1,), DIFF)
 
 
 def test_circle_evaluations_are_shared_between_orders():
@@ -108,21 +112,21 @@ def test_circle_evaluations_are_shared_between_orders():
 
     cache = DerivativeCache()
     a = np.array([0.1, 0.2], dtype=complex)
-    differentiate(phi, a, (1, 1), cache=cache)
+    differentiate(phi, a, (1, 1), DIFF, cache)
     first = calls["n"]
     assert first > 0
     # same circles, higher order: every needed sample is already cached
-    differentiate(phi, a, (2, 2), cache=cache)
+    differentiate(phi, a, (2, 2), DIFF, cache)
     assert calls["n"] == first
     # and a repeated request is memoized outright
-    differentiate(phi, a, (1, 1), cache=cache)
+    differentiate(phi, a, (1, 1), DIFF, cache)
     assert calls["n"] == first
 
 
 def test_diagnostic_flags_pole_inside_circle():
     # pole at 1.0 sits inside both sampling circles around 0.9
     phi = lambda a: 1.0 / (a[0] - 1.0)
-    d = differentiate(phi, np.array([0.9 + 0.0j]), (1,))
+    d = differentiate(phi, np.array([0.9 + 0.0j]), (1,), DIFF)
     assert d.diagnostic > 1e-4
     assert any("agreement" in w for w in d.warnings)
 
@@ -130,7 +134,7 @@ def test_diagnostic_flags_pole_inside_circle():
 def test_exact_zero_derivative_stays_quiet():
     # d^2/da1^2 of a function not depending on a1: zero, and no warning
     phi = lambda a: a[0] ** 3
-    d = differentiate(phi, np.array([0.8, 0.6 + 0.2j]), (0, 2))
+    d = differentiate(phi, np.array([0.8, 0.6 + 0.2j]), (0, 2), DIFF)
     assert abs(d.value) < 1e-13
     assert d.warnings == ()
 
@@ -138,18 +142,17 @@ def test_exact_zero_derivative_stays_quiet():
 def test_quadratic_root_derivatives_match_implicit_formula():
     spec = builtin("quadratic_root")
     pf = PeriodFunction(scenario=spec)
-    settings = DiffSettings.from_eval_settings(spec.settings)
     cache = DerivativeCache()
     for a in verification_points(spec.coefficient_vector(), 3, seed=17):
         x = quadratic_formula_root(a, near=pf(a))
         for j in range(3):
             multi = tuple(1 if v == j else 0 for v in range(3))
-            d = differentiate(pf, a, multi, settings, cache)
+            d = differentiate(pf, a, multi, spec.settings, cache)
             expect = quadratic_root_derivative(a, x, j)
             assert abs(d.value - expect) < 1e-8 * max(1.0, abs(expect))
         # both second mixed partials against the closed form
         for multi in ((1, 0, 1), (0, 2, 0)):
-            d = differentiate(pf, a, multi, settings, cache)
+            d = differentiate(pf, a, multi, spec.settings, cache)
             expect = quadratic_root_second_mixed(a, x)
             assert abs(d.value - expect) < 1e-7 * max(1.0, abs(expect))
 
@@ -159,11 +162,11 @@ def test_euler_operator_application():
     phi = lambda a: a[0] * a[1]
     a = np.array([0.8 - 0.1j, 1.3 + 0.4j])
     good = EulerOperator(weights=(1, 1), eigenvalue=2.0, label=("exponent", 1))
-    app = apply_operator(good, phi, a)
+    app = apply_operator(good, phi, a, DIFF)
     assert app.relative < 1e-12
     assert not app.degenerate
     bad = EulerOperator(weights=(1, 1), eigenvalue=1.0, label=("exponent", 1))
-    app2 = apply_operator(bad, phi, a)
+    app2 = apply_operator(bad, phi, a, DIFF)
     assert app2.relative > 0.2
 
 
@@ -172,10 +175,10 @@ def test_box_operator_application():
     # so the residual vanishes exactly on the a0 a2 = a1^2 locus
     phi = lambda a: np.exp(a[0] * a[2] + 0.5 * a[1] ** 2)
     box = BoxOperator(u_plus=(1, 0, 1), u_minus=(0, 2, 0), label="box")
-    off = apply_operator(box, phi, np.array([0.3, 0.4, 0.2], dtype=complex))
+    off = apply_operator(box, phi, np.array([0.3, 0.4, 0.2], dtype=complex), DIFF)
     assert off.relative > 1e-3
     on = apply_operator(
-        box, phi, np.array([0.3, math.sqrt(0.06), 0.2], dtype=complex)
+        box, phi, np.array([0.3, math.sqrt(0.06), 0.2], dtype=complex), DIFF
     )
     assert on.relative < 1e-10
 
@@ -184,7 +187,7 @@ def test_degenerate_operator_flagged():
     # box of order 2 on a linear function: both sides vanish identically
     phi = lambda a: 2.0 * a[0] + a[1]
     box = BoxOperator(u_plus=(2, 0), u_minus=(0, 2), label="box")
-    app = apply_operator(box, phi, np.array([0.4, 0.7], dtype=complex))
+    app = apply_operator(box, phi, np.array([0.4, 0.7], dtype=complex), DIFF)
     assert app.degenerate
     assert app.relative == 0.0
 
@@ -274,17 +277,3 @@ def test_verify_shared_cache_reuses_values():
     # corrupted re-verify at the same points: derivatives all cached
     verify(corrupt_eigenvalue(system, row=0), phi, cache=cache)
     assert calls["n"] == first
-
-
-def test_diff_settings_validation():
-    with pytest.raises(ValueError, match="nodes"):
-        DiffSettings(nodes=7)
-    with pytest.raises(ValueError, match="positive"):
-        DiffSettings(radius_factor=0.0)
-
-
-def test_diff_settings_from_eval_settings():
-    spec = builtin("quadratic_root")
-    s = DiffSettings.from_eval_settings(spec.settings)
-    assert s.radius_factor == spec.settings.radius_factor
-    assert s.nodes == spec.settings.diff_nodes
