@@ -245,11 +245,47 @@ def _cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _report_shape_error(doc: dict) -> str | None:
+    """Name the first field of a report that `report` cannot print, if any."""
+    for key in ("threshold", "max_relative"):
+        if not _is_number(doc.get(key)):
+            return f"'{key}' is missing or not a number"
+    if not _is_number(doc.get("timing_seconds", 0.0)):
+        return "'timing_seconds' is not a number"
+    if not isinstance(doc.get("scenario", {}), dict):
+        return "'scenario' is not an object"
+    for key in ("system", "phi_values", "residuals"):
+        if not isinstance(doc.get(key, []), list):
+            return f"'{key}' is not a list"
+    for k, phi in enumerate(doc.get("phi_values", [])):
+        if phi is not None and not (
+            isinstance(phi, list) and len(phi) == 2 and all(map(_is_number, phi))
+        ):
+            return f"phi_values[{k}] is not null or a [re, im] pair"
+    for k, row in enumerate(doc.get("residuals", [])):
+        if not isinstance(row, dict):
+            return f"residuals[{k}] is not an object"
+        if type(row.get("point")) is not int:
+            return f"residuals[{k}] has no integer 'point'"
+        if not isinstance(row.get("operator"), str):
+            return f"residuals[{k}] has no 'operator' string"
+        if not _is_number(row.get("relative")):
+            return f"residuals[{k}] has no numeric 'relative'"
+    return None
+
+
 def _cmd_report(args) -> int:
     try:
         doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(doc, dict):
+        print("error: a report must be a JSON object", file=sys.stderr)
         return 2
     if doc.get("schema") != REPORT_SCHEMA:
         print(
@@ -257,6 +293,10 @@ def _cmd_report(args) -> int:
             f"(schema = {doc.get('schema')!r})",
             file=sys.stderr,
         )
+        return 2
+    problem = _report_shape_error(doc)
+    if problem is not None:
+        print(f"error: malformed report: {problem}", file=sys.stderr)
         return 2
     sc = doc.get("scenario", {})
     print(f"scenario {sc.get('name')}  (source {sc.get('source')})")

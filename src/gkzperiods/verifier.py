@@ -1,10 +1,12 @@
 """Numerical verification that every operator annihilates the function.
 
-Derivatives of the holomorphic coefficient function come from tensor
-Cauchy-circle quadrature (trapezoid on circles, exact for coordinate
-degree below the node count), with a halved-radius rerun as a built-in
-diagnostic.  Residuals are normalized by the sum of the operator's term
-magnitudes so they stay meaningful where the function is small.
+Derivatives of the holomorphic coefficient function come from Cauchy
+quadrature on one-dimensional circles (trapezoid rule) along directions
+whose coordinates carry root-of-unity phases; a discrete Fourier average
+over the directions isolates each mixed partial.  A halved-radius rerun
+is the built-in diagnostic.  Residuals are normalized by the sum of the
+operator's term magnitudes so they stay meaningful where the function is
+small.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ class DerivativeCache:
 
     Function values are keyed by the exact evaluation point, so stencils
     that revisit a point (different derivative orders on the same circles,
-    repeated verify runs at the same seed) share work.  One cache serves
-    one function only.
+    repeated verify runs at the same seed) share work.  An EvaluationError
+    is remembered like a value and raised again on every later lookup, so
+    a failing point (an unconverged period is the costliest evaluation
+    there is) is evaluated once.  One cache serves one function only.
     """
 
     def __init__(self):
@@ -62,10 +66,16 @@ class DerivativeCache:
         key = point.tobytes()
         if key in self.values:
             self.hits += 1
-            return self.values[key]
-        self.misses += 1
-        v = complex(phi(point))
-        self.values[key] = v
+            v = self.values[key]
+        else:
+            self.misses += 1
+            try:
+                v = complex(phi(point))
+            except EvaluationError as exc:
+                v = exc
+            self.values[key] = v
+        if isinstance(v, EvaluationError):
+            raise v.with_traceback(None)
         return v
 
 
@@ -76,23 +86,48 @@ class DerivResult:
     warnings: tuple = ()
 
 
-def _cauchy_tensor(
-    phi, a: np.ndarray, vars_orders: list, radii: list, nodes: int, cache
+def _direction_circles(
+    phi, a: np.ndarray, multi: tuple, radii: dict, nodes: int, cache
 ) -> complex:
-    k = np.arange(nodes)
-    theta = 2.0 * math.pi * k / nodes
+    """d^multi phi(a) from 1-D Cauchy circles along root-of-unity directions.
+
+    The first support coordinate s0 moves by radii[s0]; every other support
+    coordinate i moves by radii[i] times an m_i-th root of unity, m_i the
+    smallest power of two above max(u_i, q - u_i).  On each direction h the
+    trapezoid circle gives the q-th derivative of t -> phi(a + t h), a sum of
+    (q!/alpha!) h^alpha d^alpha phi over |alpha| = q; the discrete Fourier
+    average over the directions keeps alpha = multi alone.  That average is
+    unitary, so it amplifies rounding no more than a tensor grid does.
+    Powers of two make a lower order's directions a subset of a higher
+    order's, so their samples are shared through the cache.  With a single
+    coordinate there is one direction: the plain coordinate circle.
+    """
+    order = sum(multi)
+    support = [v for v, q in enumerate(multi) if q > 0]
+    # samples per support coordinate: circle nodes for s0, m_i for the rest
+    sizes = [nodes] + [
+        1 << max(multi[i], order - multi[i]).bit_length() for i in support[1:]
+    ]
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
     rot = np.exp(1j * theta)
     acc = 0.0 + 0.0j
-    for combo in itertools.product(range(nodes), repeat=len(vars_orders)):
-        point = a.copy()
-        phase = 1.0 + 0.0j
-        for (v, q), rho, idx in zip(vars_orders, radii, combo):
-            point[v] = a[v] + rho * rot[idx]
-            phase *= np.exp(-1j * q * theta[idx])
-        acc += cache.value(phi, point) * phase
+    for turns in itertools.product(*(range(m) for m in sizes[1:])):
+        step = {support[0]: radii[support[0]]}
+        coef = 1.0 + 0.0j
+        for i, j, m in zip(support[1:], turns, sizes[1:]):
+            # j/m is exact in binary, so equal directions of different
+            # orders produce bit-identical sample points
+            step[i] = radii[i] * np.exp(2j * math.pi * (j / m))
+            coef *= np.exp(-2j * math.pi * (j * multi[i] % m / m))
+        for idx in range(nodes):
+            point = a.copy()
+            for v, h in step.items():
+                point[v] = a[v] + h * rot[idx]
+            phase = coef * np.exp(-1j * order * theta[idx])
+            acc += cache.value(phi, point) * phase
     pref = 1.0 + 0.0j
-    for (v, q), rho in zip(vars_orders, radii):
-        pref *= math.factorial(q) / (nodes * rho**q)
+    for v, m in zip(support, sizes):
+        pref *= math.factorial(multi[v]) / (m * radii[v] ** multi[v])
     return pref * acc
 
 
@@ -105,12 +140,16 @@ def differentiate(
 ) -> DerivResult:
     """Mixed partial derivative of phi at a for the given multi-index.
 
-    Cauchy-circle evaluation is exact for polynomials of coordinate degree
-    below the node count; the same derivative recomputed at half radius is
-    returned as an agreement diagnostic, with a warning when it exceeds
-    _AGREEMENT_TOL.  The circles have radius settings.radius_factor *
-    max(1, |a_v|) and settings.diff_nodes nodes.  Orders above _MAX_ORDER
-    raise DerivativeOrderError, which verify() reports as an error cell.
+    One-dimensional Cauchy circles along root-of-unity directions give
+    the derivative (see _direction_circles): one coordinate circle for a
+    single-coordinate derivative, prod m_i direction circles for a mixed
+    one.  It is exact for polynomials of total degree below the node
+    count; the same derivative recomputed at half radius is returned as an
+    agreement diagnostic, with a warning when it exceeds _AGREEMENT_TOL.
+    Coordinate v of a direction has modulus settings.radius_factor *
+    max(1, |a_v|), and each circle has settings.diff_nodes nodes.  Orders
+    above _MAX_ORDER raise DerivativeOrderError, which verify() reports as
+    an error cell.
     """
     if cache is None:
         cache = DerivativeCache()
@@ -133,20 +172,22 @@ def differentiate(
     if key in cache.derivs:
         return cache.derivs[key]
 
-    vars_orders = [(v, q) for v, q in enumerate(multi) if q > 0]
     warnings: list[str] = []
-    radii = [
-        settings.radius_factor * max(1.0, abs(a[v])) for v, _ in vars_orders
-    ]
+    radii = {
+        v: settings.radius_factor * max(1.0, abs(a[v]))
+        for v, q in enumerate(multi)
+        if q > 0
+    }
     nodes = settings.diff_nodes
-    val = _cauchy_tensor(phi, a, vars_orders, radii, nodes, cache)
-    half = _cauchy_tensor(
-        phi, a, vars_orders, [r / 2.0 for r in radii], nodes, cache
+    val = _direction_circles(phi, a, multi, radii, nodes, cache)
+    half = _direction_circles(
+        phi, a, multi, {v: r / 2.0 for v, r in radii.items()}, nodes, cache
     )
     # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
+    # (the direction average is unitary and adds no amplification)
     amp = 1.0
-    for (_, q), rho in zip(vars_orders, radii):
-        amp *= math.factorial(q) / (rho / 2.0) ** q
+    for v, rho in radii.items():
+        amp *= math.factorial(multi[v]) / (rho / 2.0) ** multi[v]
     val = complex(val)
     # a derivative whose both estimates sit at the noise floor is zero, not
     # disagreeing; measure agreement against value, halved value, and floor

@@ -304,6 +304,35 @@ def test_report_missing_file_is_input_error(tmp_path):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "JSON object"),
+        ({"schema": "gkz-verify-report@1"}, "'threshold'"),
+        (
+            {"schema": "gkz-verify-report@1", "threshold": 1e-6},
+            "'max_relative'",
+        ),
+        (
+            {
+                "schema": "gkz-verify-report@1",
+                "threshold": 1e-6,
+                "max_relative": 0.0,
+                "residuals": [{"operator": "box (1, -2, 1)", "relative": 0.0}],
+            },
+            "'point'",
+        ),
+    ],
+)
+def test_report_malformed_document_is_input_error(tmp_path, doc, message):
+    path = tmp_path / "bad.report.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("report", str(path))
+    assert res.returncode == 2
+    assert "error:" in res.stderr and message in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_no_arguments_shows_usage():
     res = run_cli()
     assert res.returncode == 2

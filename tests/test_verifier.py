@@ -1,6 +1,7 @@
 """Numerical differentiation and operator residual checks."""
 
 import cmath
+import itertools
 import math
 from dataclasses import replace
 
@@ -17,12 +18,15 @@ from gkzperiods import (
     build_system,
     corrupt_eigenvalue,
     differentiate,
+    load_scenario,
     verification_points,
     verify,
 )
 from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
+from gkzperiods.scenario_io import builtin_scenario_names
 
 from oracles import (
+    cauchy_tensor,
     quadratic_formula_root,
     quadratic_root_derivative,
     quadratic_root_second_mixed,
@@ -112,15 +116,112 @@ def test_circle_evaluations_are_shared_between_orders():
 
     cache = DerivativeCache()
     a = np.array([0.1, 0.2], dtype=complex)
-    differentiate(phi, a, (1, 1), DIFF, cache)
+    # (1,2) and (2,2) both use the 4 directions (rho0, rho1 i^j)
+    differentiate(phi, a, (1, 2), DIFF, cache)
     first = calls["n"]
     assert first > 0
-    # same circles, higher order: every needed sample is already cached
     differentiate(phi, a, (2, 2), DIFF, cache)
     assert calls["n"] == first
+    # a single coordinate: one circle serves every order
+    differentiate(phi, a, (1, 0), DIFF, cache)
+    second = calls["n"]
+    assert second > first
+    differentiate(phi, a, (3, 0), DIFF, cache)
+    assert calls["n"] == second
     # and a repeated request is memoized outright
-    differentiate(phi, a, (1, 1), DIFF, cache)
-    assert calls["n"] == first
+    differentiate(phi, a, (1, 2), DIFF, cache)
+    assert calls["n"] == second
+
+
+def test_failed_evaluation_is_cached_and_raised_again():
+    calls = {"n": 0}
+
+    def phi(a):
+        calls["n"] += 1
+        raise PathSingularityError("synthetic failure")
+
+    cache = DerivativeCache()
+    a = np.array([0.3 + 0.1j, 0.5])
+    # every request starts on the same first circle node
+    for multi in ((1, 0), (2, 0), (3, 0), (4, 0)):
+        with pytest.raises(PathSingularityError, match="synthetic failure"):
+            differentiate(phi, a, multi, DIFF, cache)
+    assert calls["n"] == 1
+    assert (cache.misses, cache.hits) == (1, 3)
+
+
+def _noise_floor(a, multi, radius_factor, phi0):
+    # differentiate's floor: 1e-10 * prod q!/(rho/2)^q * |phi(a)|
+    amp = 1.0
+    for v, q in enumerate(multi):
+        rho = radius_factor * max(1.0, abs(a[v]))
+        amp *= math.factorial(q) / (rho / 2.0) ** q
+    return amp * abs(phi0) * 1e-10
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_direction_circles_match_tensor_grid_on_shipped_boxes(name):
+    spec = load_scenario(name)
+    settings = spec.settings
+    pf = PeriodFunction(scenario=spec)
+    cache = DerivativeCache()
+    a = verification_points(
+        spec.coefficient_vector(), 1, settings.seed,
+        settings.point_rel, settings.point_rel_min,
+    )[0]
+    phi0 = cache.value(pf, a)
+    multis = {
+        m for box in build_system(spec).boxes for m in (box.u_plus, box.u_minus)
+    }
+    for multi in sorted(multis):
+        new = differentiate(pf, a, multi, settings, cache).value
+        tensor = cauchy_tensor(
+            lambda p: cache.value(pf, p), a, multi,
+            settings.radius_factor, settings.diff_nodes,
+        )
+        floor = _noise_floor(a, multi, settings.radius_factor, phi0)
+        scale = max(abs(new), abs(tensor))
+        assert abs(new - tensor) <= 1e-6 * max(scale, floor), (multi, new, tensor)
+        if name == "gl_quadratic" and sum(q > 0 for q in multi) > 1:
+            # d^u of 1/a2 vanishes when u touches a0 or a1: noise only
+            assert scale < floor
+
+
+def test_mixed_partials_exact_on_polynomials():
+    # total degree 12 is below nodes + q on every direction circle, and the
+    # direction average is exact, so only rounding remains
+    rng = np.random.default_rng(12)
+    exps = [e for e in itertools.product(range(13), repeat=3) if sum(e) <= 12]
+    coeffs = rng.standard_normal(len(exps)) + 1j * rng.standard_normal(len(exps))
+    powers = np.array(exps)
+
+    def phi(a):
+        return complex(np.prod(a ** powers, axis=1) @ coeffs)
+
+    a = np.array([0.3 - 0.2j, -0.4 + 0.1j, 0.2 + 0.5j])
+    cache = DerivativeCache()
+    mixed = [
+        u for u in itertools.product(range(7), repeat=3)
+        if sum(u) <= 6 and sum(q > 0 for q in u) >= 2
+    ]
+    for u in mixed:
+        expect = 0.0j
+        for e, c in zip(exps, coeffs):
+            if all(ev >= uv for ev, uv in zip(e, u)):
+                term = c
+                for ev, uv, av in zip(e, u, a):
+                    term *= math.perm(ev, uv) * av ** (ev - uv)
+                expect += term
+        d = differentiate(phi, a, u, DIFF, cache)
+        assert abs(d.value - expect) < 1e-10 * abs(expect), u
+
+
+def test_vanishing_mixed_partial_stays_quiet():
+    d = differentiate(
+        lambda a: np.exp(a[0]), np.array([0.4 + 0.3j, -0.7]), (1, 1), DIFF
+    )
+    assert abs(d.value) < 1e-12
+    assert d.warnings == ()
 
 
 def test_diagnostic_flags_pole_inside_circle():
