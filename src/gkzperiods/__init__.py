@@ -58,7 +58,6 @@ from .scenario_io import (
 )
 from .support_lattice import (
     BoxEnumeration,
-    BoxVector,
     ExponentMatrix,
     LatticeBasis,
     build_exponent_matrix,
@@ -80,7 +79,6 @@ __all__ = [
     "ArcSegment",
     "BoxEnumeration",
     "BoxOperator",
-    "BoxVector",
     "BranchAmbiguityError",
     "CycleSpec",
     "CycleTerm",

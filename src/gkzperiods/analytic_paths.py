@@ -42,6 +42,8 @@ __all__ = [
 
 # Overflow guard for exp() of the accumulated log-integrand.
 _EXP_CAP = 700.0
+# Bisection depth continued_logs allows between two samples.
+_MAX_BISECT_DEPTH = 40
 
 
 class EvaluationError(Exception):
@@ -334,7 +336,6 @@ def continued_logs(
     eval_at: Callable[[float], complex],
     anchor_t: float,
     anchor_log: complex | None = None,
-    max_depth: int = 40,
 ) -> np.ndarray:
     """Continuous logs of sampled nonzero values along a parameterized curve.
 
@@ -385,7 +386,7 @@ def continued_logs(
                 complex(work_v[k]),
                 float(work_t[k + 1]),
                 complex(work_v[k + 1]),
-                max_depth,
+                _MAX_BISECT_DEPTH,
                 zero_floor,
             )
         increments[1:] = d

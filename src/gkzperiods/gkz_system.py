@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from .scenario import ScenarioError, ScenarioSpec
 from .support_lattice import (
-    BoxVector,
+    BoxOperator,
     ExponentMatrix,
     LatticeBasis,
     RowLabel,
@@ -38,19 +38,6 @@ class EulerOperator:
     weights: tuple[int, ...]
     eigenvalue: complex
     label: RowLabel
-
-
-@dataclass(frozen=True)
-class BoxOperator:
-    """Higher-order operator d^(u+) - d^(u-) from a kernel vector."""
-
-    u_plus: tuple[int, ...]
-    u_minus: tuple[int, ...]
-    label: str
-
-    @property
-    def order(self) -> int:
-        return max(sum(self.u_plus), sum(self.u_minus))
 
 
 @dataclass(frozen=True)
@@ -110,23 +97,15 @@ def build_system(spec: ScenarioSpec) -> GkzSystem:
             continue
         eulers.append(EulerOperator(weights=row, eigenvalue=kappa, label=label))
 
-    boxes = tuple(
-        BoxOperator(u_plus=bv.u_plus, u_minus=bv.u_minus, label=_box_label(bv))
-        for bv in enumeration.vectors
-    )
     return GkzSystem(
         scenario=spec,
         matrix=matrix,
         kernel=kernel,
         parameters=tuple(parameters),
         eulers=tuple(eulers),
-        boxes=boxes,
+        boxes=enumeration.vectors,
         warnings=enumeration.warnings,
     )
-
-
-def _box_label(bv: BoxVector) -> str:
-    return f"box{bv.u}"
 
 
 def _fmt_param(z: complex) -> str:

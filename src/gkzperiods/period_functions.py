@@ -18,7 +18,7 @@ import numpy as np
 
 from ._roots import eval_with_derivative, univariate_roots
 from .analytic_paths import EvaluationError
-from .quadrature import integrate_cycle
+from .quadrature import LEVEL_CAP, integrate_cycle
 from .scenario import ScenarioSpec, is_real_integer
 
 __all__ = [
@@ -218,7 +218,7 @@ def eval_period(spec: ScenarioSpec, a: np.ndarray) -> complex:
     if not res.converged:
         raise UnconvergedQuadratureError(
             f"quadrature did not converge below tol {spec.settings.tol:g} "
-            f"within level cap {spec.settings.level_cap} (error estimate "
+            f"within level cap {LEVEL_CAP} (error estimate "
             f"{res.error_estimate:.3e})"
         )
     return res.value

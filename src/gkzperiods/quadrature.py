@@ -33,6 +33,9 @@ _TS_TMAX = 3.2
 _TS_EDGE = 1e-15
 # ray truncation quality: tip magnitude over max magnitude along the path
 _TIP_RATIO = 1e-18
+# refinement levels tried by integrate_term, first to last
+LEVEL_START = 5
+LEVEL_CAP = 14
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 
@@ -310,14 +313,14 @@ def integrate_term(
 ) -> IntegralResult:
     """Integrate one product-cycle term, refining until level agreement.
 
-    Tolerance and levels come from ``spec.settings``.  The returned value
-    includes the term multiplicity.  If the level cap is reached without
-    agreement the result is flagged unconverged but still returned.
+    Tolerance comes from ``spec.settings``; levels run LEVEL_START..LEVEL_CAP.
+    The returned value includes the term multiplicity.  If the level cap is
+    reached without agreement the result is flagged unconverged but still
+    returned.
     """
     if a is None:
         a = spec.coefficient_vector()
     a = np.asarray(a, dtype=complex)
-    settings = spec.settings
     if len(term.paths) != spec.m:
         raise ValueError(
             f"cycle term has {len(term.paths)} path factors, scenario has m = {spec.m}"
@@ -328,14 +331,14 @@ def integrate_term(
         _path_rules(rp, spec, a, tracked_factors, tracked_coords) for rp in rpaths
     ]
 
-    tol = settings.tol
+    tol = spec.settings.tol
     prev = None
     value = 0.0 + 0.0j
     err = math.inf
     nodes_total = 0
     diag: dict = {"rules": all_rules, "levels": []}
     converged = False
-    for level in range(settings.level_start, settings.level_cap + 1):
+    for level in range(LEVEL_START, LEVEL_CAP + 1):
         value, nodes, level_diag = _term_level_value(
             spec, a, rpaths, all_rules, level, tracked_factors, tracked_coords
         )

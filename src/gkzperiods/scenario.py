@@ -94,36 +94,26 @@ class FactorSupport:
 class EvalSettings:
     """Numerical knobs carried by a scenario.
 
-    Defaults match the documented contract: quadrature tolerance 1e-10 with
-    levels 5..14, box search bound 4, verification threshold 1e-6 with three
-    seeded points perturbed by 10..20 percent, and Cauchy-circle
-    differentiation with 16 nodes at radius 0.1 * max(1, |a|).  Values the
-    verifier cannot use are rejected here, for scenario files and command
-    line overrides alike.
+    Defaults match the documented contract: quadrature tolerance 1e-10,
+    box search bound 4, verification threshold 1e-6 with three seeded
+    points perturbed by point_rel/2..point_rel (10..20 percent), and
+    Cauchy-circle differentiation at radius 0.1 * max(1, |a|).  The
+    quadrature levels (5..14) and the circle node count (16) are fixed
+    constants of their modules.  Values the verifier cannot use are
+    rejected here, for scenario files and command line overrides alike.
     """
 
     tol: float = 1e-10
-    level_start: int = 5
-    level_cap: int = 14
     degree_bound: int = 4
     threshold: float = 1e-6
     seed: int = 1234
     points: int = 3
     point_rel: float = 0.2
-    point_rel_min: float = 0.1
     radius_factor: float = 0.1
-    diff_nodes: int = 16
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ScenarioError("settings.tol", "must be positive")
-        if self.level_start < 0:
-            raise ScenarioError("settings.level_start", "must be non-negative")
-        if self.level_cap < self.level_start:
-            raise ScenarioError(
-                "settings.level_cap",
-                f"must be at least level_start ({self.level_start})",
-            )
         if self.degree_bound < 1:
             raise ScenarioError("settings.degree_bound", "must be at least 1")
         if not self.threshold > 0:
@@ -132,10 +122,8 @@ class EvalSettings:
             raise ScenarioError("settings.seed", "must be non-negative")
         if self.points < 1:
             raise ScenarioError("settings.points", "need at least one point")
-        if self.diff_nodes < 8 or self.diff_nodes % 2 != 0:
-            raise ScenarioError(
-                "settings.diff_nodes", "must be an even integer >= 8"
-            )
+        if not self.point_rel > 0:
+            raise ScenarioError("settings.point_rel", "must be positive")
         if not self.radius_factor > 0:
             raise ScenarioError("settings.radius_factor", "must be positive")
 

@@ -279,8 +279,7 @@ def _settings_in(node, where: str) -> EvalSettings:
     for key, val in node.items():
         if key not in _SETTING_NAMES:
             raise ScenarioError(where + f".{key}", "unknown setting")
-        if key in ("level_start", "level_cap", "degree_bound", "seed", "points",
-                   "diff_nodes"):
+        if key in ("degree_bound", "seed", "points"):
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ScenarioError(where + f".{key}", "expected an integer")
             kwargs[key] = val

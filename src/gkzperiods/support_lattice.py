@@ -16,7 +16,7 @@ __all__ = [
     "RowLabel",
     "ExponentMatrix",
     "LatticeBasis",
-    "BoxVector",
+    "BoxOperator",
     "BoxEnumeration",
     "build_exponent_matrix",
     "integer_kernel_basis",
@@ -59,26 +59,22 @@ class LatticeBasis:
 
 
 @dataclass(frozen=True)
-class BoxVector:
-    """Kernel vector split into its positive and negative parts."""
+class BoxOperator:
+    """Operator d^(u+) - d^(u-) of a kernel vector u = u+ - u-."""
 
-    u: tuple[int, ...]
     u_plus: tuple[int, ...]
     u_minus: tuple[int, ...]
-    order: int
 
-    @staticmethod
-    def from_vector(u: tuple[int, ...]) -> "BoxVector":
-        plus = tuple(max(x, 0) for x in u)
-        minus = tuple(max(-x, 0) for x in u)
-        return BoxVector(u=tuple(u), u_plus=plus, u_minus=minus, order=sum(plus))
+    @property
+    def order(self) -> int:
+        return max(sum(self.u_plus), sum(self.u_minus))
 
 
 @dataclass(frozen=True)
 class BoxEnumeration:
-    """Enumerated box vectors plus any warnings raised along the way."""
+    """Enumerated box operators plus any warnings raised along the way."""
 
-    vectors: tuple[BoxVector, ...]
+    vectors: tuple[BoxOperator, ...]
     warnings: tuple[str, ...]
 
     def __iter__(self):
@@ -213,7 +209,8 @@ def enumerate_box_vectors(basis: LatticeBasis, degree_bound: int = 4) -> BoxEnum
     [-degree_bound, degree_bound], keeps u != 0 with |u+|_1 <= bound and
     |u-|_1 <= bound, sign-normalizes (first nonzero entry positive), and
     dedupes.  Basis vectors are always included, with a warning when the
-    bound is smaller than some basis vector order.
+    bound is smaller than some basis vector order.  Each u comes back as
+    its BoxOperator, ordered by |u|_1 and then u.
     """
     if degree_bound < 1:
         raise ScenarioError("settings.degree_bound", "degree bound must be >= 1")
@@ -271,5 +268,10 @@ def enumerate_box_vectors(basis: LatticeBasis, degree_bound: int = 4) -> BoxEnum
         )
 
     ordered = sorted(found, key=lambda u: (sum(abs(x) for x in u), u))
-    boxes = tuple(BoxVector.from_vector(u) for u in ordered)
+    boxes = tuple(
+        BoxOperator(
+            u_plus=tuple(max(x, 0) for x in u), u_minus=tuple(max(-x, 0) for x in u)
+        )
+        for u in ordered
+    )
     return BoxEnumeration(vectors=boxes, warnings=tuple(warnings))

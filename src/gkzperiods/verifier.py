@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _MAX_ORDER = 6
+# trapezoid nodes on every Cauchy circle
+_DIFF_NODES = 16
 # below this fraction of |phi| the operator's own scale is numerically zero
 _DEGENERATE_FRACTION = 1e-8
 # full- and half-radius derivatives disagreeing by more than this warn
@@ -86,9 +88,7 @@ class DerivResult:
     warnings: tuple = ()
 
 
-def _direction_circles(
-    phi, a: np.ndarray, multi: tuple, radii: dict, nodes: int, cache
-) -> complex:
+def _direction_circles(phi, a: np.ndarray, multi: tuple, radii: dict, cache) -> complex:
     """d^multi phi(a) from 1-D Cauchy circles along root-of-unity directions.
 
     The first support coordinate s0 moves by radii[s0]; every other support
@@ -105,10 +105,10 @@ def _direction_circles(
     order = sum(multi)
     support = [v for v, q in enumerate(multi) if q > 0]
     # samples per support coordinate: circle nodes for s0, m_i for the rest
-    sizes = [nodes] + [
+    sizes = [_DIFF_NODES] + [
         1 << max(multi[i], order - multi[i]).bit_length() for i in support[1:]
     ]
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    theta = 2.0 * math.pi * np.arange(_DIFF_NODES) / _DIFF_NODES
     rot = np.exp(1j * theta)
     acc = 0.0 + 0.0j
     for turns in itertools.product(*(range(m) for m in sizes[1:])):
@@ -119,7 +119,7 @@ def _direction_circles(
             # orders produce bit-identical sample points
             step[i] = radii[i] * np.exp(2j * math.pi * (j / m))
             coef *= np.exp(-2j * math.pi * (j * multi[i] % m / m))
-        for idx in range(nodes):
+        for idx in range(_DIFF_NODES):
             point = a.copy()
             for v, h in step.items():
                 point[v] = a[v] + h * rot[idx]
@@ -147,9 +147,9 @@ def differentiate(
     count; the same derivative recomputed at half radius is returned as an
     agreement diagnostic, with a warning when it exceeds _AGREEMENT_TOL.
     Coordinate v of a direction has modulus settings.radius_factor *
-    max(1, |a_v|), and each circle has settings.diff_nodes nodes.  Orders
-    above _MAX_ORDER raise DerivativeOrderError, which verify() reports as
-    an error cell.
+    max(1, |a_v|), the only setting read here, and each circle has
+    _DIFF_NODES nodes.  Orders above _MAX_ORDER raise DerivativeOrderError,
+    which verify() reports as an error cell.
     """
     if cache is None:
         cache = DerivativeCache()
@@ -168,7 +168,7 @@ def differentiate(
         v = cache.value(phi, a)
         return DerivResult(value=v, diagnostic=0.0)
 
-    key = (a.tobytes(), multi, settings.radius_factor, settings.diff_nodes)
+    key = (a.tobytes(), multi, settings.radius_factor)
     if key in cache.derivs:
         return cache.derivs[key]
 
@@ -178,10 +178,9 @@ def differentiate(
         for v, q in enumerate(multi)
         if q > 0
     }
-    nodes = settings.diff_nodes
-    val = _direction_circles(phi, a, multi, radii, nodes, cache)
+    val = _direction_circles(phi, a, multi, radii, cache)
     half = _direction_circles(
-        phi, a, multi, {v: r / 2.0 for v, r in radii.items()}, nodes, cache
+        phi, a, multi, {v: r / 2.0 for v, r in radii.items()}, cache
     )
     # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
     # (the direction average is unitary and adds no amplification)
@@ -308,15 +307,11 @@ class ResidualReport:
 
 
 def verification_points(
-    base: np.ndarray,
-    n: int,
-    seed: int,
-    rel: float = 0.2,
-    rel_min: float = 0.1,
+    base: np.ndarray, n: int, seed: int, rel: float = 0.2
 ) -> list[np.ndarray]:
     """Seeded random perturbations of the base coefficients.
 
-    Per coordinate the offset magnitude is uniform in [rel_min, rel] times
+    Per coordinate the offset magnitude is uniform in [rel/2, rel] times
     the coordinate scale (|a_v|, falling back to 1 for zero coordinates),
     with uniform phase.
     """
@@ -325,7 +320,7 @@ def verification_points(
     scale = np.where(np.abs(base) > 1e-12, np.abs(base), 1.0)
     points = []
     for _ in range(n):
-        r = rng.uniform(rel_min, rel, size=base.size)
+        r = rng.uniform(rel / 2.0, rel, size=base.size)
         phase = rng.uniform(0.0, 2.0 * math.pi, size=base.size)
         points.append(base + scale * r * np.exp(1j * phase))
     return points
@@ -358,7 +353,6 @@ def verify(
             settings.points,
             settings.seed,
             settings.point_rel,
-            settings.point_rel_min,
         )
     points = [np.asarray(p, dtype=complex) for p in points]
     if not points:

@@ -70,7 +70,6 @@ def _scenario_points(spec, n=None):
         spec.settings.points if n is None else n,
         spec.settings.seed,
         spec.settings.point_rel,
-        spec.settings.point_rel_min,
     )
 
 

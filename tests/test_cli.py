@@ -259,7 +259,10 @@ def test_verify_corrupt_eigenvalue_out_of_range_is_input_error(tmp_path):
 
 
 def test_verify_unusable_diff_setting_is_input_error(tmp_path):
-    for key, val in (("diff_nodes", 7), ("radius_factor", -1)):
+    # settings folded into constants fail to load as unknown keys
+    folded = {"diff_nodes", "level_start", "level_cap", "point_rel_min"}
+    for key, val in (("diff_nodes", 7), ("radius_factor", -1), ("point_rel", -1),
+                     ("level_start", 5), ("level_cap", 14), ("point_rel_min", 0.1)):
         doc = json.loads(DENSE_SEPTIC_DOC)
         doc["settings"] = {key: val}
         path = tmp_path / f"{key}.json"
@@ -267,6 +270,7 @@ def test_verify_unusable_diff_setting_is_input_error(tmp_path):
         res = run_cli("verify", str(path), cwd=tmp_path)
         assert res.returncode == 2
         assert f"error: settings.{key}" in res.stderr
+        assert ("unknown setting" in res.stderr) == (key in folded)
         assert "Traceback" not in res.stderr
 
 

@@ -66,7 +66,7 @@ def test_frozen_variable_gets_no_euler_operator():
     assert set(labels) == {("indicator", 1), ("exponent", 2)}
 
 
-def test_degree_bound_argument_overrides_settings():
+def test_tighter_degree_bound_setting_keeps_fewer_boxes():
     spec = builtin("cubic_root_parametric")
     default = build_system(spec)
     tight = build_system(
@@ -85,7 +85,7 @@ def test_degree_bound_argument_overrides_settings():
 
 
 def test_box_operator_order():
-    b = BoxOperator(u_plus=(1, 0, 1), u_minus=(0, 2, 0), label="x")
+    b = BoxOperator(u_plus=(1, 0, 1), u_minus=(0, 2, 0))
     assert b.order == 2
 
 

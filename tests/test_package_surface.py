@@ -1,9 +1,12 @@
-"""Static checks of the package surface: no unused imports, no stale exports.
+"""Static checks of the package surface: no unused imports, no stale exports,
+no idle settings.
 
-Only the stdlib ``ast`` module is used, so the checks run without a linter.
+Only the stdlib ``ast`` and ``json`` modules are used, so the checks run
+without a linter and without importing the package.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,46 @@ def test_package_reexports_exist_in_their_modules():
         assert level == 1, f"__init__ imports {name} from outside the package"
         source = parse(PKG / f"{module}.py")
         assert name in defined_names(source), f"{module} defines no {name}"
+
+
+def settings_defaults():
+    """EvalSettings field name -> default value, as written in scenario.py."""
+    for node in parse(PKG / "scenario.py").body:
+        if isinstance(node, ast.ClassDef) and node.name == "EvalSettings":
+            return {
+                stmt.target.id: ast.literal_eval(stmt.value)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+            }
+    raise AssertionError("scenario.py defines no EvalSettings")
+
+
+def cli_flags():
+    """Every ``--option`` string that cli.py passes to add_argument."""
+    return {
+        arg.value
+        for node in ast.walk(parse(PKG / "cli.py"))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+    }
+
+
+def test_every_setting_is_set_somewhere():
+    # a setting that no shipped scenario moves off its default and no CLI
+    # flag overrides is a constant in disguise
+    defaults = settings_defaults()
+    moved = set()
+    for path in (PKG / "scenarios").glob("*.json"):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        moved.update(
+            key for key, val in doc.get("settings", {}).items()
+            if val != defaults.get(key)
+        )
+    flags = cli_flags()
+    idle = sorted(
+        name for name in defaults
+        if name not in moved and "--" + name.replace("_", "-") not in flags
+    )
+    assert not idle, f"settings no scenario or CLI flag sets: {idle}"

@@ -291,12 +291,12 @@ def test_ray_truncation_is_long_enough():
 
 
 def test_level_cap_failure_raises():
+    # no level reaches 1e-300 agreement before the fixed cap of 14
     spec = builtin("gauss")
     starved = dataclasses.replace(
-        spec,
-        settings=dataclasses.replace(spec.settings, level_start=2, level_cap=3),
+        spec, settings=dataclasses.replace(spec.settings, tol=1e-300)
     )
-    with pytest.raises(UnconvergedQuadratureError, match="did not converge"):
+    with pytest.raises(UnconvergedQuadratureError, match="level cap 14"):
         eval_period(starved, starved.coefficient_vector())
 
 

@@ -130,7 +130,8 @@ def test_unknown_setting_key_rejected():
     # settings that no longer exist must not load silently
     for key, val in (("nonsense", 3), ("jobs", 2),
                      ("diff_method", "central-difference"), ("fd_step", 1e-3),
-                     ("richardson", 2)):
+                     ("richardson", 2), ("diff_nodes", 16), ("level_start", 5),
+                     ("level_cap", 14), ("point_rel_min", 0.1)):
         doc["settings"] = {"tol": 1e-10, key: val}
         with pytest.raises(ScenarioError, match="unknown setting") as info:
             loads_scenario(json.dumps(doc))
@@ -139,15 +140,13 @@ def test_unknown_setting_key_rejected():
 
 @pytest.mark.parametrize("key, val", [
     ("points", 0),
-    ("diff_nodes", 7),
-    ("diff_nodes", 6),
+    ("point_rel", 0.0),
+    ("point_rel", -1.0),
     ("radius_factor", -1.0),
     ("radius_factor", 0.0),
     ("tol", -1.0),
     ("tol", 0.0),
     ("tol", float("nan")),
-    ("level_start", -1),
-    ("level_cap", 4),
     ("threshold", 0.0),
     ("threshold", -1e-6),
     ("seed", -1),
@@ -238,7 +237,8 @@ def test_settings_defaults():
     assert s.degree_bound == 4
     assert s.threshold == 1e-6
     assert s.points == 3
-    assert s.diff_nodes == 16
+    assert s.point_rel == 0.2
+    assert s.radius_factor == 0.1
 
 
 def test_scenario_settings_override_defaults():
@@ -247,7 +247,7 @@ def test_scenario_settings_override_defaults():
     spec = loads_scenario(json.dumps(doc))
     assert spec.settings.tol == 1e-8
     assert spec.settings.seed == 7
-    assert spec.settings.level_cap == EvalSettings().level_cap
+    assert spec.settings.point_rel == EvalSettings().point_rel
 
 
 def test_normalized_document_key_order_is_canonical():

@@ -43,6 +43,16 @@ def structure_spec(m, factors):
     )
 
 
+def box_u(op):
+    """The kernel vector u = u+ - u- of a box operator."""
+    return tuple(p - q for p, q in zip(op.u_plus, op.u_minus))
+
+
+def sign_normalized(u):
+    first = next(x for x in u if x != 0)
+    return u if first > 0 else tuple(-x for x in u)
+
+
 def test_quadratic_matrix():
     mat = build_exponent_matrix(builtin("quadratic_root"))
     assert mat.rows == ((1, 1, 1), (0, 1, 2))
@@ -159,9 +169,9 @@ def test_box_enumeration_orders_and_bounds():
     basis = integer_kernel_basis(build_exponent_matrix(builtin("quadratic_root")))
     # bound 4 admits the doubled relation too; bound 2 leaves the primitive one
     enum = enumerate_box_vectors(basis, degree_bound=4)
-    assert [bv.u for bv in enum] == [(1, -2, 1), (2, -4, 2)]
+    assert [box_u(bv) for bv in enum] == [(1, -2, 1), (2, -4, 2)]
     enum = enumerate_box_vectors(basis, degree_bound=2)
-    assert [bv.u for bv in enum] == [(1, -2, 1)]
+    assert [box_u(bv) for bv in enum] == [(1, -2, 1)]
     bv = enum.vectors[0]
     assert bv.u_plus == (1, 0, 1)
     assert bv.u_minus == (0, 2, 0)
@@ -177,14 +187,13 @@ def test_box_enumeration_respects_degree_bound():
     assert len(big.vectors) >= len(small.vectors)
     for bv in big:
         assert sum(bv.u_plus) <= 4 and sum(bv.u_minus) <= 4
-        assert tuple(p - q for p, q in zip(bv.u_plus, bv.u_minus)) == bv.u
         assert all(p == 0 or q == 0 for p, q in zip(bv.u_plus, bv.u_minus))
     # sign normalization: first nonzero entry positive
     for bv in big:
-        first = next(x for x in bv.u if x != 0)
+        first = next(x for x in box_u(bv) if x != 0)
         assert first > 0
     # sorted by order then lexicographically
-    keys = [(bv.order, bv.u) for bv in big]
+    keys = [(bv.order, box_u(bv)) for bv in big]
     assert keys == sorted(keys)
 
 
@@ -192,7 +201,7 @@ def test_box_enumeration_no_duplicates():
     spec = builtin("cubic_root_parametric")
     basis = integer_kernel_basis(build_exponent_matrix(spec))
     enum = enumerate_box_vectors(basis, degree_bound=4)
-    us = [bv.u for bv in enum]
+    us = [box_u(bv) for bv in enum]
     assert len(us) == len(set(us))
 
 
@@ -200,8 +209,36 @@ def test_tight_bound_keeps_basis_with_warning():
     # bound too small for even the basis vectors: they are kept, flagged
     basis = integer_kernel_basis(build_exponent_matrix(builtin("quadratic_root")))
     enum = enumerate_box_vectors(basis, degree_bound=1)
-    assert [bv.u for bv in enum] == [(1, -2, 1)]
+    assert [box_u(bv) for bv in enum] == [(1, -2, 1)]
     assert any("degree bound" in w for w in enum.warnings)
+
+
+def test_box_enumeration_is_complete_within_the_bound():
+    # every nonzero kernel vector with |u+| <= d and |u-| <= d appears once,
+    # sign-normalized; anything else listed is a basis vector kept over d
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(80):
+        m, factors = random_scenario_structure(rng)
+        mat = build_exponent_matrix(structure_spec(m, factors))
+        if mat.shape[1] > 5:
+            continue
+        basis = integer_kernel_basis(mat)
+        small = brute_force_kernel(mat.rows, bound=3)
+        for bound in (1, 2, 3):
+            listed = [box_u(bv) for bv in enumerate_box_vectors(basis, bound)]
+            want = {
+                sign_normalized(u)
+                for u in small
+                if sum(x for x in u if x > 0) <= bound
+                and sum(-x for x in u if x < 0) <= bound
+            }
+            for u in want:
+                assert listed.count(u) == 1, (mat.rows, bound, u)
+            kept = {sign_normalized(v) for v in basis.vectors}
+            assert set(listed) - want <= kept, (mat.rows, bound)
+            checked += len(want)
+    assert checked > 100
 
 
 def test_full_rank_matrix_has_empty_kernel():

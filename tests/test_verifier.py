@@ -166,8 +166,7 @@ def test_direction_circles_match_tensor_grid_on_shipped_boxes(name):
     pf = PeriodFunction(scenario=spec)
     cache = DerivativeCache()
     a = verification_points(
-        spec.coefficient_vector(), 1, settings.seed,
-        settings.point_rel, settings.point_rel_min,
+        spec.coefficient_vector(), 1, settings.seed, settings.point_rel
     )[0]
     phi0 = cache.value(pf, a)
     multis = {
@@ -175,9 +174,9 @@ def test_direction_circles_match_tensor_grid_on_shipped_boxes(name):
     }
     for multi in sorted(multis):
         new = differentiate(pf, a, multi, settings, cache).value
+        # 16 nodes per circle, as in the verifier
         tensor = cauchy_tensor(
-            lambda p: cache.value(pf, p), a, multi,
-            settings.radius_factor, settings.diff_nodes,
+            lambda p: cache.value(pf, p), a, multi, settings.radius_factor, 16
         )
         floor = _noise_floor(a, multi, settings.radius_factor, phi0)
         scale = max(abs(new), abs(tensor))
@@ -275,7 +274,7 @@ def test_box_operator_application():
     # phi = exp(a0 a2 + a1^2 / 2): d0 d2 phi - d1^2 phi = (a0 a2 - a1^2) phi,
     # so the residual vanishes exactly on the a0 a2 = a1^2 locus
     phi = lambda a: np.exp(a[0] * a[2] + 0.5 * a[1] ** 2)
-    box = BoxOperator(u_plus=(1, 0, 1), u_minus=(0, 2, 0), label="box")
+    box = BoxOperator(u_plus=(1, 0, 1), u_minus=(0, 2, 0))
     off = apply_operator(box, phi, np.array([0.3, 0.4, 0.2], dtype=complex), DIFF)
     assert off.relative > 1e-3
     on = apply_operator(
@@ -287,7 +286,7 @@ def test_box_operator_application():
 def test_degenerate_operator_flagged():
     # box of order 2 on a linear function: both sides vanish identically
     phi = lambda a: 2.0 * a[0] + a[1]
-    box = BoxOperator(u_plus=(2, 0), u_minus=(0, 2), label="box")
+    box = BoxOperator(u_plus=(2, 0), u_minus=(0, 2))
     app = apply_operator(box, phi, np.array([0.4, 0.7], dtype=complex), DIFF)
     assert app.degenerate
     assert app.relative == 0.0
@@ -331,9 +330,7 @@ def test_verify_reports_order_above_cap_as_error_cell():
     spec = builtin("gl_quadratic")
     base = build_system(spec)
     n = base.n_columns
-    too_high = BoxOperator(
-        u_plus=(7,) + (0,) * (n - 1), u_minus=(0,) * n, label="order 7"
-    )
+    too_high = BoxOperator(u_plus=(7,) + (0,) * (n - 1), u_minus=(0,) * n)
     system = replace(base, eulers=(), boxes=(too_high,))
     report = verify(system, lambda a: complex(a[0]), points=[np.ones(n)])
     assert len(report.cells) == 1
