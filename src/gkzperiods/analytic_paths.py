@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -183,26 +183,47 @@ class ResolvedPath:
         return len(self.segments)
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.floor(t).astype(int), 0, self.nsegments - 1)
-        s = t - idx
-        out = np.empty(t.shape, dtype=complex)
-        for k, seg in enumerate(self.segments):
-            mask = idx == k
-            if np.any(mask):
-                out[mask] = seg.point(s[mask])
-        return out if out.shape else complex(out)
+        return self._piecewise(t, "point")
 
     def derivative(self, t):
+        return self._piecewise(t, "derivative")
+
+    def _piecewise(self, t, method: str):
         t = np.asarray(t, dtype=float)
-        idx = np.clip(np.floor(t).astype(int), 0, self.nsegments - 1)
+        idx = np.minimum(np.maximum(np.floor(t), 0), self.nsegments - 1).astype(int)
         s = t - idx
-        out = np.empty(t.shape, dtype=complex)
+        out = None
         for k, seg in enumerate(self.segments):
             mask = idx == k
             if np.any(mask):
-                out[mask] = seg.derivative(s[mask])
+                v = getattr(seg, method)(s[mask])
+                if out is None:
+                    # a stacked path's segments add a leading row axis
+                    out = np.empty(np.shape(v)[:-1] + t.shape, dtype=complex)
+                out[..., mask] = v
         return out if out.shape else complex(out)
+
+    @classmethod
+    def stack(cls, paths: Sequence["ResolvedPath"]) -> "ResolvedPath":
+        """Resolutions of one Path1D at several coefficient rows, as one path.
+
+        Every geometric segment field becomes a (rows, 1) array, so point()
+        and derivative() return one row per resolution.
+        """
+        segments = tuple(
+            replace(parts[0], **{
+                f: np.array([getattr(seg, f) for seg in parts])[:, None]
+                for f in _GEOMETRY_FIELDS
+            })
+            for parts in zip(*(p.segments for p in paths))
+        )
+        return cls(segments=segments, closed=paths[0].closed,
+                   anchor_t=paths[0].anchor_t)
+
+
+_GEOMETRY_FIELDS = (
+    "z0", "z1", "center", "radius", "angle_start", "angle_end", "direction", "length",
+)
 
 
 def _resolve_endpoint(pt, spec: ScenarioSpec, a: np.ndarray) -> tuple[complex, int]:
@@ -333,28 +354,44 @@ def _arg_increment(
 def continued_logs(
     ts: np.ndarray,
     values: np.ndarray,
-    eval_at: Callable[[float], complex],
+    eval_at: Callable[[float], np.ndarray],
     anchor_t: float,
-    anchor_log: complex | None = None,
-) -> np.ndarray:
-    """Continuous logs of sampled nonzero values along a parameterized curve.
+    anchor_log: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict]:
+    """Continuous logs of sampled nonzero values along parameterized curves.
 
-    The branch is principal at the anchor parameter (or continues a supplied
-    anchor_log); between consecutive samples the argument may move by less
-    than pi/2, refined by bisection via eval_at where it does not.  The
-    anchor is inserted as a virtual node if it is not already sampled, so
-    results do not depend on the sampling resolution.
+    Row r of ``values`` samples one curve at the shared sorted parameters
+    ``ts``; ``eval_at(t)`` returns every row's value at parameter t.  Each
+    row's branch is principal at the anchor parameter (or continues its
+    entry of ``anchor_log``); between consecutive samples the argument may
+    move by less than pi/2, refined by bisection via eval_at for the
+    (row, interval) pairs where it does not.  The anchor is inserted as a
+    virtual node if it is not already sampled, so results do not depend on
+    the sampling resolution.  Rows do not interact: a row's logs are the
+    same in any batch.
+
+    Returns the (rows, len(ts)) logs and a dict mapping each row that
+    cannot be transported to its EvaluationError; such rows hold nan.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=complex)
+    errors: dict = {}
     if ts.size == 0:
-        return np.zeros(0, dtype=complex)
-    if not np.all(np.isfinite(values)):
-        raise PathSingularityError("non-finite factor value on the path")
-    if np.any(values == 0):
-        k = int(np.argmax(values == 0))
-        raise PathSingularityError(f"exact zero on the path at parameter {ts[k]}")
-    zero_floor = 1e-10 * float(np.max(np.abs(values)))
+        return np.zeros(values.shape, dtype=complex), errors
+    for r in np.nonzero(~np.all(np.isfinite(values), axis=1))[0]:
+        errors[int(r)] = PathSingularityError("non-finite factor value on the path")
+    zero = values == 0
+    for r in np.nonzero(np.any(zero, axis=1))[0]:
+        k = int(np.argmax(zero[r]))
+        errors.setdefault(
+            int(r),
+            PathSingularityError(f"exact zero on the path at parameter {ts[k]}"),
+        )
+    if errors:
+        # failed rows continue as harmless ones and are blanked at the end
+        values = values.copy()
+        values[list(errors)] = 1.0
+    zero_floor = 1e-10 * np.max(np.abs(values), axis=1)
 
     pos = int(np.searchsorted(ts, anchor_t))
     virtual = not (
@@ -362,40 +399,54 @@ def continued_logs(
         or (pos > 0 and ts[pos - 1] == anchor_t)
     )
     if virtual:
-        va = complex(eval_at(anchor_t))
-        if va == 0 or not (math.isfinite(va.real) and math.isfinite(va.imag)):
-            raise PathSingularityError("anchor sits on a zero of a tracked value")
+        va = np.asarray(eval_at(anchor_t), dtype=complex).copy()
+        bad = (va == 0) | ~np.isfinite(va)
+        for r in np.nonzero(bad)[0]:
+            errors.setdefault(
+                int(r), PathSingularityError("anchor sits on a zero of a tracked value")
+            )
+        va[bad] = 1.0
         work_t = np.insert(ts, pos, anchor_t)
-        work_v = np.insert(values, pos, va)
+        work_v = np.insert(values, pos, va, axis=1)
         anchor_idx = pos
     else:
         work_t = ts
         work_v = values
         anchor_idx = pos if (pos < ts.size and ts[pos] == anchor_t) else pos - 1
 
-    base = cmath.log(complex(work_v[anchor_idx])) if anchor_log is None else anchor_log
+    if anchor_log is None:
+        base = np.angle(work_v[:, anchor_idx])
+    else:
+        base = np.imag(anchor_log)
 
-    increments = np.zeros(work_t.size, dtype=float)
+    increments = np.zeros(work_v.shape, dtype=float)
     if work_t.size > 1:
-        d = np.angle(work_v[1:] / work_v[:-1])
-        big = np.abs(d) >= 0.5 * math.pi
-        for k in np.nonzero(big)[0]:
-            d[k] = _arg_increment(
-                eval_at,
-                float(work_t[k]),
-                complex(work_v[k]),
-                float(work_t[k + 1]),
-                complex(work_v[k + 1]),
-                _MAX_BISECT_DEPTH,
-                zero_floor,
-            )
-        increments[1:] = d
-    total = np.cumsum(increments)
-    arg = base.imag + (total - total[anchor_idx])
+        d = np.angle(work_v[:, 1:] / work_v[:, :-1])
+        for r, k in zip(*np.nonzero(np.abs(d) >= 0.5 * math.pi)):
+            r = int(r)
+            if r in errors:
+                continue
+            try:
+                d[r, k] = _arg_increment(
+                    lambda t, _r=r: eval_at(t)[_r],
+                    float(work_t[k]),
+                    complex(work_v[r, k]),
+                    float(work_t[k + 1]),
+                    complex(work_v[r, k + 1]),
+                    _MAX_BISECT_DEPTH,
+                    zero_floor[r],
+                )
+            except EvaluationError as exc:
+                errors[r] = exc
+        increments[:, 1:] = d
+    total = np.cumsum(increments, axis=1)
+    arg = base[:, None] + (total - total[:, anchor_idx, None])
     logs = np.log(np.abs(work_v)) + 1j * arg
     if virtual:
-        logs = np.delete(logs, anchor_idx)
-    return logs
+        logs = np.delete(logs, anchor_idx, axis=1)
+    if errors:
+        logs[list(errors)] = np.nan
+    return logs, errors
 
 
 def integrand_values(
@@ -404,21 +455,31 @@ def integrand_values(
     grids: Sequence[np.ndarray],
     factor_logs: dict,
     coord_logs: dict,
-) -> np.ndarray:
-    """Values of the multivalued integrand on coordinate grids.
+) -> tuple[np.ndarray, dict]:
+    """Values of the multivalued integrand on coordinate grids, row by row.
 
-    ``grids`` holds one array per coordinate; tracked logs broadcast against
-    them.  Power factors with tracked logs use exp(lam * L); untracked power
-    factors must have integer lam and are evaluated by direct powers.  Exp
-    factors contribute exp(f(x)); coordinate twists exp((beta-1) log x_p)
-    use tracked logs when present, integer powers otherwise.
+    ``a`` holds one coefficient vector per row and ``grids`` one array per
+    coordinate whose leading axis runs over the same rows; tracked logs
+    broadcast against them.  Power factors with tracked logs use
+    exp(lam * L); untracked power factors must have integer lam and are
+    evaluated by direct powers.  Exp factors contribute exp(f(x));
+    coordinate twists exp((beta-1) log x_p) use tracked logs when present,
+    integer powers otherwise.
+
+    Returns the values and a dict mapping each row whose integrand
+    overflows or is not finite to its EvaluationError; such rows hold 0.
     """
     shape = grids[0].shape
+    # coefficient k of every row, shaped to broadcast against the grids
+    coeff_shape = (-1, shape[0]) + (1,) * (len(shape) - 1)
+    # complex products keep their operand order (in place, never `x * temp`,
+    # which numpy may evaluate as temp *= x): numpy's complex product is not
+    # bitwise commutative, and a row's value must not depend on its batch
     w = np.zeros(shape, dtype=complex)
     direct = np.ones(shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for fac in spec.factors:
-            coeffs = spec.coefficients_for(a, fac.index)
+            coeffs = spec.coefficients_for(a, fac.index).T.reshape(coeff_shape)
             if fac.kind == "exp":
                 w = w + fac.values(coeffs, tuple(grids))
                 continue
@@ -427,7 +488,7 @@ def integrand_values(
                 w = w + lam * factor_logs[fac.index]
             elif is_real_integer(lam):
                 vals = fac.values(coeffs, tuple(grids))
-                direct = direct * vals ** int(lam.real)
+                direct *= vals ** int(lam.real)
             else:
                 raise ScenarioError(
                     "cycle",
@@ -445,18 +506,23 @@ def integrand_values(
                     f"branch",
                 )
             elif int(beta.real) != 1:
-                direct = direct * grids[p - 1] ** (int(beta.real) - 1)
-    wr = np.real(w)
-    if np.any(wr > _EXP_CAP):
-        k = np.unravel_index(int(np.argmax(wr)), shape)
-        loc = tuple(complex(g[k]) for g in grids)
-        raise IntegrandOverflowError(
-            f"integrand magnitude exp({float(wr[k]):.1f}) overflows at x = {loc}"
+                direct *= grids[p - 1] ** (int(beta.real) - 1)
+        wr = np.real(w)
+        vals = np.exp(w) * direct
+    errors: dict = {}
+    for r in np.nonzero(np.any((wr > _EXP_CAP).reshape(shape[0], -1), axis=1))[0]:
+        k = np.unravel_index(int(np.argmax(wr[r])), shape[1:])
+        loc = tuple(complex(g[r][k]) for g in grids)
+        errors[int(r)] = IntegrandOverflowError(
+            f"integrand magnitude exp({float(wr[r][k]):.1f}) overflows at x = {loc}"
         )
-    vals = np.exp(w) * direct
-    if not np.all(np.isfinite(vals)):
-        bad = ~np.isfinite(vals)
-        k = np.unravel_index(int(np.argmax(bad)), shape)
-        loc = tuple(complex(g[k]) for g in grids)
-        raise PathSingularityError(f"integrand not finite at node x = {loc}")
-    return vals
+    bad = ~np.isfinite(vals)
+    for r in np.nonzero(np.any(bad.reshape(shape[0], -1), axis=1))[0]:
+        k = np.unravel_index(int(np.argmax(bad[r])), shape[1:])
+        loc = tuple(complex(g[r][k]) for g in grids)
+        errors.setdefault(
+            int(r), PathSingularityError(f"integrand not finite at node x = {loc}")
+        )
+    if errors:
+        vals[list(errors)] = 0.0
+    return vals, errors

@@ -121,15 +121,17 @@ def _cmd_period(args) -> int:
     error_estimate = None
     if spec.function_kind == "period":
         res = integrate_cycle(spec, a)
+        if res.errors[0] is not None:
+            raise res.errors[0]
+        error_estimate = float(res.error_estimate[0])
         if not res.converged:
             print(
                 f"error: quadrature did not converge "
-                f"(estimate {res.error_estimate:.3e})",
+                f"(estimate {error_estimate:.3e})",
                 file=sys.stderr,
             )
             return 2
-        value = res.value
-        error_estimate = res.error_estimate
+        value = complex(res.value[0])
     else:
         value = PeriodFunction(spec)(a)
     print(f"value = {_fmt_value(value)}")

@@ -7,6 +7,10 @@ numerical differentiation:
   period      integrate the branched integrand over the scenario cycle
   root        continue the base root along a straight coefficient segment
   gl_residue  sum r^(beta-1)/f'(r) over all roots of the univariate factor
+
+PeriodFunction.batch evaluates many coefficient vectors in one call, each
+row to its value or its own EvaluationError; a single call is a batch of
+one row.
 """
 
 from __future__ import annotations
@@ -212,16 +216,31 @@ def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray) -> complex:
 # periods
 
 
-def eval_period(spec: ScenarioSpec, a: np.ndarray) -> complex:
-    """Cycle integral at coefficients a; raises instead of returning junk."""
-    res = integrate_cycle(spec, a=np.asarray(a, dtype=complex))
-    if not res.converged:
-        raise UnconvergedQuadratureError(
-            f"quadrature did not converge below tol {spec.settings.tol:g} "
-            f"within level cap {LEVEL_CAP} (error estimate "
-            f"{res.error_estimate:.3e})"
-        )
-    return res.value
+def eval_period(spec: ScenarioSpec, a: np.ndarray):
+    """Cycle integral at coefficients a; raises instead of returning junk.
+
+    ``a`` is one coefficient vector, or an (N, n) batch whose rows are
+    integrated together: then one complex or EvaluationError per row is
+    returned, and an unconverged row is an UnconvergedQuadratureError.
+    """
+    a = np.asarray(a, dtype=complex)
+    res = integrate_cycle(spec, a=a)
+    out: list = []
+    for value, estimate, converged, exc in zip(
+        res.value, res.error_estimate, res.row_converged, res.errors
+    ):
+        if exc is None and not converged:
+            exc = UnconvergedQuadratureError(
+                f"quadrature did not converge below tol {spec.settings.tol:g} "
+                f"within level cap {LEVEL_CAP} (error estimate "
+                f"{estimate:.3e})"
+            )
+        out.append(complex(value) if exc is None else exc)
+    if a.ndim == 2:
+        return out
+    if isinstance(out[0], EvaluationError):
+        raise out[0]
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +261,32 @@ class PeriodFunction:
     def dimension(self) -> int:
         return self.scenario.n_columns()
 
+    def batch(self, a) -> list:
+        """Values at each row of an (N, n) coefficient array.
+
+        Entry k is row k's complex value or the EvaluationError that row
+        raised; a failing row leaves the others untouched, and a row's
+        value does not depend on the rest of its batch.  Periods integrate
+        all rows together; roots and residue sums go row by row.
+        """
+        a = np.asarray(a, dtype=complex)
+        if a.ndim != 2 or a.shape[1] != self.dimension:
+            raise ValueError(
+                f"expected an (N, {self.dimension}) coefficient array, "
+                f"got shape {a.shape}"
+            )
+        kind = self.scenario.function_kind
+        if kind == "period":
+            return eval_period(self.scenario, a)
+        fn = eval_root if kind == "root" else eval_gl_residue
+        out: list = []
+        for row in a:
+            try:
+                out.append(fn(self.scenario, row))
+            except EvaluationError as exc:
+                out.append(exc)
+        return out
+
     def __call__(self, a) -> complex:
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.dimension,):
@@ -249,9 +294,7 @@ class PeriodFunction:
                 f"expected coefficient vector of length {self.dimension}, "
                 f"got shape {a.shape}"
             )
-        kind = self.scenario.function_kind
-        if kind == "period":
-            return eval_period(self.scenario, a)
-        if kind == "root":
-            return eval_root(self.scenario, a)
-        return eval_gl_residue(self.scenario, a)
+        value = self.batch(a[None])[0]
+        if isinstance(value, EvaluationError):
+            raise value
+        return value

@@ -4,19 +4,23 @@ Rule selection is per path segment: periodic trapezoid for a closed
 single-arc full turn with a single-valued integrand, tanh-sinh where an
 endpoint sits on a zero of a branched factor (or coordinate), plain
 composite Gauss-Legendre otherwise, including truncated rays.  Levels
-refine until successive values agree to the requested tolerance.
+refine until successive values agree to the requested tolerance.  All of
+it runs on batches of coefficient vectors: rows with the same rules share
+nodes, branch transport and integrand evaluation, and keep their own
+convergence and errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
 from .analytic_paths import (
     CycleTerm,
+    EvaluationError,
     ResolvedPath,
     continued_logs,
     integrand_values,
@@ -42,13 +46,25 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value with a level-differencing error estimate and diagnostics."""
+    """An integral at every row of a batch of coefficient vectors.
 
-    value: complex
-    error_estimate: float
+    ``value``, ``error_estimate`` (level differencing plus clipped tails)
+    and ``row_converged`` have one entry per row.  A row whose evaluation
+    failed has its EvaluationError in ``errors`` (None elsewhere), nan
+    value and no nodes.  ``nodes_used`` counts the nodes of all rows.
+    """
+
+    value: np.ndarray
+    error_estimate: np.ndarray
     nodes_used: int
     diagnostics: dict
-    converged: bool
+    row_converged: np.ndarray
+    errors: tuple
+
+    @property
+    def converged(self) -> bool:
+        """Whether every row converged."""
+        return bool(self.row_converged.all())
 
 
 def _endpoint_is_singular(
@@ -109,6 +125,13 @@ def _path_rules(
     return rules
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@cache
 def _segment_nodes(rule: str, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local nodes s in (0,1), weights, and per-node tail factors.
 
@@ -116,19 +139,19 @@ def _segment_nodes(rule: str, level: int) -> tuple[np.ndarray, np.ndarray, np.nd
     tanh-sinh segment, where it converts that node's contribution into an
     estimate of the mass lost to endpoint clipping.  Level refinement
     cannot see that mass (the clip point is level-independent), so it has
-    to enter the error estimate separately.
+    to enter the error estimate separately.  Built once per (rule, level)
+    and shared, so the arrays are read-only.
     """
     if rule == "trapezoid":
         n = 2**level
-        s = np.arange(n) / n
-        return s, np.full(n, 1.0 / n), np.zeros(n)
-    if rule in ("gauss", "ray"):
+        s, w, tail = np.arange(n) / n, np.full(n, 1.0 / n), np.zeros(n)
+    elif rule in ("gauss", "ray"):
         panels = max(1, 2**level // 16)
         xi, wi = _GL16
         s = ((np.arange(panels)[:, None] + (xi[None, :] + 1.0) / 2.0) / panels).ravel()
         w = np.tile(wi / (2.0 * panels), panels)
-        return s, w, np.zeros(s.size)
-    if rule == "tanh-sinh":
+        tail = np.zeros(s.size)
+    elif rule == "tanh-sinh":
         h = 2.0 * _TS_TMAX / 2**level
         j = np.arange(-(2 ** level) // 2, (2 ** level) // 2 + 1)
         t = j * h
@@ -143,29 +166,26 @@ def _segment_nodes(rule: str, level: int) -> tuple[np.ndarray, np.ndarray, np.nd
             # clip; contribution/(h dudt) * 2 covers rates down to lam=-3/4
             tail[0] = 2.0 / (h * 0.5 * math.pi * math.cosh(tk[0]))
             tail[-1] = 2.0 / (h * 0.5 * math.pi * math.cosh(tk[-1]))
-        return (x[keep] + 1.0) / 2.0, w[keep] / 2.0, tail
-    raise ValueError(f"unknown rule {rule!r}")
+        s, w = (x[keep] + 1.0) / 2.0, w[keep] / 2.0
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    return _frozen(s, w, tail)
 
 
+@cache
 def _axis_nodes(
-    rpath: ResolvedPath, rules: list[str], level: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]], np.ndarray]:
-    """Global-parameter nodes, weights, and tail factors for one path."""
-    ts_parts = []
-    ws_parts = []
-    tail_parts = []
-    kinds = []
-    for k, rule in enumerate(rules):
-        s, w, tail = _segment_nodes(rule, level)
-        ts_parts.append(k + s)
-        ws_parts.append(w)
-        tail_parts.append(tail)
-        kinds.append((k, rule))
-    return (
-        np.concatenate(ts_parts),
-        np.concatenate(ws_parts),
-        kinds,
-        np.concatenate(tail_parts),
+    rules: tuple[str, ...], level: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Global-parameter nodes, weights, and tail factors of one path.
+
+    Segment k contributes its rule's nodes shifted to [k, k + 1].  Shared
+    and read-only, like _segment_nodes.
+    """
+    parts = [_segment_nodes(rule, level) for rule in rules]
+    return _frozen(
+        np.concatenate([k + p[0] for k, p in enumerate(parts)]),
+        np.concatenate([p[1] for p in parts]),
+        np.concatenate([p[2] for p in parts]),
     )
 
 
@@ -177,133 +197,155 @@ def branch_logs(
     axes_pts: list[np.ndarray],
     factors,
     coords,
-) -> tuple[dict, dict]:
-    """Continuous logs of tracked factors and coordinates on a tensor grid.
+) -> tuple[dict, dict, dict]:
+    """Continuous logs of tracked factors and coordinates on tensor grids.
 
-    ``axes_ts`` and ``axes_pts`` hold the sorted global parameters of each
-    axis and their points on ``rpaths``.  A factor's logs fill the whole
-    grid: transport runs along a comb, down the first axis with the other
-    coordinates held at their anchors, then recursively along later axes
-    starting from the already-transported log.  A coordinate's logs vary
-    along its own axis only and are shaped to broadcast against the grid.
-    Every branch is principal at the path anchors.
+    Each row of ``a`` is one coefficient vector.  ``rpaths[d]`` is axis d's
+    path stacked over the rows (ResolvedPath.stack), ``axes_ts[d]`` the
+    sorted global parameters of axis d, shared by every row, and
+    ``axes_pts[d]`` their points, one row per coefficient row.  A factor's
+    logs fill each row's whole grid: transport runs along a comb, down the
+    first axis with the other coordinates held at their anchors, then
+    along each later axis starting from the already-transported log.  At
+    axis d every (row, earlier-axis node) pair is one row of a single
+    continued_logs call.  A coordinate's logs vary along its own axis only
+    and are shaped to broadcast against the grid.  Every branch is
+    principal at the path anchors.
+
+    Returns factor logs shaped (rows, T_0, ..., T_{m-1}), coordinate logs,
+    and a dict mapping each row that cannot be transported to its first
+    EvaluationError.
     """
+    n_rows = a.shape[0]
     m = len(rpaths)
+    errors: dict = {}
     factor_logs = {}
-    if factors:
-        anchors_x = [complex(rp.point(rp.anchor_t)) for rp in rpaths]
+    anchors_x = [rp.point(rp.anchor_t) for rp in rpaths]
     for fi in factors:
         fac = spec.factors[fi - 1]
         coeffs = spec.coefficients_for(a, fi)
+        # comb rows at axis d: (row, k_0, ..., k_{d-1}) in row-major order
+        owner = np.arange(n_rows)
+        fixed: list = []
+        anchor_log = None
+        for d in range(m):
+            c = coeffs[owner].T
 
-        def rec(d: int, fixed_x: list, anchor_log):
-            ts = axes_ts[d]
-            pts = axes_pts[d]
-            coords_d = tuple(
-                pts if i == d else (fixed_x[i] if i < d else anchors_x[i])
-                for i in range(m)
+            def coords_at(x_d, _d=d, _owner=owner, _fixed=fixed):
+                # the first _d coordinates are fixed, the later ones anchored
+                ax = (slice(None),) + (None,) * (np.ndim(x_d) - 1)
+                return tuple(
+                    x_d if i == _d
+                    else (_fixed[i] if i < _d else anchors_x[i][_owner])[ax]
+                    for i in range(m)
+                )
+
+            def eval_at(t, _d=d, _owner=owner, _c=c, _coords=coords_at):
+                return fac.values(_c, _coords(rpaths[_d].point(t)[_owner]))
+
+            pts = axes_pts[d][owner]
+            vals = fac.values(c[..., None], coords_at(pts))
+            logs, errs = continued_logs(
+                axes_ts[d], vals, eval_at, rpaths[d].anchor_t, anchor_log=anchor_log
             )
-            vals = fac.values(coeffs, coords_d)
-
-            def eval_at(t: float) -> complex:
-                x = [
-                    (fixed_x[i] if i < d else anchors_x[i]) for i in range(m)
-                ]
-                x[d] = complex(rpaths[d].point(t))
-                return complex(fac.values(coeffs, tuple(x)))
-
-            logs = continued_logs(
-                ts, vals, eval_at, rpaths[d].anchor_t, anchor_log=anchor_log
-            )
-            if d == m - 1:
-                return logs
-            out = np.empty([len(axes_ts[i]) for i in range(d, m)], dtype=complex)
-            for k in range(len(ts)):
-                out[k] = rec(d + 1, fixed_x + [complex(pts[k])], logs[k])
-            return out
-
-        factor_logs[fi] = rec(0, [], None)
+            for b in sorted(errs):
+                errors.setdefault(int(owner[b]), errs[b])
+            if d < m - 1:
+                size = axes_ts[d].size
+                owner = np.repeat(owner, size)
+                fixed = [np.repeat(x, size) for x in fixed] + [pts.reshape(-1)]
+                anchor_log = logs.reshape(-1)
+        factor_logs[fi] = logs.reshape((n_rows,) + tuple(ts.size for ts in axes_ts))
 
     coord_logs = {}
     for p in coords:
         rp = rpaths[p - 1]
-        logs = continued_logs(
-            axes_ts[p - 1],
-            axes_pts[p - 1],
-            lambda t, _rp=rp: complex(_rp.point(t)),
-            rp.anchor_t,
-        )
-        shape = [1] * m
-        shape[p - 1] = logs.size
+        logs, errs = continued_logs(axes_ts[p - 1], axes_pts[p - 1], rp.point, rp.anchor_t)
+        for r, exc in errs.items():
+            errors.setdefault(r, exc)
+        shape = [n_rows] + [1] * m
+        shape[p] = logs.shape[1]
         coord_logs[p] = logs.reshape(shape)
-    return factor_logs, coord_logs
+    return factor_logs, coord_logs, errors
 
 
 def _term_level_value(
     spec: ScenarioSpec,
     a: np.ndarray,
-    rpaths: list[ResolvedPath],
-    all_rules: list[list[str]],
+    rpaths: list[list[ResolvedPath]],
+    rules: tuple,
     level: int,
     tracked_factors,
     tracked_coords,
-) -> tuple[complex, int, dict]:
-    m = len(rpaths)
-    axes_ts: list[np.ndarray] = []
-    axes_ws: list[np.ndarray] = []
-    axes_kinds = []
-    axes_tail: list[np.ndarray] = []
-    for rp, rules in zip(rpaths, all_rules):
-        ts, ws, kinds, tail = _axis_nodes(rp, rules, level)
-        axes_ts.append(ts)
-        axes_ws.append(ws)
-        axes_kinds.append(kinds)
-        axes_tail.append(tail)
-    axes_pts = [rp.point(ts) for rp, ts in zip(rpaths, axes_ts)]
-    axes_dz = [rp.derivative(ts) for rp, ts in zip(rpaths, axes_ts)]
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, dict]:
+    """One refinement level of a term at every row of ``a``.
 
-    grids = list(np.meshgrid(*axes_pts, indexing="ij")) if m > 1 else [axes_pts[0]]
+    All rows share ``rules`` (one rule tuple per path), hence the nodes.
+    Returns per-row values and clipped-tail estimates, the node count of
+    one row, the integrand grid (rows first), and a dict mapping failed
+    rows to their EvaluationError; failed rows hold value 0.
+    """
+    n_rows = a.shape[0]
+    m = len(rules)
+    axes = [_axis_nodes(tuple(r), level) for r in rules]
+    axes_ts = [ax[0] for ax in axes]
+    stacked = [ResolvedPath.stack([paths[d] for paths in rpaths]) for d in range(m)]
+    axes_pts = [rp.point(ts) for rp, ts in zip(stacked, axes_ts)]
+    axes_dz = [rp.derivative(ts) for rp, ts in zip(stacked, axes_ts)]
+    grid_shape = (n_rows,) + tuple(ts.size for ts in axes_ts)
 
-    factor_logs, coord_logs = branch_logs(
-        spec, a, rpaths, axes_ts, axes_pts, tracked_factors, tracked_coords
+    def on_axis(x: np.ndarray, d: int) -> np.ndarray:
+        # (rows, T) or (T,) laid along grid axis d
+        shape = [x.shape[0] if x.ndim == 2 else 1] + [1] * m
+        shape[d + 1] = x.shape[-1]
+        return x.reshape(shape)
+
+    grids = [np.broadcast_to(on_axis(p, d), grid_shape) for d, p in enumerate(axes_pts)]
+
+    factor_logs, coord_logs, errors = branch_logs(
+        spec, a, stacked, axes_ts, axes_pts, tracked_factors, tracked_coords
     )
+    vals, value_errors = integrand_values(spec, a, grids, factor_logs, coord_logs)
+    for r, exc in value_errors.items():
+        errors.setdefault(r, exc)
+    if errors:
+        vals[list(errors)] = 0.0
 
-    vals = integrand_values(spec, a, grids, factor_logs, coord_logs)
-
-    diagnostics: dict = {}
-    mags = np.abs(vals)
-    peak = float(np.max(mags)) if mags.size else 0.0
-    tip_info = []
-    for axis, kinds in enumerate(axes_kinds):
-        for seg_idx, rule in kinds:
-            if rule != "ray":
-                continue
-            mask = (axes_ts[axis] >= seg_idx) & (axes_ts[axis] <= seg_idx + 1)
-            idx_local = np.nonzero(mask)[0]
-            tip_idx = idx_local[-1]
-            axis_mags = mags if m == 1 else np.moveaxis(mags, axis, 0)
-            tip_mag = float(np.max(np.abs(axis_mags[tip_idx])))
-            ratio = tip_mag / max(peak, 1e-300)
-            tip_info.append(
-                {"axis": axis, "segment": seg_idx, "tip_ratio": ratio}
-            )
-    if tip_info:
-        diagnostics["ray_tips"] = tip_info
-
-    wd = [w * dz for w, dz in zip(axes_ws, axes_dz)]
-    weight_grid = reduce(np.multiply.outer, wd) if m > 1 else wd[0]
-    contributions = vals * weight_grid
-    value = complex(np.sum(contributions))
-    tail_est = 0.0
-    for axis, tf in enumerate(axes_tail):
+    wd = [on_axis(ax[1] * dz, d) for d, (ax, dz) in enumerate(zip(axes, axes_dz))]
+    # np.multiply keeps the operand order; see integrand_values
+    contributions = np.multiply(vals, reduce(np.multiply, wd))
+    value = contributions.reshape(n_rows, -1).sum(axis=1)
+    tail_est = np.zeros(n_rows)
+    for d, ax in enumerate(axes):
+        tf = ax[2]
         if np.any(tf):
-            shape = [1] * m
-            shape[axis] = tf.size
-            tail_est += float(np.sum(np.abs(contributions) * tf.reshape(shape)))
-    if tail_est:
-        diagnostics["tail_estimate"] = tail_est
+            tail_est += (
+                (np.abs(contributions) * on_axis(tf, d)).reshape(n_rows, -1).sum(axis=1)
+            )
     nodes = int(np.prod([ts.size for ts in axes_ts]))
-    return value, nodes, diagnostics
+    return value, nodes, tail_est, vals, errors
+
+
+def _ray_tips(rules: tuple, level: int, grid: np.ndarray) -> list[list[dict]]:
+    """Per row of an integrand grid: tip over peak magnitude of each ray."""
+    tips: list = [[] for _ in range(grid.shape[0])]
+    rays = [
+        (axis, k)
+        for axis, axis_rules in enumerate(rules)
+        for k, rule in enumerate(axis_rules)
+        if rule == "ray"
+    ]
+    if not rays or not tips:
+        return tips
+    mags = np.abs(grid)
+    peak = np.max(mags.reshape(len(mags), -1), axis=1)
+    for axis, seg_idx in rays:
+        ts = _axis_nodes(tuple(rules[axis]), level)[0]
+        tip_idx = np.nonzero((ts >= seg_idx) & (ts <= seg_idx + 1))[0][-1]
+        tip = np.moveaxis(mags, axis + 1, 1)[:, tip_idx].reshape(len(mags), -1)
+        for row, ratio in zip(tips, np.max(tip, axis=1) / np.maximum(peak, 1e-300)):
+            row.append({"axis": axis, "segment": seg_idx, "tip_ratio": float(ratio)})
+    return tips
 
 
 def integrate_term(
@@ -311,89 +353,154 @@ def integrate_term(
     spec: ScenarioSpec,
     a: np.ndarray | None = None,
 ) -> IntegralResult:
-    """Integrate one product-cycle term, refining until level agreement.
+    """Integrate one product-cycle term at each row of ``a``.
 
-    Tolerance comes from ``spec.settings``; levels run LEVEL_START..LEVEL_CAP.
-    The returned value includes the term multiplicity.  If the level cap is
-    reached without agreement the result is flagged unconverged but still
-    returned.
+    ``a`` is an (N, n) batch of coefficient vectors; one vector is a batch
+    of one row, and the default is the scenario's own coefficients.  Rows
+    are grouped by their per-segment rules, and each group refines its
+    levels together, LEVEL_START..LEVEL_CAP, a row leaving when successive
+    values agree to ``spec.settings.tol``.  Values include the term
+    multiplicity.  A row that reaches the level cap without agreement is
+    flagged unconverged but still returned.  Each row's diagnostics
+    (``diagnostics["rows"]``) hold its rules, level values, ray-tip ratios
+    at its last level, clipped-tail estimate and warnings.
     """
     if a is None:
         a = spec.coefficient_vector()
-    a = np.asarray(a, dtype=complex)
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
     if len(term.paths) != spec.m:
         raise ValueError(
             f"cycle term has {len(term.paths)} path factors, scenario has m = {spec.m}"
         )
+    n_rows = a.shape[0]
     tracked_factors, tracked_coords = tracked_requirements(spec)
-    rpaths = [resolve_path(p, spec, a) for p in term.paths]
-    all_rules = [
-        _path_rules(rp, spec, a, tracked_factors, tracked_coords) for rp in rpaths
-    ]
+    errors: list = [None] * n_rows
+    rpaths: list = [None] * n_rows
+    groups: dict = {}
+    for r in range(n_rows):
+        try:
+            rpaths[r] = [resolve_path(p, spec, a[r]) for p in term.paths]
+        except EvaluationError as exc:
+            errors[r] = exc
+            continue
+        rules = tuple(
+            tuple(_path_rules(rp, spec, a[r], tracked_factors, tracked_coords))
+            for rp in rpaths[r]
+        )
+        groups.setdefault(rules, []).append(r)
 
     tol = spec.settings.tol
-    prev = None
-    value = 0.0 + 0.0j
-    err = math.inf
-    nodes_total = 0
-    diag: dict = {"rules": all_rules, "levels": []}
-    converged = False
-    for level in range(LEVEL_START, LEVEL_CAP + 1):
-        value, nodes, level_diag = _term_level_value(
-            spec, a, rpaths, all_rules, level, tracked_factors, tracked_coords
-        )
-        nodes_total += nodes
-        diag["levels"].append({"level": level, "value": repr(value)})
-        diag.update(level_diag)
-        # clipped-tail mass is invisible to level agreement; fold it in
-        tail_est = float(level_diag.get("tail_estimate", 0.0))
-        if prev is not None:
-            err = max(abs(value - prev), tail_est)
-            if err <= tol * max(1.0, abs(value)):
-                converged = True
-                break
-        prev = value
-    warnings = []
-    for tip in diag.get("ray_tips", []):
-        if tip["tip_ratio"] > _TIP_RATIO:
-            warnings.append(
-                f"ray axis {tip['axis']} segment {tip['segment']}: tip magnitude "
-                f"ratio {tip['tip_ratio']:.2e} above {_TIP_RATIO:.0e}; "
-                f"truncation length may be too short"
+    value = np.full(n_rows, np.nan, dtype=complex)
+    err = np.full(n_rows, math.inf)
+    converged = np.zeros(n_rows, dtype=bool)
+    nodes_used = np.zeros(n_rows, dtype=int)
+    row_diags: list = [{} for _ in range(n_rows)]
+    for rules, rows in groups.items():
+        for r in rows:
+            row_diags[r] = {"rules": [list(x) for x in rules], "levels": []}
+        active = rows
+        for level in range(LEVEL_START, LEVEL_CAP + 1):
+            vals, nodes, tails, grid, errs = _term_level_value(
+                spec, a[active], [rpaths[r] for r in active], rules, level,
+                tracked_factors, tracked_coords,
             )
-    if warnings:
-        diag["warnings"] = warnings
+            still = []
+            finished = []
+            for j, r in enumerate(active):
+                if j in errs:
+                    errors[r] = errs[j]
+                    continue
+                v = complex(vals[j])
+                diag = row_diags[r]
+                nodes_used[r] += nodes
+                diag["levels"].append({"level": level, "value": repr(v)})
+                # clipped-tail mass is invisible to level agreement; fold it in
+                tail_est = float(tails[j])
+                if tail_est:
+                    diag["tail_estimate"] = tail_est
+                if level > LEVEL_START:
+                    err[r] = max(abs(v - value[r]), tail_est)
+                    converged[r] = err[r] <= tol * max(1.0, abs(v))
+                value[r] = v
+                if converged[r] or level == LEVEL_CAP:
+                    finished.append(j)
+                else:
+                    still.append(r)
+            # ray tips only at the level each row stops on
+            for j, tips in zip(finished, _ray_tips(rules, level, grid[finished])):
+                if tips:
+                    row_diags[active[j]]["ray_tips"] = tips
+            active = still
+            if not active:
+                break
+
     mult = complex(term.multiplicity)
+    for r in range(n_rows):
+        if errors[r] is not None:
+            value[r] = np.nan
+            nodes_used[r] = 0
+            continue
+        warnings = [
+            f"ray axis {tip['axis']} segment {tip['segment']}: tip magnitude "
+            f"ratio {tip['tip_ratio']:.2e} above {_TIP_RATIO:.0e}; "
+            f"truncation length may be too short"
+            for tip in row_diags[r].get("ray_tips", [])
+            if tip["tip_ratio"] > _TIP_RATIO
+        ]
+        if warnings:
+            row_diags[r]["warnings"] = warnings
+        value[r] = mult * value[r]
+        err[r] = abs(mult) * err[r]
     return IntegralResult(
-        value=mult * value,
-        error_estimate=abs(mult) * (err if prev is not None else math.inf),
-        nodes_used=nodes_total,
-        diagnostics=diag,
-        converged=converged,
+        value=value,
+        error_estimate=err,
+        nodes_used=int(nodes_used.sum()),
+        diagnostics={
+            "levels": [
+                lv
+                for d, exc in zip(row_diags, errors)
+                if exc is None
+                for lv in d["levels"]
+            ],
+            "rows": row_diags,
+        },
+        row_converged=converged,
+        errors=tuple(errors),
     )
 
 
 def integrate_cycle(spec: ScenarioSpec, a: np.ndarray | None = None) -> IntegralResult:
-    """Multiplicity-weighted sum over ``spec.cycle``, errors added in quadrature."""
+    """Multiplicity-weighted sum over ``spec.cycle`` at each row of ``a``.
+
+    Errors are added in quadrature; a row keeps the error of the first
+    term that failed on it.
+    """
     cycle = spec.cycle
     if not cycle.terms:
         raise ValueError("cycle has no terms")
-    total = 0.0 + 0.0j
-    err_sq = 0.0
+    if a is None:
+        a = spec.coefficient_vector()
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    n_rows = a.shape[0]
+    total = np.zeros(n_rows, dtype=complex)
+    err_sq = np.zeros(n_rows)
     nodes = 0
-    converged = True
+    converged = np.ones(n_rows, dtype=bool)
+    errors: list = [None] * n_rows
     term_diags = []
-    for k, term in enumerate(cycle.terms):
+    for term in cycle.terms:
         res = integrate_term(term, spec, a=a)
         total += res.value
         err_sq += res.error_estimate**2
         nodes += res.nodes_used
-        converged = converged and res.converged
+        converged &= res.row_converged
+        errors = [e or f for e, f in zip(errors, res.errors)]
         term_diags.append(res.diagnostics)
     return IntegralResult(
         value=total,
-        error_estimate=math.sqrt(err_sq),
+        error_estimate=np.sqrt(err_sq),
         nodes_used=nodes,
         diagnostics={"terms": term_diags},
-        converged=converged,
+        row_converged=converged,
+        errors=tuple(errors),
     )

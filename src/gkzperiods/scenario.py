@@ -85,7 +85,11 @@ class FactorSupport:
             term: Any = c
             for p, e in enumerate(mono):
                 if e:
-                    term = term * coords[p] ** e
+                    # np.multiply, not *: numpy may reuse a large temporary
+                    # right operand of * in place, swapping the factors, and
+                    # its complex product is not bitwise commutative, so a
+                    # batch row's value would depend on the batch size
+                    term = np.multiply(term, coords[p] ** e)
             total = total + term
         return total
 
@@ -178,8 +182,12 @@ class ScenarioSpec:
         return np.asarray(vals, dtype=complex)
 
     def coefficients_for(self, a: np.ndarray, index: int) -> np.ndarray:
-        """Slice of coefficient vector ``a`` belonging to factor ``index``."""
-        return a[self.factor_slices()[index - 1]]
+        """Slice of coefficient vector ``a`` belonging to factor ``index``.
+
+        The slice is taken along the last axis, so a batch of coefficient
+        vectors (one per row) gives one slice per row.
+        """
+        return a[..., self.factor_slices()[index - 1]]
 
     def with_coefficients(self, a: Sequence[complex]) -> "ScenarioSpec":
         """Copy of the scenario with the coefficient vector replaced."""

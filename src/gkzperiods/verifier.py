@@ -55,7 +55,10 @@ class DerivativeCache:
     repeated verify runs at the same seed) share work.  An EvaluationError
     is remembered like a value and raised again on every later lookup, so
     a failing point (an unconverged period is the costliest evaluation
-    there is) is evaluated once.  One cache serves one function only.
+    there is) is evaluated once.  ``prefetch`` evaluates a whole stencil in
+    one ``phi.batch`` call; the first lookup of a prefetched point still
+    counts as the miss, so hits and misses do not depend on batching.  One
+    cache serves one function only.
     """
 
     def __init__(self):
@@ -63,10 +66,34 @@ class DerivativeCache:
         self.derivs: dict = {}
         self.hits = 0
         self.misses = 0
+        self._prefetched: set = set()
+
+    def prefetch(self, phi, points) -> None:
+        """Evaluate the points not cached yet in one phi.batch call.
+
+        A phi without ``batch`` is left to value(), point by point.
+        """
+        batch = getattr(phi, "batch", None)
+        if batch is None:
+            return
+        fresh: dict = {}
+        for point in points:
+            key = point.tobytes()
+            if key not in self.values:
+                fresh.setdefault(key, point)
+        if not fresh:
+            return
+        for key, v in zip(fresh, batch(np.array(list(fresh.values())))):
+            self.values[key] = v if isinstance(v, EvaluationError) else complex(v)
+        self._prefetched.update(fresh)
 
     def value(self, phi, point: np.ndarray) -> complex:
         key = point.tobytes()
-        if key in self.values:
+        if key in self._prefetched:
+            self._prefetched.discard(key)
+            self.misses += 1
+            v = self.values[key]
+        elif key in self.values:
             self.hits += 1
             v = self.values[key]
         else:
@@ -88,19 +115,21 @@ class DerivResult:
     warnings: tuple = ()
 
 
-def _direction_circles(phi, a: np.ndarray, multi: tuple, radii: dict, cache) -> complex:
-    """d^multi phi(a) from 1-D Cauchy circles along root-of-unity directions.
+def _direction_circles(a: np.ndarray, multi: tuple, radii: dict):
+    """Sample points, phases and prefactor for d^multi phi(a) by 1-D circles.
 
-    The first support coordinate s0 moves by radii[s0]; every other support
-    coordinate i moves by radii[i] times an m_i-th root of unity, m_i the
-    smallest power of two above max(u_i, q - u_i).  On each direction h the
-    trapezoid circle gives the q-th derivative of t -> phi(a + t h), a sum of
-    (q!/alpha!) h^alpha d^alpha phi over |alpha| = q; the discrete Fourier
-    average over the directions keeps alpha = multi alone.  That average is
-    unitary, so it amplifies rounding no more than a tensor grid does.
-    Powers of two make a lower order's directions a subset of a higher
-    order's, so their samples are shared through the cache.  With a single
-    coordinate there is one direction: the plain coordinate circle.
+    The derivative is pref * sum_k phases[k] * phi(points[k]), summed in
+    order.  The first support coordinate s0 moves by radii[s0]; every
+    other support coordinate i moves by radii[i] times an m_i-th root of
+    unity, m_i the smallest power of two above max(u_i, q - u_i).  On each
+    direction h the trapezoid circle gives the q-th derivative of
+    t -> phi(a + t h), a sum of (q!/alpha!) h^alpha d^alpha phi over
+    |alpha| = q; the discrete Fourier average over the directions keeps
+    alpha = multi alone.  That average is unitary, so it amplifies rounding
+    no more than a tensor grid does.  Powers of two make a lower order's
+    directions a subset of a higher order's, so their samples are shared
+    through the cache.  With a single coordinate there is one direction:
+    the plain coordinate circle.
     """
     order = sum(multi)
     support = [v for v, q in enumerate(multi) if q > 0]
@@ -110,7 +139,8 @@ def _direction_circles(phi, a: np.ndarray, multi: tuple, radii: dict, cache) -> 
     ]
     theta = 2.0 * math.pi * np.arange(_DIFF_NODES) / _DIFF_NODES
     rot = np.exp(1j * theta)
-    acc = 0.0 + 0.0j
+    points = []
+    phases = []
     for turns in itertools.product(*(range(m) for m in sizes[1:])):
         step = {support[0]: radii[support[0]]}
         coef = 1.0 + 0.0j
@@ -123,11 +153,19 @@ def _direction_circles(phi, a: np.ndarray, multi: tuple, radii: dict, cache) -> 
             point = a.copy()
             for v, h in step.items():
                 point[v] = a[v] + h * rot[idx]
-            phase = coef * np.exp(-1j * order * theta[idx])
-            acc += cache.value(phi, point) * phase
+            points.append(point)
+            phases.append(coef * np.exp(-1j * order * theta[idx]))
     pref = 1.0 + 0.0j
     for v, m in zip(support, sizes):
         pref *= math.factorial(multi[v]) / (m * radii[v] ** multi[v])
+    return points, phases, pref
+
+
+def _circle_sum(phi, stencil, cache) -> complex:
+    points, phases, pref = stencil
+    acc = 0.0 + 0.0j
+    for point, phase in zip(points, phases):
+        acc += cache.value(phi, point) * phase
     return pref * acc
 
 
@@ -178,10 +216,12 @@ def differentiate(
         for v, q in enumerate(multi)
         if q > 0
     }
-    val = _direction_circles(phi, a, multi, radii, cache)
-    half = _direction_circles(
-        phi, a, multi, {v: r / 2.0 for v, r in radii.items()}, cache
-    )
+    full = _direction_circles(a, multi, radii)
+    halved = _direction_circles(a, multi, {v: r / 2.0 for v, r in radii.items()})
+    # both radii's samples go to phi in one batch
+    cache.prefetch(phi, full[0] + halved[0])
+    val = _circle_sum(phi, full, cache)
+    half = _circle_sum(phi, halved, cache)
     # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
     # (the direction average is unitary and adds no amplification)
     amp = 1.0

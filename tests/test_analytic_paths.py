@@ -15,6 +15,8 @@ from gkzperiods import (
     ScenarioError,
 )
 from gkzperiods.analytic_paths import (
+    ResolvedPath,
+    continued_logs,
     integrand_values,
     resolve_path,
     tracked_requirements,
@@ -50,12 +52,20 @@ def transport(spec, path, factors=None, coords=None, samples=64):
     ))
     pts = rpath.point(ts)
     auto_factors, auto_coords = tracked_requirements(spec)
-    factor_logs, coord_logs = branch_logs(
-        spec, a, [rpath], [ts], [pts],
+    # a batch of one row; its error, if any, is raised
+    factor_logs, coord_logs, errors = branch_logs(
+        spec, a[None], [ResolvedPath.stack([rpath])], [ts], [pts[None]],
         auto_factors if factors is None else factors,
         auto_coords if coords is None else coords,
     )
-    return ts, pts, factor_logs, coord_logs
+    if errors:
+        raise errors[0]
+    return (
+        ts,
+        pts,
+        {fi: logs[0] for fi, logs in factor_logs.items()},
+        {p: logs[0] for p, logs in coord_logs.items()},
+    )
 
 
 def coord_log_drift(spec, path, **kw):
@@ -191,9 +201,11 @@ def test_integrand_values_airy_at_origin_is_one():
     spec = builtin("airy")
     path = spec.cycle.terms[0].paths[0]
     _, pts, factor_logs, coord_logs = transport(spec, path)
-    vals = integrand_values(
-        spec, spec.coefficient_vector(), [pts], factor_logs, coord_logs
+    vals, errors = integrand_values(
+        spec, spec.coefficient_vector()[None], [pts[None]], factor_logs, coord_logs
     )
+    assert not errors
+    vals = vals[0]
     k = int(np.argmin(np.abs(pts)))
     assert abs(pts[k]) < 1e-12
     assert abs(vals[k] - 1.0) < 1e-12
@@ -205,9 +217,11 @@ def test_integrand_values_beta_density():
     path = spec.cycle.terms[0].paths[0]
     # integer exponents need no tracking (the endpoints sit on zeros anyway)
     _, pts, factor_logs, coord_logs = transport(spec, path, factors=(), coords=())
-    vals = integrand_values(
-        spec, spec.coefficient_vector(), [pts], factor_logs, coord_logs
+    vals, errors = integrand_values(
+        spec, spec.coefficient_vector()[None], [pts[None]], factor_logs, coord_logs
     )
+    assert not errors
+    vals = vals[0]
     k = int(np.argmin(np.abs(pts - 0.5)))
     x = pts[k]
     assert abs(vals[k] - x * (1.0 - x)) < 1e-12
@@ -237,3 +251,37 @@ def test_anchor_out_of_range_rejected():
     )
     with pytest.raises(ScenarioError, match="anchor_t"):
         resolve_path(path, spec, spec.coefficient_vector())
+
+
+def test_bisection_runs_per_row_and_keeps_rows_apart():
+    # five samples per turn: the circle around 3 (row 0) needs no
+    # bisection, the unit circle (row 1) steps its argument by exactly
+    # pi/2 and is bisected, and the segment through 0.4 (row 2) is
+    # bisected towards its zero until the value falls below the floor
+    ts = np.linspace(0.0, 1.0, 5)
+
+    def curves(t):
+        turn = np.exp(2j * math.pi * np.asarray(t))
+        return np.array([3.0 + turn, turn, np.asarray(t) - 0.4 + 0j])
+
+    calls = []
+
+    def eval_at(t):
+        calls.append(t)
+        return curves(t)
+
+    logs, errors = continued_logs(ts, curves(ts), eval_at, 0.0)
+    assert calls
+    assert abs(logs[0, -1] - logs[0, 0]) < 1e-12
+    assert abs(logs[1, -1] - logs[1, 0] - 2j * math.pi) < 1e-12
+    assert list(errors) == [2] and "below safety floor" in str(errors[2])
+    assert np.all(np.isnan(logs[2]))
+    # every row alone: same logs, same error
+    for r in range(3):
+        alone, alone_errors = continued_logs(
+            ts, curves(ts)[r:r + 1], lambda t, _r=r: curves(t)[_r:_r + 1], 0.0
+        )
+        assert np.array_equal(alone[0], logs[r], equal_nan=True)
+        assert [str(e) for e in alone_errors.values()] == (
+            [str(errors[2])] if r == 2 else []
+        )

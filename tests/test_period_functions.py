@@ -10,18 +10,21 @@ import pytest
 from gkzperiods import (
     BranchAmbiguityError,
     EvalSettings,
+    EvaluationError,
     FactorSupport,
     MultipleRootError,
     NearDiscriminantError,
+    PathSingularityError,
     PeriodFunction,
     RootEscapeError,
     ScenarioSpec,
+    build_system,
     eval_gl_residue,
     eval_root,
     validate_scenario,
 )
 from gkzperiods.period_functions import track_root
-from gkzperiods.verifier import verification_points
+from gkzperiods.verifier import _direction_circles, verification_points
 
 from oracles import quadratic_formula_root
 
@@ -279,3 +282,79 @@ def test_period_function_dispatches_gl_kind():
     pf = PeriodFunction(scenario=builtin("gl_quadratic"))
     a = builtin("gl_quadratic").coefficient_vector()
     assert abs(pf(a) - 1.0 / 7.0) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+PERIOD_SCENARIOS = ("gauss", "airy", "beta", "residue_circle", "pochhammer")
+
+
+def direction_stencil(spec):
+    """Both radii's points of one derivative at the first verification point.
+
+    The derivative is the first box operator's u+ (a mixed partial where
+    the scenario has one), else the first coordinate's first derivative.
+    """
+    settings = spec.settings
+    a = verification_points(
+        spec.coefficient_vector(), 1, settings.seed, settings.point_rel
+    )[0]
+    boxes = build_system(spec).boxes
+    multi = boxes[0].u_plus if boxes else (1,) + (0,) * (a.size - 1)
+    radii = {
+        v: settings.radius_factor * max(1.0, abs(a[v]))
+        for v, q in enumerate(multi)
+        if q
+    }
+    full, _, _ = _direction_circles(a, multi, radii)
+    half, _, _ = _direction_circles(a, multi, {v: r / 2 for v, r in radii.items()})
+    return np.array(full + half)
+
+
+@pytest.mark.parametrize("name", PERIOD_SCENARIOS)
+def test_batch_rows_equal_one_row_calls(name):
+    pf = PeriodFunction(builtin(name))
+    rows = direction_stencil(pf.scenario)
+    values = pf.batch(rows)
+    assert len(values) == len(rows) >= 32
+    # bit for bit, and independent of the rest of the batch
+    assert values == [pf(row) for row in rows]
+    assert pf.batch(rows[::-1]) == values[::-1]
+
+
+def raised(pf, row):
+    with pytest.raises(EvaluationError) as info:
+        pf(row)
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "name, failing, error, message",
+    [
+        ("residue_circle", [0.0], PathSingularityError, "integrand not finite"),
+        ("gauss", None, PathSingularityError, "no roots to anchor"),
+        ("gl_quadratic", [1.0, -2.0, 1.0], MultipleRootError, "nearly multiple root"),
+    ],
+)
+def test_failing_row_leaves_the_batch_alone(name, failing, error, message):
+    pf = PeriodFunction(builtin(name))
+    base = pf.scenario.coefficient_vector()
+    if failing is None:
+        # gauss: a1 = 0 makes factor 1 constant, with no root to anchor on
+        failing = base.copy()
+        failing[1] = 0.0
+    good = verification_points(base, 2, seed=11, rel=0.1)
+    rows = np.array([good[0], failing, good[1]], dtype=complex)
+    values = pf.batch(rows)
+    alone = raised(pf, rows[1])
+    assert isinstance(alone, error) and message in str(alone)
+    assert type(values[1]) is type(alone) and str(values[1]) == str(alone)
+    assert [values[0], values[2]] == [pf(rows[0]), pf(rows[2])]
+
+
+def test_batch_rejects_a_single_vector():
+    pf = PeriodFunction(builtin("beta"))
+    with pytest.raises(ValueError, match=r"\(N, 2\)"):
+        pf.batch(pf.scenario.coefficient_vector())

@@ -22,8 +22,19 @@ from gkzperiods import (
     integrate_term,
     validate_scenario,
 )
-from gkzperiods.quadrature import _term_level_value, _path_rules, branch_logs
-from gkzperiods.analytic_paths import resolve_path, tracked_requirements
+from gkzperiods.quadrature import (
+    _axis_nodes,
+    _path_rules,
+    _segment_nodes,
+    _term_level_value,
+    branch_logs,
+)
+from gkzperiods.verifier import verification_points
+from gkzperiods.analytic_paths import (
+    ResolvedPath,
+    resolve_path,
+    tracked_requirements,
+)
 
 from oracles import GAUSS_SEGMENT_VALUE, airy_ai0
 
@@ -125,8 +136,12 @@ def comb_logs(spec):
     rpaths = [resolve_path(p, spec, a) for p in spec.cycle.terms[0].paths]
     axes_ts = [np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 49)]
     axes_pts = [rp.point(ts) for rp, ts in zip(rpaths, axes_ts)]
-    factor_logs, _ = branch_logs(spec, a, rpaths, axes_ts, axes_pts, (1,), ())
-    return axes_pts, factor_logs[1]
+    factor_logs, _, errors = branch_logs(
+        spec, a[None], [ResolvedPath.stack([rp]) for rp in rpaths], axes_ts,
+        [pts[None] for pts in axes_pts], (1,), (),
+    )
+    assert not errors
+    return axes_pts, factor_logs[1][0]
 
 
 def test_comb_transport_is_principal_off_the_zero_locus():
@@ -232,9 +247,9 @@ def test_level_refinement_converges_geometrically():
              for rp in rpaths]
     vals = []
     for level in range(4, 10):
-        v, _, _ = _term_level_value(spec, a, rpaths, rules, level,
-                                    tracked_factors, tracked_coords)
-        vals.append(v)
+        v = _term_level_value(spec, a[None], [rpaths], rules, level,
+                              tracked_factors, tracked_coords)[0]
+        vals.append(v[0])
     errs = [abs(v - GAUSS_SEGMENT_VALUE) for v in vals]
     for e0, e1 in zip(errs, errs[1:]):
         if e0 < 1e-13:
@@ -308,3 +323,53 @@ def test_moved_coefficients_move_the_value():
     val0 = eval_period(spec, a)
     val1 = eval_period(spec, 2.0 * a)
     assert abs(val1 - 0.5 * val0) < 1e-12
+
+
+def test_quadrature_nodes_are_built_once_and_read_only():
+    for rule in ("trapezoid", "gauss", "ray", "tanh-sinh"):
+        arrays = _segment_nodes(rule, 6)
+        assert all(x is y for x, y in zip(arrays, _segment_nodes(rule, 6)))
+        for x in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.5
+    ts, ws, tail = _axis_nodes(("tanh-sinh", "gauss"), 6)
+    assert _axis_nodes(("tanh-sinh", "gauss"), 6)[0] is ts
+    assert np.all(np.diff(ts) > 0) and ts[0] > 0.0 and ts[-1] < 2.0
+    for x in (ts, ws, tail):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.5
+
+
+@pytest.mark.parametrize("name", ["airy", "gauss"])
+def test_batch_rows_keep_their_own_diagnostics(name):
+    # airy's rays carry tip ratios, gauss's tanh-sinh ends tail estimates
+    spec = builtin(name)
+    rows = np.array(verification_points(spec.coefficient_vector(), 3, seed=7))
+    batch = integrate_cycle(spec, rows)
+    for k, row in enumerate(rows):
+        alone = integrate_cycle(spec, row)
+        assert batch.value[k] == alone.value[0]
+        assert batch.error_estimate[k] == alone.error_estimate[0]
+        for term_batch, term_alone in zip(
+            batch.diagnostics["terms"], alone.diagnostics["terms"]
+        ):
+            assert term_batch["rows"][k] == term_alone["rows"][0]
+    assert batch.nodes_used == sum(
+        integrate_cycle(spec, row).nodes_used for row in rows
+    )
+
+
+def test_batch_rows_do_not_depend_on_the_batch_size():
+    # four 64 x 64 grids fill 256 KiB, where numpy starts to reuse large
+    # temporaries in place; a row must still come out bit for bit as alone
+    rng = np.random.default_rng(5)
+    rows = np.array(
+        [np.concatenate([[3.0], 1.2 * np.exp(2j * np.pi * rng.uniform(size=3))])
+         for _ in range(3)] + [[0.3, 2.0, 0.4, 0.0]],
+        dtype=complex,
+    )
+    spec = bilinear_spec(rows[0])
+    batch = eval_period(spec, rows)
+    assert batch == [eval_period(spec, row) for row in rows]
+    levels = integrate_cycle(spec, rows).diagnostics["terms"][0]["levels"]
+    assert max(lv["level"] for lv in levels) >= 6

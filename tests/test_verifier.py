@@ -150,6 +150,70 @@ def test_failed_evaluation_is_cached_and_raised_again():
     assert (cache.misses, cache.hits) == (1, 3)
 
 
+class BatchOnly:
+    """phi with a batch entry point; counts batch calls and their rows."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+        self.rows = 0
+
+    def __call__(self, a):
+        raise AssertionError("a batching phi is not called point by point")
+
+    def batch(self, rows):
+        self.calls += 1
+        self.rows += len(rows)
+        out = []
+        for row in rows:
+            try:
+                out.append(self.fn(row))
+            except EvaluationError as exc:
+                out.append(exc)
+        return out
+
+
+def test_stencil_goes_to_phi_batch_once():
+    phi = BatchOnly(lambda a: cmath.exp(a[0] + 0.5 * a[1]))
+    plain = DerivativeCache()
+    batched = DerivativeCache()
+    a = np.array([0.1, 0.2], dtype=complex)
+    # the centre point is not part of the stencil; look it up first
+    batched.prefetch(phi, [a])
+    for multi in ((1, 2), (2, 2), (1, 0)):
+        want = differentiate(phi.fn, a, multi, DIFF, plain)
+        calls = phi.calls
+        got = differentiate(phi, a, multi, DIFF, batched)
+        assert got == want
+        assert phi.calls - calls <= 1
+    # prefetching moves evaluations, not counts
+    assert (batched.hits, batched.misses) == (plain.hits, plain.misses)
+    assert phi.rows == plain.misses
+
+
+def test_failed_batch_row_is_cached_and_raised_again():
+    bad = np.array([0.5, 0.0], dtype=complex)
+
+    def fn(a):
+        if np.array_equal(a, bad):
+            raise PathSingularityError("synthetic row failure")
+        return complex(a[0])
+
+    phi = BatchOnly(fn)
+    cache = DerivativeCache()
+    good = np.array([0.25, 0.0], dtype=complex)
+    cache.prefetch(phi, [good, bad])
+    assert (phi.calls, phi.rows) == (1, 2)
+    assert cache.value(phi, good) == 0.25
+    for _ in range(3):
+        with pytest.raises(PathSingularityError, match="synthetic row failure"):
+            cache.value(phi, bad)
+    # two misses for the two prefetched points, then hits; no re-evaluation
+    assert (cache.misses, cache.hits) == (2, 2)
+    cache.prefetch(phi, [good, bad])
+    assert (phi.calls, phi.rows) == (1, 2)
+
+
 def _noise_floor(a, multi, radius_factor, phi0):
     # differentiate's floor: 1e-10 * prod q!/(rho/2)^q * |phi(a)|
     amp = 1.0
@@ -375,3 +439,44 @@ def test_verify_shared_cache_reuses_values():
     # corrupted re-verify at the same points: derivatives all cached
     verify(corrupt_eigenvalue(system, row=0), phi, cache=cache)
     assert calls["n"] == first
+
+
+class CountingPhi:
+    """phi counted by evaluated points; a batch of N rows counts N."""
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.points = 0
+
+    def __call__(self, a):
+        self.points += 1
+        return self.phi(a)
+
+    def batch(self, rows):
+        self.points += len(rows)
+        return self.phi.batch(rows)
+
+
+# phi evaluations of one verify run at each shipped scenario's own settings
+SHIPPED_EVAL_COUNTS = {
+    "gauss": 771,
+    "airy": 195,
+    "beta": 195,
+    "residue_circle": 99,
+    "quadratic_root": 675,
+    "gl_quadratic": 675,
+    "gl_cubic": 1347,
+    "cubic_root_parametric": 3939,
+    "pochhammer": 771,
+}
+
+
+def test_shipped_scenarios_keep_their_eval_counts():
+    assert set(SHIPPED_EVAL_COUNTS) == set(builtin_scenario_names())
+    for name, count in SHIPPED_EVAL_COUNTS.items():
+        spec = load_scenario(name)
+        phi = CountingPhi(PeriodFunction(scenario=spec))
+        cache = DerivativeCache()
+        report = verify(build_system(spec), phi, cache=cache)
+        assert report.passed, name
+        assert phi.points == cache.misses == count, name
