@@ -226,30 +226,88 @@ _GEOMETRY_FIELDS = (
 )
 
 
-def _resolve_endpoint(pt, spec: ScenarioSpec, a: np.ndarray) -> tuple[complex, int]:
-    if isinstance(pt, RootAnchor):
-        if spec.m != 1:
-            raise ScenarioError("cycle", "root-anchored endpoints need m = 1")
-        fac = spec.factors[pt.factor - 1]
-        if fac.kind != "power":
-            raise ScenarioError("cycle", "root anchor must point at a power factor")
-        roots = univariate_roots(spec.dense_univariate(a, pt.factor))
-        if roots.size == 0:
-            raise PathSingularityError(
-                f"factor {pt.factor} has no roots to anchor a path endpoint"
-            )
-        z = complex(roots[np.argmin(np.abs(roots - complex(pt.near)))])
-        return z, pt.factor
-    return complex(pt), 0
+def _anchor_points(
+    anchor: RootAnchor, spec: ScenarioSpec, a: np.ndarray, roots: dict,
+) -> tuple[np.ndarray, dict]:
+    """Each row's root of the anchor's factor nearest ``anchor.near``.
+
+    ``roots`` caches univariate_roots per factor, so anchors on one factor
+    share one call.  Returns the points and a dict mapping each row whose
+    factor has no finite root to its PathSingularityError.
+    """
+    if spec.m != 1:
+        raise ScenarioError("cycle", "root-anchored endpoints need m = 1")
+    fac = spec.factors[anchor.factor - 1]
+    if fac.kind != "power":
+        raise ScenarioError("cycle", "root anchor must point at a power factor")
+    if anchor.factor not in roots:
+        roots[anchor.factor] = univariate_roots(spec.dense_univariate(a, anchor.factor))
+    found, deg = roots[anchor.factor]
+    if found.shape[1]:
+        dist = np.abs(found - complex(anchor.near))
+        # nan pads the roots a row lacks; they never win
+        dist[np.isnan(dist)] = np.inf
+        points = found[np.arange(len(a)), np.argmin(dist, axis=1)]
+    else:
+        points = np.full(len(a), np.nan, dtype=complex)
+    errors: dict = {}
+    for r in np.nonzero(~np.isfinite(points))[0]:
+        how = "vanishes identically and has" if deg[r] < 0 else "has"
+        errors[int(r)] = PathSingularityError(
+            f"factor {anchor.factor} {how} no roots to anchor a path endpoint"
+        )
+    return points, errors
 
 
-def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> ResolvedPath:
-    """Replace RootAnchor endpoints by concrete roots and validate chaining."""
+def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray):
+    """Replace RootAnchor endpoints by concrete roots and validate chaining.
+
+    ``a`` is one coefficient vector, or an (N, n) batch whose anchors are
+    found together (one root finding per anchored factor): then one
+    ResolvedPath or EvaluationError per row is returned.
+    """
+    a = np.asarray(a, dtype=complex)
+    rows = np.atleast_2d(a)
+    errors: dict = {}
+    anchors: dict = {}
+    roots: dict = {}
+    for seg in path.segments:
+        if isinstance(seg, LineSegment):
+            for pt in (seg.start, seg.end):
+                if isinstance(pt, RootAnchor) and pt not in anchors:
+                    anchors[pt], errs = _anchor_points(pt, spec, rows, roots)
+                    for r, exc in errs.items():
+                        errors.setdefault(r, exc)
+    return one_or_rows(a, [
+        errors[r] if r in errors else _resolve_row(path, anchors, r)
+        for r in range(len(rows))
+    ])
+
+
+def one_or_rows(a: np.ndarray, out: list):
+    """``out`` for an (N, n) batch ``a``; for one vector, its one entry.
+
+    ``out`` holds a result or EvaluationError per row; the entry of a
+    single vector is returned, or raised if it is an error.
+    """
+    if a.ndim == 2:
+        return out
+    if isinstance(out[0], EvaluationError):
+        raise out[0]
+    return out[0]
+
+
+def _resolve_row(path: Path1D, anchors: dict, r: int) -> ResolvedPath:
+    def endpoint(pt) -> tuple[complex, int]:
+        if isinstance(pt, RootAnchor):
+            return complex(anchors[pt][r]), pt.factor
+        return complex(pt), 0
+
     segs: list[ResolvedSegment] = []
     for seg in path.segments:
         if isinstance(seg, LineSegment):
-            z0, f0 = _resolve_endpoint(seg.start, spec, a)
-            z1, f1 = _resolve_endpoint(seg.end, spec, a)
+            z0, f0 = endpoint(seg.start)
+            z1, f1 = endpoint(seg.end)
             segs.append(
                 ResolvedSegment(
                     kind="line", z0=z0, z1=z1, anchored_start=f0, anchored_end=f1

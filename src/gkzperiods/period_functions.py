@@ -10,18 +10,18 @@ numerical differentiation:
 
 PeriodFunction.batch evaluates many coefficient vectors in one call, each
 row to its value or its own EvaluationError; a single call is a batch of
-one row.
+one row.  All three kinds evaluate a batch together: roots and residue
+sums share the stacked root kernel of ``_roots``.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._roots import eval_with_derivative, univariate_roots
-from .analytic_paths import EvaluationError
+from .analytic_paths import EvaluationError, one_or_rows
 from .quadrature import LEVEL_CAP, integrate_cycle
 from .scenario import ScenarioSpec, is_real_integer
 
@@ -68,69 +68,109 @@ class BranchAmbiguityError(PeriodEvaluationError):
 # root continuation
 
 
-def _poly_scale(dense: np.ndarray, x: complex) -> float:
-    m = max(1.0, abs(x))
-    return float(sum(abs(c) * m**k for k, c in enumerate(dense)))
+def _poly_scale(dense: np.ndarray, x) -> np.ndarray:
+    # sum_k |dense[..., k]| max(1, |x|)^k, by Horner
+    m = np.maximum(1.0, np.abs(x))
+    mags = np.abs(dense)
+    s = np.zeros(np.broadcast_shapes(dense.shape[:-1], m.shape))
+    for k in range(dense.shape[-1] - 1, -1, -1):
+        s = s * m + mags[..., k]
+    return s
 
 
-def _newton(dense: np.ndarray, x: complex, tol_rel: float = 1e-13,
-            max_iter: int = 10) -> complex | None:
+def _newton(dense: np.ndarray, x: np.ndarray, tol_rel: float = 1e-13,
+            max_iter: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on each row's root; returns the roots and which converged.
+
+    Row r is accepted once |f| <= tol_rel * coefficient scale, and fails
+    when f' vanishes or a step exceeds (1 + |x|) / 2.
+    """
+    live = np.ones(x.shape, dtype=bool)
+    ok = np.zeros(x.shape, dtype=bool)
     for _ in range(max_iter):
         f, df = eval_with_derivative(dense, x)
-        scale = _poly_scale(dense, x)
-        if abs(f) <= tol_rel * scale:
-            return x
-        if df == 0:
-            return None
+        done = live & (np.abs(f) <= tol_rel * _poly_scale(dense, x))
+        ok |= done
         step = f / df
-        if abs(step) > 0.5 * (1.0 + abs(x)):
-            return None
-        x = x - step
+        live &= ~done & (df != 0) & ~(np.abs(step) > 0.5 * (1.0 + np.abs(x)))
+        if not live.any():
+            return x, ok
+        x = np.where(live, x - step, x)
     f, _ = eval_with_derivative(dense, x)
-    if abs(f) <= tol_rel * _poly_scale(dense, x):
-        return x
-    return None
+    ok |= live & (np.abs(f) <= tol_rel * _poly_scale(dense, x))
+    return x, ok
 
 
 def _continue_root_segment(
-    dense0: np.ndarray, dense1: np.ndarray, x0: complex,
+    dense0: np.ndarray, dense1: np.ndarray, x: np.ndarray,
     escape_radius: float,
-) -> complex:
-    """Track the root of (1-t) dense0 + t dense1 from t=0 to t=1."""
+) -> tuple[np.ndarray, dict]:
+    """Track row r's root of (1-t) dense0[r] + t dense1[r] from t=0 to t=1.
+
+    Each row keeps its own parameter, step and root: a failed Newton
+    correction halves that row's step, an accepted one grows it.  Returns
+    the roots at t=1 and a dict mapping each failed row to its error.
+    """
     ddense = dense1 - dense0
-    x = complex(x0)
-    t = 0.0
-    dt = 0.25
-    while t < 1.0:
-        dt = min(dt, 1.0 - t)
-        tn = t + dt
-        dense_t = dense0 + tn * ddense
+    n = x.shape[0]
+    x = x.copy()
+    t = np.zeros(n)
+    dt = np.full(n, 0.25)
+    errors: dict = {}
+    live = np.arange(n)
+    while live.size:
+        tl, xl, d0, dd = t[live], x[live], dense0[live], ddense[live]
+        dtl = np.minimum(dt[live], 1.0 - tl)
+        tn = tl + dtl
+        dense_t = d0 + tn[:, None] * dd
         lead = np.abs(dense_t)
-        if lead[-1] < 1e-10 * max(float(np.max(lead)), 1e-300):
-            raise RootEscapeError(
-                f"leading coefficient degenerates at segment parameter {tn:.6f}"
-            )
-        fdot = complex(np.polyval(ddense[::-1], x))
-        _, df = eval_with_derivative(dense0 + t * ddense, x)
-        pred = x - dt * fdot / df if df != 0 else x
-        corrected = _newton(dense_t, pred)
-        if corrected is None:
-            dt *= 0.5
-            if dt < 1e-12:
-                raise NearDiscriminantError(
-                    f"Newton correction failed near segment parameter {t:.6f}; "
-                    f"the continuation path runs too close to a root collision"
+        escaped = lead[:, -1] < 1e-10 * np.maximum(lead.max(axis=1), 1e-300)
+        fdot, _ = eval_with_derivative(dd, xl)
+        _, df = eval_with_derivative(d0 + tl[:, None] * dd, xl)
+        pred = np.where(df != 0, xl - dtl * fdot / df, xl)
+        corrected, ok = _newton(dense_t, pred)
+        ok &= ~escaped
+        failed = ~ok & ~escaped
+        dtl = np.where(failed, 0.5 * dtl, dtl)
+        stalled = failed & (dtl < 1e-12)
+        xl = np.where(ok, corrected, xl)
+        tl = np.where(ok, tn, tl)
+        far = ok & (np.abs(xl) > escape_radius)
+        for j in np.nonzero(escaped | stalled | far)[0]:
+            if escaped[j]:
+                exc = RootEscapeError(
+                    f"leading coefficient degenerates at segment parameter "
+                    f"{tn[j]:.6f}"
                 )
-            continue
-        x = corrected
-        t = tn
-        if abs(x) > escape_radius:
-            raise RootEscapeError(
-                f"root magnitude {abs(x):.3e} exceeded escape radius at "
-                f"segment parameter {t:.6f}"
-            )
-        dt = min(dt * 1.6, 0.25)
-    return x
+            elif stalled[j]:
+                exc = NearDiscriminantError(
+                    f"Newton correction failed near segment parameter "
+                    f"{tl[j]:.6f}; the continuation path runs too close to a "
+                    f"root collision"
+                )
+            else:
+                exc = RootEscapeError(
+                    f"root magnitude {abs(xl[j]):.3e} exceeded escape radius "
+                    f"at segment parameter {tl[j]:.6f}"
+                )
+            errors[int(live[j])] = exc
+        x[live] = xl
+        t[live] = tl
+        dt[live] = np.where(ok, np.minimum(dtl * 1.6, 0.25), dtl)
+        live = live[~(escaped | stalled | far | (tl >= 1.0))]
+    return x, errors
+
+
+def _base_root(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    # base dense coefficients (one row), the polished base root, escape radius
+    dense = spec.dense_univariate(spec.coefficient_vector()[None])
+    x0 = complex(spec.base_root)
+    x, ok = _newton(dense, np.array([x0]))
+    if not ok[0]:
+        raise PeriodEvaluationError(
+            "base root does not satisfy the base coefficients"
+        )
+    return dense, x, 1e6 * (1.0 + abs(x0))
 
 
 def track_root(spec: ScenarioSpec, waypoints) -> complex:
@@ -140,76 +180,119 @@ def track_root(spec: ScenarioSpec, waypoints) -> complex:
     adaptive step halving and Newton correction to |f| <= 1e-13 *
     coefficient scale; the root at the last waypoint is returned.
     """
-    dense = spec.dense_univariate(spec.coefficient_vector())
-    x0 = complex(spec.base_root)
-    x = _newton(dense, x0)
-    if x is None:
-        raise PeriodEvaluationError(
-            "base root does not satisfy the base coefficients"
-        )
-    escape = 1e6 * (1.0 + abs(x0))
-    for w in waypoints:
-        dense_next = spec.dense_univariate(np.asarray(w, dtype=complex))
-        x = _continue_root_segment(dense, dense_next, x, escape)
-        dense = dense_next
-    return x
+    with np.errstate(all="ignore"):
+        dense, x, escape = _base_root(spec)
+        for w in waypoints:
+            dense_next = spec.dense_univariate(np.asarray(w, dtype=complex)[None])
+            x, errors = _continue_root_segment(dense, dense_next, x, escape)
+            if errors:
+                raise errors[0]
+            dense = dense_next
+    return complex(x[0])
 
 
-def eval_root(spec: ScenarioSpec, a: np.ndarray) -> complex:
+def eval_root(spec: ScenarioSpec, a: np.ndarray):
     """Analytic continuation of the base root to coefficients a.
 
     The path is the straight segment from the scenario base coefficients.
+    ``a`` is one coefficient vector, or an (N, n) batch whose rows are
+    continued together, each with its own step control: then one complex
+    or EvaluationError per row is returned.
     """
-    return track_root(spec, [a])
+    a = np.asarray(a, dtype=complex)
+    rows = np.atleast_2d(a)
+    with np.errstate(all="ignore"):
+        try:
+            dense, x, escape = _base_root(spec)
+        except PeriodEvaluationError as exc:
+            return one_or_rows(a, [exc] * len(rows))
+        dense1 = spec.dense_univariate(rows)
+        x, errors = _continue_root_segment(
+            np.broadcast_to(dense, dense1.shape), dense1,
+            np.repeat(x, len(rows)), escape,
+        )
+    return one_or_rows(a, [errors.get(r, complex(v)) for r, v in enumerate(x)])
 
 
 # ---------------------------------------------------------------------------
 # residue sums
 
 
-def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray) -> complex:
+def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray):
     """Sum of r^(beta-1) / f'(r) over all roots r of the factor.
 
     Roots come from companion-matrix eigenvalues plus Newton polish.  For
     non-integer beta the power uses the principal branch; a root on (or
     hugging) the negative real axis makes that choice ambiguous and raises.
+    ``a`` is one coefficient vector, or an (N, n) batch whose roots are
+    found together: then one complex or EvaluationError per row is
+    returned.
     """
     a = np.asarray(a, dtype=complex)
-    dense = spec.dense_univariate(a)
-    mags = np.abs(dense)
-    if mags[-1] < 1e-10 * max(float(np.max(mags)), 1e-300):
-        raise RootEscapeError("leading coefficient of the factor degenerates")
-    if dense.size < 2:
-        raise PeriodEvaluationError("factor is constant; no roots to sum over")
-    roots = univariate_roots(dense)
+    dense = spec.dense_univariate(np.atleast_2d(a))
+    out: list = [None] * len(dense)
     beta = complex(spec.twist_beta[0])
-    dpoly = dense[1:] * np.arange(1, dense.size)
-    total = 0.0 + 0.0j
-    for r in sorted(map(complex, roots), key=lambda z: (z.real, z.imag)):
-        df = complex(np.polyval(dpoly[::-1], r))
-        scale = _poly_scale(dense, r) / max(1.0, abs(r))
-        if abs(df) < 1e-8 * scale:
-            raise MultipleRootError(
-                f"nearly multiple root at {r:.6g}: |f'| = {abs(df):.3e}"
-            )
+    with np.errstate(all="ignore"):
+        mags = np.abs(dense)
+        degenerate = mags[:, -1] < 1e-10 * np.maximum(mags.max(axis=1), 1e-300)
+        for r in np.nonzero(degenerate)[0]:
+            out[r] = RootEscapeError("leading coefficient of the factor degenerates")
+        rows = np.nonzero(~degenerate)[0]
+        if dense.shape[1] < 2:
+            for r in rows:
+                out[r] = PeriodEvaluationError(
+                    "factor is constant; no roots to sum over"
+                )
+            return one_or_rows(a, out)
+        d = dense[rows]
+        roots, _ = univariate_roots(d)
+        # each row's roots in (real, imag) order, which fixes the summation order
+        order = np.lexsort((roots.imag, roots.real), axis=-1)
+        roots = np.take_along_axis(roots, order, axis=1)
+        _, df = eval_with_derivative(d[:, None, :], roots)
+        scale = _poly_scale(d[:, None, :], roots) / np.maximum(1.0, np.abs(roots))
+        multiple = np.abs(df) < 1e-8 * scale
+        # roots whose weight r^(beta-1) is infinite or on an ambiguous branch
         if is_real_integer(beta):
             k = int(beta.real) - 1
-            if k < 0 and r == 0:
-                raise PeriodEvaluationError(
-                    "zero root with negative twist power has no finite weight"
-                )
-            weight = r**k
+            no_weight = (roots == 0) & (k < 0)
+            weight = roots**k
         else:
-            if r == 0 or (r.real < 0 and abs(r.imag) <= 1e-9 * abs(r)):
-                raise BranchAmbiguityError(
-                    f"root {r:.6g} sits on the principal branch cut with "
-                    f"non-integer twist beta = {beta}"
-                )
-            weight = cmath.exp((beta - 1.0) * cmath.log(r))
-        total += weight / df
-    if not (np.isfinite(total.real) and np.isfinite(total.imag)):
-        raise PeriodEvaluationError("residue sum is not finite")
-    return total
+            no_weight = (roots == 0) | (
+                (roots.real < 0) & (np.abs(roots.imag) <= 1e-9 * np.abs(roots))
+            )
+            weight = np.exp((beta - 1.0) * np.log(roots))
+        terms = weight / df
+        total = np.zeros(len(rows), dtype=complex)
+        for j in range(roots.shape[1]):
+            total = total + terms[:, j]
+    bad = multiple | no_weight
+    for i, r in enumerate(rows):
+        if bad[i].any():
+            j = int(np.argmax(bad[i]))
+            out[r] = _root_error(complex(roots[i, j]), complex(df[i, j]),
+                                 bool(multiple[i, j]), beta)
+        elif not np.isfinite(total[i]):
+            out[r] = PeriodEvaluationError("residue sum is not finite")
+        else:
+            out[r] = complex(total[i])
+    return one_or_rows(a, out)
+
+
+def _root_error(r: complex, df: complex, multiple: bool, beta: complex):
+    # why root r spoils a residue sum, checked in the same order as the sum
+    if multiple:
+        return MultipleRootError(
+            f"nearly multiple root at {r:.6g}: |f'| = {abs(df):.3e}"
+        )
+    if is_real_integer(beta):
+        return PeriodEvaluationError(
+            "zero root with negative twist power has no finite weight"
+        )
+    return BranchAmbiguityError(
+        f"root {r:.6g} sits on the principal branch cut with "
+        f"non-integer twist beta = {beta}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +319,7 @@ def eval_period(spec: ScenarioSpec, a: np.ndarray):
                 f"{estimate:.3e})"
             )
         out.append(complex(value) if exc is None else exc)
-    if a.ndim == 2:
-        return out
-    if isinstance(out[0], EvaluationError):
-        raise out[0]
-    return out[0]
+    return one_or_rows(a, out)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +345,8 @@ class PeriodFunction:
 
         Entry k is row k's complex value or the EvaluationError that row
         raised; a failing row leaves the others untouched, and a row's
-        value does not depend on the rest of its batch.  Periods integrate
-        all rows together; roots and residue sums go row by row.
+        value does not depend on the rest of its batch.  Every kind
+        evaluates all rows together.
         """
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2 or a.shape[1] != self.dimension:
@@ -278,14 +357,9 @@ class PeriodFunction:
         kind = self.scenario.function_kind
         if kind == "period":
             return eval_period(self.scenario, a)
-        fn = eval_root if kind == "root" else eval_gl_residue
-        out: list = []
-        for row in a:
-            try:
-                out.append(fn(self.scenario, row))
-            except EvaluationError as exc:
-                out.append(exc)
-        return out
+        if kind == "root":
+            return eval_root(self.scenario, a)
+        return eval_gl_residue(self.scenario, a)
 
     def __call__(self, a) -> complex:
         a = np.asarray(a, dtype=complex)

@@ -377,11 +377,13 @@ def integrate_term(
     errors: list = [None] * n_rows
     rpaths: list = [None] * n_rows
     groups: dict = {}
+    resolved = [resolve_path(p, spec, a) for p in term.paths]
     for r in range(n_rows):
-        try:
-            rpaths[r] = [resolve_path(p, spec, a[r]) for p in term.paths]
-        except EvaluationError as exc:
-            errors[r] = exc
+        rpaths[r] = [per_row[r] for per_row in resolved]
+        errors[r] = next(
+            (rp for rp in rpaths[r] if isinstance(rp, EvaluationError)), None
+        )
+        if errors[r] is not None:
             continue
         rules = tuple(
             tuple(_path_rules(rp, spec, a[r], tracked_factors, tracked_coords))

@@ -226,16 +226,16 @@ class ScenarioSpec:
         declared values; the result is ascending-degree dense coefficients
         in the remaining variable.  Linear in a, so straight segments in
         coefficient space map to straight segments of dense coefficients.
+        An (N, n) batch ``a`` gives one row of dense coefficients per row.
         """
         fac = self.factors[index - 1]
         q = self.root_variable() - 1
-        coeffs = self.coefficients_for(a, index)
-        dense = np.zeros(fac.degree_in(q) + 1, dtype=complex)
-        for mono, c in zip(fac.monomials, coeffs):
-            w = complex(c)
+        coeffs = np.asarray(self.coefficients_for(a, index), dtype=complex)
+        dense = np.zeros(coeffs.shape[:-1] + (fac.degree_in(q) + 1,), dtype=complex)
+        for mono, c in zip(fac.monomials, np.moveaxis(coeffs, -1, 0)):
             for p, val in self.frozen:
-                w *= complex(val) ** mono[p - 1]
-            dense[mono[q]] += w
+                c = c * complex(val) ** mono[p - 1]
+            dense[..., mono[q]] += c
         return dense
 
 

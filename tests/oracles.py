@@ -164,21 +164,30 @@ def cauchy_tensor(value, a, multi, radius_factor: float, nodes: int) -> complex:
     at a cost of nodes^k evaluations for k differentiated coordinates.
     """
     a = np.asarray(a, dtype=complex)
+    acc = 0.0 + 0.0j
+    for point, phase in tensor_grid(a, multi, radius_factor, nodes):
+        acc += value(point) * phase
+    pref = 1.0
+    for v, q in enumerate(multi):
+        if q > 0:
+            rho = radius_factor * max(1.0, abs(a[v]))
+            pref *= math.factorial(q) / (nodes * rho**q)
+    return pref * acc
+
+
+def tensor_grid(a, multi, radius_factor: float, nodes: int):
+    """The (point, phase) pairs cauchy_tensor sums over, in its order."""
+    a = np.asarray(a, dtype=complex)
     vars_orders = [(v, q) for v, q in enumerate(multi) if q > 0]
     radii = [radius_factor * max(1.0, abs(a[v])) for v, _ in vars_orders]
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    acc = 0.0 + 0.0j
     for combo in itertools.product(range(nodes), repeat=len(vars_orders)):
         point = a.copy()
         phase = 1.0 + 0.0j
         for (v, q), rho, idx in zip(vars_orders, radii, combo):
             point[v] = a[v] + rho * np.exp(1j * theta[idx])
             phase *= np.exp(-1j * q * theta[idx])
-        acc += value(point) * phase
-    pref = 1.0
-    for (v, q), rho in zip(vars_orders, radii):
-        pref *= math.factorial(q) / (nodes * rho**q)
-    return pref * acc
+        yield point, phase
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,31 @@ def test_period_bad_point_is_input_error():
         assert "value =" not in res.stdout
 
 
+def test_period_identically_zero_anchor_factor_is_evaluation_error():
+    # a2 = a3 = 0: gauss's second factor vanishes, its root anchor has nothing
+    res = run_cli("period", "gauss", "--point", "[2, -1, 0, 0]")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: PathSingularityError:")
+    assert "vanishes identically" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "name, point, error",
+    [
+        ("gl_cubic", "[1e308, 1e308, 1e308, 1e308]", "BranchAmbiguityError"),
+        ("quadratic_root", "[1e300, 1e300, 1e300]", "RootEscapeError"),
+    ],
+)
+def test_period_overflow_prints_no_warnings(name, point, error):
+    res = run_cli("period", name, "--point", point)
+    assert res.returncode == 2
+    assert "RuntimeWarning" not in res.stderr + res.stdout
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}:"), res.stderr
+
+
 def test_emit_normalized_round_trip(tmp_path):
     out1 = tmp_path / "norm1.json"
     res = run_cli("system", "quadratic_root", "--emit-normalized",

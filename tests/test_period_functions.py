@@ -23,6 +23,7 @@ from gkzperiods import (
     eval_root,
     validate_scenario,
 )
+from gkzperiods._roots import univariate_roots
 from gkzperiods.period_functions import track_root
 from gkzperiods.verifier import _direction_circles, verification_points
 
@@ -172,6 +173,28 @@ def test_period_function_wrapper_checks_shape():
     assert abs(pf(base) - 0.9512492197250393) < 1e-12
 
 
+def test_stacked_roots_match_np_roots_per_row():
+    # degrees 1-6 mixed in one stack, padded with trailing zeros, plus a
+    # constant and the zero polynomial
+    rng = np.random.default_rng(77)
+    degrees = [int(d) for d in rng.integers(1, 7, size=40)] + [0, -1]
+    stack = np.zeros((len(degrees), 7), dtype=complex)
+    for row, d in zip(stack, degrees):
+        row[: d + 1] = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    roots, deg = univariate_roots(stack)
+    assert deg.tolist() == degrees
+    for row, d, found in zip(stack, degrees, roots):
+        assert np.isnan(found[max(d, 0):]).all()
+        if d < 1:
+            continue
+        expected = np.roots(row[: d + 1][::-1])
+        for r in expected:
+            assert np.min(np.abs(found[:d] - r)) < 1e-10 * max(1.0, abs(r))
+        # a row's roots do not depend on the rest of its stack
+        alone, _ = univariate_roots(row[None])
+        assert np.array_equal(alone[0], found, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # global residue sums
 
@@ -289,6 +312,7 @@ def test_period_function_dispatches_gl_kind():
 
 
 PERIOD_SCENARIOS = ("gauss", "airy", "beta", "residue_circle", "pochhammer")
+ROOT_SCENARIOS = ("quadratic_root", "cubic_root_parametric", "gl_quadratic", "gl_cubic")
 
 
 def direction_stencil(spec):
@@ -313,7 +337,7 @@ def direction_stencil(spec):
     return np.array(full + half)
 
 
-@pytest.mark.parametrize("name", PERIOD_SCENARIOS)
+@pytest.mark.parametrize("name", PERIOD_SCENARIOS + ROOT_SCENARIOS)
 def test_batch_rows_equal_one_row_calls(name):
     pf = PeriodFunction(builtin(name))
     rows = direction_stencil(pf.scenario)
@@ -336,6 +360,12 @@ def raised(pf, row):
         ("residue_circle", [0.0], PathSingularityError, "integrand not finite"),
         ("gauss", None, PathSingularityError, "no roots to anchor"),
         ("gl_quadratic", [1.0, -2.0, 1.0], MultipleRootError, "nearly multiple root"),
+        # factor 2 of gauss is identically zero
+        ("gauss", [2.0, -1.0, 0.0, 0.0], PathSingularityError, "vanishes identically"),
+        # x^2 + 0.1 x: the segment from the base passes a root collision
+        ("quadratic_root", [1.0, 0.1, 0.0], NearDiscriminantError, "root collision"),
+        # (x + 1)(x^2 + 1): a root on the cut of r^(-1/2)
+        ("gl_cubic", [1.0, 1.0, 1.0, 1.0], BranchAmbiguityError, "branch cut"),
     ],
 )
 def test_failing_row_leaves_the_batch_alone(name, failing, error, message):

@@ -30,6 +30,7 @@ from oracles import (
     quadratic_formula_root,
     quadratic_root_derivative,
     quadratic_root_second_mixed,
+    tensor_grid,
 )
 
 from test_scenario import builtin
@@ -238,7 +239,9 @@ def test_direction_circles_match_tensor_grid_on_shipped_boxes(name):
     }
     for multi in sorted(multis):
         new = differentiate(pf, a, multi, settings, cache).value
-        # 16 nodes per circle, as in the verifier
+        # 16 nodes per circle, as in the verifier; the grid goes to phi.batch
+        grid = tensor_grid(a, multi, settings.radius_factor, 16)
+        cache.prefetch(pf, [point for point, _ in grid])
         tensor = cauchy_tensor(
             lambda p: cache.value(pf, p), a, multi, settings.radius_factor, 16
         )
