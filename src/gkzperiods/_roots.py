@@ -70,7 +70,7 @@ def univariate_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
     deg = np.where(nonzero.any(axis=1), last, -1)
     roots = np.full((n, max(width - 1, 0)), np.nan, dtype=complex)
     with np.errstate(all="ignore"):
-        for d in np.unique(deg[deg > 0]):
+        for d in sorted(set(deg[deg > 0].tolist())):
             cd = c[deg == d, : d + 1]
             monic = cd / cd[:, d, None]
             # a row with non-finite coefficients keeps nan roots

@@ -62,6 +62,19 @@ class IntegrandOverflowError(EvaluationError):
     """The integrand magnitude exceeded floating-point range."""
 
 
+def one_or_rows(a: np.ndarray, out: list):
+    """``out`` for an (N, n) batch ``a``; for one vector, its one entry.
+
+    ``out`` holds a result or EvaluationError per row; the entry of a
+    single vector is returned, or raised if it is an error.
+    """
+    if a.ndim == 2:
+        return out
+    if isinstance(out[0], EvaluationError):
+        raise out[0]
+    return out[0]
+
+
 # ---------------------------------------------------------------------------
 # path geometry
 
@@ -282,19 +295,6 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray):
         errors[r] if r in errors else _resolve_row(path, anchors, r)
         for r in range(len(rows))
     ])
-
-
-def one_or_rows(a: np.ndarray, out: list):
-    """``out`` for an (N, n) batch ``a``; for one vector, its one entry.
-
-    ``out`` holds a result or EvaluationError per row; the entry of a
-    single vector is returned, or raised if it is an error.
-    """
-    if a.ndim == 2:
-        return out
-    if isinstance(out[0], EvaluationError):
-        raise out[0]
-    return out[0]
 
 
 def _resolve_row(path: Path1D, anchors: dict, r: int) -> ResolvedPath:
