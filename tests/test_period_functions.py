@@ -362,7 +362,8 @@ def raised(pf, row):
         ("gl_quadratic", [1.0, -2.0, 1.0], MultipleRootError, "nearly multiple root"),
         # factor 2 of gauss is identically zero
         ("gauss", [2.0, -1.0, 0.0, 0.0], PathSingularityError, "vanishes identically"),
-        # x^2 + 0.1 x: the segment from the base passes a root collision
+        # the segment from the base -1 + 0.1 x + x^2 meets the discriminant
+        # near t = 0.5025
         ("quadratic_root", [1.0, 0.1, 0.0], NearDiscriminantError, "root collision"),
         # (x + 1)(x^2 + 1): a root on the cut of r^(-1/2)
         ("gl_cubic", [1.0, 1.0, 1.0, 1.0], BranchAmbiguityError, "branch cut"),
