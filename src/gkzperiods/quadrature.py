@@ -40,6 +40,10 @@ _TIP_RATIO = 1e-18
 # refinement levels tried by integrate_term, first to last
 LEVEL_START = 5
 LEVEL_CAP = 14
+# integrand nodes of one level call, summed over its rows: a level runs on
+# slices of at least one row that keep rows x nodes per row under this
+# (4096: the largest grid one derivative's stencil needs on a shipped period)
+_NODE_BUDGET = 4096
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 
@@ -359,9 +363,12 @@ def integrate_term(
     of one row, and the default is the scenario's own coefficients.  Rows
     are grouped by their per-segment rules, and each group refines its
     levels together, LEVEL_START..LEVEL_CAP, a row leaving when successive
-    values agree to ``spec.settings.tol``.  Values include the term
-    multiplicity.  A row that reaches the level cap without agreement is
-    flagged unconverged but still returned.  Each row's diagnostics
+    values agree to ``spec.settings.tol``.  A level runs on slices of the
+    active rows, each at least one row and otherwise holding rows x nodes
+    per row under _NODE_BUDGET, so memory stays bounded however large the
+    batch; rows are independent, so slicing changes no result.  Values
+    include the term multiplicity.  A row that reaches the level cap
+    without agreement is flagged unconverged but still returned.  Each row's diagnostics
     (``diagnostics["rows"]``) hold its rules, level values, ray-tip ratios
     at its last level, clipped-tail estimate and warnings.
     """
@@ -402,36 +409,40 @@ def integrate_term(
             row_diags[r] = {"rules": [list(x) for x in rules], "levels": []}
         active = rows
         for level in range(LEVEL_START, LEVEL_CAP + 1):
-            vals, nodes, tails, grid, errs = _term_level_value(
-                spec, a[active], [rpaths[r] for r in active], rules, level,
-                tracked_factors, tracked_coords,
-            )
+            row_nodes = math.prod(_axis_nodes(r, level)[0].size for r in rules)
+            step = max(1, _NODE_BUDGET // row_nodes)
             still = []
-            finished = []
-            for j, r in enumerate(active):
-                if j in errs:
-                    errors[r] = errs[j]
-                    continue
-                v = complex(vals[j])
-                diag = row_diags[r]
-                nodes_used[r] += nodes
-                diag["levels"].append({"level": level, "value": repr(v)})
-                # clipped-tail mass is invisible to level agreement; fold it in
-                tail_est = float(tails[j])
-                if tail_est:
-                    diag["tail_estimate"] = tail_est
-                if level > LEVEL_START:
-                    err[r] = max(abs(v - value[r]), tail_est)
-                    converged[r] = err[r] <= tol * max(1.0, abs(v))
-                value[r] = v
-                if converged[r] or level == LEVEL_CAP:
-                    finished.append(j)
-                else:
-                    still.append(r)
-            # ray tips only at the level each row stops on
-            for j, tips in zip(finished, _ray_tips(rules, level, grid[finished])):
-                if tips:
-                    row_diags[active[j]]["ray_tips"] = tips
+            for start in range(0, len(active), step):
+                part = active[start:start + step]
+                vals, nodes, tails, grid, errs = _term_level_value(
+                    spec, a[part], [rpaths[r] for r in part], rules, level,
+                    tracked_factors, tracked_coords,
+                )
+                finished = []
+                for j, r in enumerate(part):
+                    if j in errs:
+                        errors[r] = errs[j]
+                        continue
+                    v = complex(vals[j])
+                    diag = row_diags[r]
+                    nodes_used[r] += nodes
+                    diag["levels"].append({"level": level, "value": repr(v)})
+                    # clipped-tail mass is invisible to level agreement; fold it in
+                    tail_est = float(tails[j])
+                    if tail_est:
+                        diag["tail_estimate"] = tail_est
+                    if level > LEVEL_START:
+                        err[r] = max(abs(v - value[r]), tail_est)
+                        converged[r] = err[r] <= tol * max(1.0, abs(v))
+                    value[r] = v
+                    if converged[r] or level == LEVEL_CAP:
+                        finished.append(j)
+                    else:
+                        still.append(r)
+                # ray tips only at the level each row stops on
+                for j, tips in zip(finished, _ray_tips(rules, level, grid[finished])):
+                    if tips:
+                        row_diags[part[j]]["ray_tips"] = tips
             active = still
             if not active:
                 break

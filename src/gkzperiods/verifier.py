@@ -7,6 +7,13 @@ over the directions isolates each mixed partial.  A halved-radius rerun
 is the built-in diagnostic.  Residuals are normalized by the sum of the
 operator's term magnitudes so they stay meaningful where the function is
 small.
+
+verify plans each point before it evaluates anything: it builds the
+stencil of every derivative its operators need there, once, and sends the
+centre and all stencil samples to ``phi.batch`` in one call.  The operator
+loop then only reads the cache, in the same order as without the plan, so
+hit and miss counts and every residual are unchanged.  If the centre
+fails, the stencil samples evaluated with it are discarded.
 """
 
 from __future__ import annotations
@@ -55,15 +62,19 @@ class DerivativeCache:
     repeated verify runs at the same seed) share work.  An EvaluationError
     is remembered like a value and raised again on every later lookup, so
     a failing point (an unconverged period is the costliest evaluation
-    there is) is evaluated once.  ``prefetch`` evaluates a whole stencil in
-    one ``phi.batch`` call; the first lookup of a prefetched point still
-    counts as the miss, so hits and misses do not depend on batching.  One
-    cache serves one function only.
+    there is) is evaluated once.  ``prefetch`` evaluates many points in one
+    ``phi.batch`` call: verify sends each verification point's centre and
+    every stencil its operators need, differentiate a lone stencil.  The
+    first lookup of a prefetched point still counts as the miss, so hits
+    and misses do not depend on batching.  ``stencils`` holds the stencils
+    verify built for derivatives not yet taken, so differentiate builds
+    none twice.  One cache serves one function only.
     """
 
     def __init__(self):
         self.values: dict = {}
         self.derivs: dict = {}
+        self.stencils: dict = {}
         self.hits = 0
         self.misses = 0
         self._prefetched: set = set()
@@ -139,6 +150,7 @@ def _direction_circles(a: np.ndarray, multi: tuple, radii: dict):
     ]
     theta = 2.0 * math.pi * np.arange(_DIFF_NODES) / _DIFF_NODES
     rot = np.exp(1j * theta)
+    node_phases = [np.exp(-1j * order * t) for t in theta]
     points = []
     phases = []
     for turns in itertools.product(*(range(m) for m in sizes[1:])):
@@ -154,11 +166,23 @@ def _direction_circles(a: np.ndarray, multi: tuple, radii: dict):
             for v, h in step.items():
                 point[v] = a[v] + h * rot[idx]
             points.append(point)
-            phases.append(coef * np.exp(-1j * order * theta[idx]))
+            phases.append(coef * node_phases[idx])
     pref = 1.0 + 0.0j
     for v, m in zip(support, sizes):
         pref *= math.factorial(multi[v]) / (m * radii[v] ** multi[v])
     return points, phases, pref
+
+
+def _stencils(a: np.ndarray, multi: tuple, settings: EvalSettings):
+    """Radii and the full- and half-radius direction circles of d^multi at a."""
+    radii = {
+        v: settings.radius_factor * max(1.0, abs(a[v]))
+        for v, q in enumerate(multi)
+        if q > 0
+    }
+    full = _direction_circles(a, multi, radii)
+    halved = _direction_circles(a, multi, {v: r / 2.0 for v, r in radii.items()})
+    return radii, full, halved
 
 
 def _circle_sum(phi, stencil, cache) -> complex:
@@ -211,15 +235,12 @@ def differentiate(
         return cache.derivs[key]
 
     warnings: list[str] = []
-    radii = {
-        v: settings.radius_factor * max(1.0, abs(a[v]))
-        for v, q in enumerate(multi)
-        if q > 0
-    }
-    full = _direction_circles(a, multi, radii)
-    halved = _direction_circles(a, multi, {v: r / 2.0 for v, r in radii.items()})
-    # both radii's samples go to phi in one batch
-    cache.prefetch(phi, full[0] + halved[0])
+    stencils = cache.stencils.pop(key, None)
+    if stencils is None:
+        stencils = _stencils(a, multi, settings)
+        # both radii's samples go to phi in one batch
+        cache.prefetch(phi, stencils[1][0] + stencils[2][0])
+    radii, full, halved = stencils
     val = _circle_sum(phi, full, cache)
     half = _circle_sum(phi, halved, cache)
     # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
@@ -366,6 +387,42 @@ def verification_points(
     return points
 
 
+def _prefetch_point(phi, a: np.ndarray, operators, settings, cache) -> None:
+    """Send phi(a) and every stencil the operators need at a to one batch.
+
+    The derivatives are the first-order ones of the Euler rows and u+ and
+    u- of every box, less those already finished, of order 0 (the centre)
+    or above _MAX_ORDER.  Their stencils wait in ``cache.stencils`` for
+    differentiate.  A phi without ``batch`` is left to differentiate.
+    """
+    if getattr(phi, "batch", None) is None:
+        return
+    n = a.size
+    multis: dict = {}
+    for op in operators:
+        if isinstance(op, EulerOperator):
+            for v, w in enumerate(op.weights):
+                if w != 0:
+                    multis[tuple(1 if u == v else 0 for u in range(n))] = None
+        elif isinstance(op, BoxOperator):
+            multis[tuple(op.u_plus)] = None
+            multis[tuple(op.u_minus)] = None
+    points = [a]
+    for multi in multis:
+        key = (a.tobytes(), multi, settings.radius_factor)
+        if (
+            len(multi) != n
+            or min(multi) < 0
+            or not 0 < sum(multi) <= _MAX_ORDER
+            or key in cache.derivs
+        ):
+            continue
+        stencils = _stencils(a, multi, settings)
+        cache.stencils[key] = stencils
+        points += stencils[1][0] + stencils[2][0]
+    cache.prefetch(phi, points)
+
+
 def _operator_label(op) -> str:
     if isinstance(op, EulerOperator):
         return f"euler {op.label[0]}({op.label[1]})"
@@ -404,6 +461,7 @@ def verify(
     cells: list[ResidualCell] = []
     phi_values: list = []
     for k, pt in enumerate(points):
+        _prefetch_point(phi, pt, operators, settings, cache)
         try:
             phi_values.append(cache.value(phi, pt))
             phi_err = None
@@ -440,6 +498,8 @@ def verify(
                     warnings=app.warnings,
                 )
             )
+        # stencils left behind by an error; a later point needs its own
+        cache.stencils.clear()
 
     usable = [
         c.relative for c in cells if c.error is None and not c.degenerate

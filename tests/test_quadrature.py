@@ -22,6 +22,7 @@ from gkzperiods import (
     integrate_term,
     validate_scenario,
 )
+from gkzperiods import quadrature
 from gkzperiods.quadrature import (
     _axis_nodes,
     _path_rules,
@@ -373,3 +374,42 @@ def test_batch_rows_do_not_depend_on_the_batch_size():
     assert batch == [eval_period(spec, row) for row in rows]
     levels = integrate_cycle(spec, rows).diagnostics["terms"][0]["levels"]
     assert max(lv["level"] for lv in levels) >= 6
+
+
+@pytest.mark.parametrize(
+    "name, failing",
+    [
+        # factor 2 vanishes identically: the row fails while paths resolve
+        ("gauss", [2.0, -1.0, 0.0, 0.0]),
+        # the integrand overflows on the ray: the row fails inside a level
+        ("airy", [0.0, 1e3]),
+    ],
+)
+def test_node_budget_slices_change_no_result(name, failing, monkeypatch):
+    spec = builtin(name)
+    rows = verification_points(spec.coefficient_vector(), 19, seed=3, rel=0.2)
+    rows = np.array(rows[:7] + [failing] + rows[7:], dtype=complex)
+    calls = []
+
+    def counted(spec, a, *args):
+        calls.append(len(a))
+        return _term_level_value(spec, a, *args)
+
+    monkeypatch.setattr(quadrature, "_term_level_value", counted)
+    results, sizes = {}, {}
+    for budget in (10**9, 1):
+        monkeypatch.setattr(quadrature, "_NODE_BUDGET", budget)
+        calls.clear()
+        results[budget] = [integrate_term(t, spec, rows) for t in spec.cycle.terms]
+        sizes[budget] = set(calls)
+    # one row per level call under a budget of one node, the whole group without
+    assert sizes[1] == {1} and max(sizes[10**9]) >= 19
+    whole, sliced = results[10**9], results[1]
+    for w, s in zip(whole, sliced):
+        assert np.array_equal(w.value, s.value, equal_nan=True)
+        assert np.array_equal(w.error_estimate, s.error_estimate, equal_nan=True)
+        assert np.array_equal(w.row_converged, s.row_converged)
+        assert w.nodes_used == s.nodes_used
+        assert [repr(e) for e in w.errors] == [repr(e) for e in s.errors]
+        assert w.errors[7] is not None and w.errors.count(None) == 19
+        assert w.diagnostics == s.diagnostics

@@ -24,6 +24,7 @@ from gkzperiods import (
 )
 from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
 from gkzperiods.scenario_io import builtin_scenario_names
+from gkzperiods.verifier import _stencils
 
 from oracles import (
     cauchy_tensor,
@@ -444,12 +445,99 @@ def test_verify_shared_cache_reuses_values():
     assert calls["n"] == first
 
 
+def test_verify_sends_one_batch_per_point():
+    spec = builtin("gl_quadratic")
+    system = build_system(spec)
+    phi = BatchOnly(lambda a: cmath.exp(a[0]) / a[2] + a[1] ** 3)
+    points = verification_points(spec.coefficient_vector(), 2, seed=4)
+    cache = DerivativeCache()
+    verify(system, phi, points=points, cache=cache)
+    assert phi.calls == 2
+    assert phi.rows == cache.misses
+    # every derivative is finished: a rerun evaluates nothing
+    verify(system, phi, points=points, cache=cache)
+    assert phi.calls == 2
+
+
+class FailingPhi:
+    """A shipped phi that raises PathSingularityError at the chosen points."""
+
+    def __init__(self, spec, bad):
+        self.pf = PeriodFunction(scenario=spec)
+        self.bad = {p.tobytes() for p in bad}
+
+    def __call__(self, a):
+        if a.tobytes() in self.bad:
+            raise PathSingularityError("synthetic row failure")
+        return self.pf(a)
+
+
+class FailingBatchPhi(FailingPhi):
+    calls = 0
+
+    def batch(self, rows):
+        self.calls += 1
+        return [
+            PathSingularityError("synthetic row failure")
+            if row.tobytes() in self.bad else v
+            for row, v in zip(rows, self.pf.batch(rows))
+        ]
+
+
+def _derivatives(op, n):
+    if isinstance(op, EulerOperator):
+        return [
+            tuple(int(u == v) for u in range(n))
+            for v, w in enumerate(op.weights) if w != 0
+        ]
+    return [m for m in (op.u_plus, op.u_minus) if sum(m) > 0]
+
+
+@pytest.mark.parametrize("name", ["quadratic_root", "gl_quadratic", "residue_circle"])
+def test_failing_rows_mark_only_the_cells_that_use_them(name):
+    spec = builtin(name)
+    settings = spec.settings
+    system = build_system(spec)
+    operators = list(system.eulers) + list(system.boxes)
+    points = verification_points(spec.coefficient_vector(), 2, seed=8)
+    n = points[0].size
+    # one halved-circle row of the highest derivative at point 1
+    multi = max(
+        (m for op in operators for m in _derivatives(op, n)), key=lambda m: (sum(m), m)
+    )
+    bad = _stencils(points[1], multi, settings)[2][0][-1]
+    using = {
+        m for op in operators for m in _derivatives(op, n)
+        if any(np.array_equal(p, bad) for st in _stencils(points[1], m, settings)[1:]
+               for p in st[0])
+    }
+    plain = verify(system, FailingPhi(spec, [points[0], bad]), points=points)
+    batching = FailingBatchPhi(spec, [points[0], bad])
+    report = verify(system, batching, points=points)
+    assert report == plain
+    assert batching.calls == 2
+    message = "PathSingularityError: synthetic row failure"
+    # a failing centre fails every cell at its point
+    assert report.phi_values[0] is None
+    assert all(c.error == message for c in report.cells if c.point_index == 0)
+    # a failing stencil row fails the cells whose derivatives sample it
+    failed = {i for i, op in enumerate(operators)
+              if using.intersection(_derivatives(op, n))}
+    at_one = [c for c in report.cells if c.point_index == 1]
+    # residue_circle's two Euler rows share its only derivative
+    assert failed and (len(failed) < len(operators) or not system.boxes)
+    assert [c.error for c in at_one] == [
+        message if i in failed else None for i in range(len(operators))
+    ]
+
+
 class CountingPhi:
     """phi counted by evaluated points; a batch of N rows counts N."""
 
     def __init__(self, phi):
         self.phi = phi
         self.points = 0
+        self.batches = 0
 
     def __call__(self, a):
         self.points += 1
@@ -457,6 +545,7 @@ class CountingPhi:
 
     def batch(self, rows):
         self.points += len(rows)
+        self.batches += 1
         return self.phi.batch(rows)
 
 
@@ -483,3 +572,4 @@ def test_shipped_scenarios_keep_their_eval_counts():
         report = verify(build_system(spec), phi, cache=cache)
         assert report.passed, name
         assert phi.points == cache.misses == count, name
+        assert phi.batches == spec.settings.points, name
