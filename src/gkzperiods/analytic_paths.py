@@ -146,6 +146,9 @@ class CycleSpec:
 
 @dataclass(frozen=True)
 class ResolvedSegment:
+    """One segment of a path at every row of a batch: a line endpoint
+    resolved from a RootAnchor is a (rows, 1) array, all else is shared."""
+
     kind: str
     z0: complex = 0.0
     z1: complex = 0.0
@@ -155,7 +158,7 @@ class ResolvedSegment:
     angle_end: float = 0.0
     direction: complex = 1.0
     length: float = 0.0
-    # endpoints that resolved from RootAnchors of these factor indices
+    # factor indices of the RootAnchors the endpoints resolved from, or 0
     anchored_start: int = 0
     anchored_end: int = 0
 
@@ -176,20 +179,16 @@ class ResolvedSegment:
             return 1j * self.radius * span * np.exp(1j * np.asarray(ang))
         return self.length * self.direction * np.ones_like(np.asarray(s, dtype=float))
 
-    @property
-    def start_point(self) -> complex:
-        return complex(self.point(0.0))
-
-    @property
-    def end_point(self) -> complex:
-        return complex(self.point(1.0))
-
 
 @dataclass(frozen=True)
 class ResolvedPath:
+    """A Path1D resolved at each of ``rows`` coefficient vectors; point()
+    and derivative() return one row per coefficient vector."""
+
     segments: tuple
     closed: bool
     anchor_t: float
+    rows: int
 
     @property
     def nsegments(self) -> int:
@@ -201,42 +200,40 @@ class ResolvedPath:
     def derivative(self, t):
         return self._piecewise(t, "derivative")
 
-    def _piecewise(self, t, method: str):
+    def _piecewise(self, t, method: str) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         idx = np.minimum(np.maximum(np.floor(t), 0), self.nsegments - 1).astype(int)
         s = t - idx
-        out = None
+        out = np.empty((self.rows,) + t.shape, dtype=complex)
         for k, seg in enumerate(self.segments):
             mask = idx == k
             if np.any(mask):
-                v = getattr(seg, method)(s[mask])
-                if out is None:
-                    # a stacked path's segments add a leading row axis
-                    out = np.empty(np.shape(v)[:-1] + t.shape, dtype=complex)
-                out[..., mask] = v
-        return out if out.shape else complex(out)
+                # shared geometry broadcasts over the rows
+                out[..., mask] = getattr(seg, method)(s[mask])
+        return out
 
-    @classmethod
-    def stack(cls, paths: Sequence["ResolvedPath"]) -> "ResolvedPath":
-        """Resolutions of one Path1D at several coefficient rows, as one path.
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each segment's start and end point, shaped (segments, 2, rows), and
+        each row's scale: its largest endpoint magnitude, at least 1."""
+        # rows whose anchors failed hold nan or inf and are never read
+        with np.errstate(invalid="ignore", over="ignore"):
+            ends = np.array([
+                [np.broadcast_to(seg.point(s), (self.rows, 1))[:, 0] for s in (0.0, 1.0)]
+                for seg in self.segments
+            ], dtype=complex)
+        return ends, np.maximum(1.0, _abs(ends).max(axis=(0, 1)))
 
-        Every geometric segment field becomes a (rows, 1) array, so point()
-        and derivative() return one row per resolution.
-        """
-        segments = tuple(
-            replace(parts[0], **{
-                f: np.array([getattr(seg, f) for seg in parts])[:, None]
-                for f in _GEOMETRY_FIELDS
-            })
-            for parts in zip(*(p.segments for p in paths))
-        )
-        return cls(segments=segments, closed=paths[0].closed,
-                   anchor_t=paths[0].anchor_t)
+    def take(self, rows: np.ndarray) -> "ResolvedPath":
+        """The path at the given rows of its batch."""
+        def pick(z):
+            return z[rows] if isinstance(z, np.ndarray) else z
+        segments = tuple(replace(s, z0=pick(s.z0), z1=pick(s.z1)) for s in self.segments)
+        return replace(self, segments=segments, rows=len(rows))
 
 
-_GEOMETRY_FIELDS = (
-    "z0", "z1", "center", "radius", "angle_start", "angle_end", "direction", "length",
-)
+def _abs(z: np.ndarray) -> np.ndarray:
+    # |z| as scalar abs() rounds it; np.abs of complex arrays may differ
+    return np.hypot(z.real, z.imag)
 
 
 def _anchor_points(
@@ -272,42 +269,34 @@ def _anchor_points(
     return points, errors
 
 
-def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray):
+def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
     """Replace RootAnchor endpoints by concrete roots and validate chaining.
 
-    ``a`` is one coefficient vector, or an (N, n) batch whose anchors are
-    found together (one root finding per anchored factor): then one
-    ResolvedPath or EvaluationError per row is returned.
+    ``a`` is an (N, n) batch of coefficient vectors; one vector is a batch
+    of one row.  The anchors of all rows are found together, one root
+    finding per anchored factor.  Returns one ResolvedPath for the batch
+    and a dict mapping each row whose anchor has no root to its
+    PathSingularityError; that row's anchored endpoints are nan.  A path
+    that does not chain or close at another row raises ScenarioError.
     """
-    a = np.asarray(a, dtype=complex)
-    rows = np.atleast_2d(a)
+    rows = np.atleast_2d(np.asarray(a, dtype=complex))
     errors: dict = {}
     anchors: dict = {}
     roots: dict = {}
-    for seg in path.segments:
-        if isinstance(seg, LineSegment):
-            for pt in (seg.start, seg.end):
-                if isinstance(pt, RootAnchor) and pt not in anchors:
-                    anchors[pt], errs = _anchor_points(pt, spec, rows, roots)
-                    for r, exc in errs.items():
-                        errors.setdefault(r, exc)
-    return one_or_rows(a, [
-        errors[r] if r in errors else _resolve_row(path, anchors, r)
-        for r in range(len(rows))
-    ])
 
-
-def _resolve_row(path: Path1D, anchors: dict, r: int) -> ResolvedPath:
-    def endpoint(pt) -> tuple[complex, int]:
-        if isinstance(pt, RootAnchor):
-            return complex(anchors[pt][r]), pt.factor
-        return complex(pt), 0
+    def endpoint(pt) -> tuple:
+        if not isinstance(pt, RootAnchor):
+            return complex(pt), 0
+        if pt not in anchors:
+            anchors[pt], errs = _anchor_points(pt, spec, rows, roots)
+            for r, exc in errs.items():
+                errors.setdefault(r, exc)
+        return anchors[pt][:, None], pt.factor
 
     segs: list[ResolvedSegment] = []
     for seg in path.segments:
         if isinstance(seg, LineSegment):
-            z0, f0 = endpoint(seg.start)
-            z1, f1 = endpoint(seg.end)
+            (z0, f0), (z1, f1) = endpoint(seg.start), endpoint(seg.end)
             segs.append(
                 ResolvedSegment(
                     kind="line", z0=z0, z1=z1, anchored_start=f0, anchored_end=f1
@@ -337,22 +326,30 @@ def _resolve_row(path: Path1D, anchors: dict, r: int) -> ResolvedPath:
             raise ScenarioError("cycle", f"unknown segment type {type(seg).__name__}")
     if not segs:
         raise ScenarioError("cycle", "path has no segments")
-    scale = max(
-        1.0, max(abs(s.start_point) for s in segs), max(abs(s.end_point) for s in segs)
+    anchor_t = float(path.anchor_t)
+    rpath = ResolvedPath(
+        segments=tuple(segs), closed=path.closed, anchor_t=anchor_t, rows=len(rows)
     )
-    for prev, nxt in zip(segs, segs[1:]):
-        if abs(prev.end_point - nxt.start_point) > 1e-9 * scale:
+    ends, scale = rpath.endpoints()
+    with np.errstate(invalid="ignore"):
+        broken = _abs(ends[:-1, 1] - ends[1:, 0]) > 1e-9 * scale
+        unclosed = path.closed & (_abs(ends[-1, 1] - ends[0, 0]) > 1e-9 * scale)
+    bad = broken.any(axis=0) | unclosed | (not 0.0 <= anchor_t <= len(segs))
+    bad[list(errors)] = False
+    if bad.any():
+        # the first such row's first failing check, as it would fail alone
+        r = int(np.argmax(bad))
+        if broken[:, r].any():
+            k = int(np.argmax(broken[:, r]))
             raise ScenarioError(
                 "cycle",
-                f"consecutive segments do not chain: {prev.end_point} vs "
-                f"{nxt.start_point}",
+                f"consecutive segments do not chain: {complex(ends[k, 1, r])} vs "
+                f"{complex(ends[k + 1, 0, r])}",
             )
-    if path.closed and abs(segs[-1].end_point - segs[0].start_point) > 1e-9 * scale:
-        raise ScenarioError("cycle", "closed path does not return to its start")
-    anchor_t = float(path.anchor_t)
-    if not 0.0 <= anchor_t <= len(segs):
+        if unclosed[r]:
+            raise ScenarioError("cycle", "closed path does not return to its start")
         raise ScenarioError("cycle", f"anchor_t {anchor_t} outside [0, {len(segs)}]")
-    return ResolvedPath(segments=tuple(segs), closed=path.closed, anchor_t=anchor_t)
+    return rpath, errors
 
 
 def tracked_requirements(spec: ScenarioSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .analytic_paths import (
     CycleTerm,
-    EvaluationError,
     ResolvedPath,
+    _abs,
     continued_logs,
     integrand_values,
     resolve_path,
@@ -71,35 +71,11 @@ class IntegralResult:
         return bool(self.row_converged.all())
 
 
-def _endpoint_is_singular(
-    seg, which: str, spec: ScenarioSpec, a: np.ndarray,
-    tracked_factors, tracked_coords, geom_scale: float,
-) -> bool:
-    anchored = seg.anchored_start if which == "start" else seg.anchored_end
-    if anchored and anchored in tracked_factors:
-        return True
-    z = seg.start_point if which == "start" else seg.end_point
-    if spec.m == 1:
-        for fi in tracked_factors:
-            fac = spec.factors[fi - 1]
-            coeffs = spec.coefficients_for(a, fi)
-            val = complex(fac.values(coeffs, (z,)))
-            scale = sum(
-                abs(c) * max(1.0, abs(z)) ** mono[0]
-                for c, mono in zip(coeffs, fac.monomials)
-            )
-            if abs(val) < 1e-9 * max(scale, 1e-300):
-                return True
-    for _p in tracked_coords:
-        if abs(z) < 1e-9 * geom_scale:
-            return True
-    return False
-
-
 def _path_rules(
     rpath: ResolvedPath, spec: ScenarioSpec, a: np.ndarray,
     tracked_factors, tracked_coords,
-) -> list[str]:
+) -> np.ndarray:
+    """Each row's rule on each segment of ``rpath``, shaped (rows, segments)."""
     seg = rpath.segments[0]
     if (
         rpath.closed
@@ -109,24 +85,28 @@ def _path_rules(
         and not tracked_factors
         and not tracked_coords
     ):
-        return ["trapezoid"]
-    geom_scale = max(
-        1.0,
-        max(abs(s.start_point) for s in rpath.segments),
-        max(abs(s.end_point) for s in rpath.segments),
-    )
-    rules = []
-    for seg in rpath.segments:
-        if seg.kind == "ray":
-            rules.append("ray")
-            continue
-        singular = _endpoint_is_singular(
-            seg, "start", spec, a, tracked_factors, tracked_coords, geom_scale
-        ) or _endpoint_is_singular(
-            seg, "end", spec, a, tracked_factors, tracked_coords, geom_scale
-        )
-        rules.append("tanh-sinh" if singular else "gauss")
-    return rules
+        return np.full((rpath.rows, 1), "trapezoid")
+    ends, geom_scale = rpath.endpoints()
+    # factor indices start at 1, so an unanchored endpoint (0) never matches
+    singular = np.zeros(ends.shape, dtype=bool) | np.array([
+        [[seg.anchored_start in tracked_factors], [seg.anchored_end in tracked_factors]]
+        for seg in rpath.segments
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.m == 1:
+            size = np.maximum(1.0, _abs(ends))
+            for fi in tracked_factors:
+                fac = spec.factors[fi - 1]
+                coeffs = spec.coefficients_for(a, fi).T
+                val = fac.values(coeffs, (ends,))
+                scale = sum(
+                    _abs(c) * size ** mono[0] for c, mono in zip(coeffs, fac.monomials)
+                )
+                singular |= _abs(val) < 1e-9 * np.maximum(scale, 1e-300)
+        if tracked_coords:
+            singular |= _abs(ends) < 1e-9 * geom_scale
+    rays = np.array([seg.kind == "ray" for seg in rpath.segments])
+    return np.where(rays, "ray", np.where(singular.any(axis=1), "tanh-sinh", "gauss").T)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -205,7 +185,7 @@ def branch_logs(
     """Continuous logs of tracked factors and coordinates on tensor grids.
 
     Each row of ``a`` is one coefficient vector.  ``rpaths[d]`` is axis d's
-    path stacked over the rows (ResolvedPath.stack), ``axes_ts[d]`` the
+    path resolved at the same rows (resolve_path), ``axes_ts[d]`` the
     sorted global parameters of axis d, shared by every row, and
     ``axes_pts[d]`` their points, one row per coefficient row.  A factor's
     logs fill each row's whole grid: transport runs along a comb, down the
@@ -276,7 +256,7 @@ def branch_logs(
 def _term_level_value(
     spec: ScenarioSpec,
     a: np.ndarray,
-    rpaths: list[list[ResolvedPath]],
+    rpaths: list[ResolvedPath],
     rules: tuple,
     level: int,
     tracked_factors,
@@ -284,7 +264,8 @@ def _term_level_value(
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, dict]:
     """One refinement level of a term at every row of ``a``.
 
-    All rows share ``rules`` (one rule tuple per path), hence the nodes.
+    ``rpaths`` holds the term's paths resolved at the same rows.  All rows
+    share ``rules`` (one rule tuple per path), hence the nodes.
     Returns per-row values and clipped-tail estimates, the node count of
     one row, the integrand grid (rows first), and a dict mapping failed
     rows to their EvaluationError; failed rows hold value 0.
@@ -293,9 +274,8 @@ def _term_level_value(
     m = len(rules)
     axes = [_axis_nodes(tuple(r), level) for r in rules]
     axes_ts = [ax[0] for ax in axes]
-    stacked = [ResolvedPath.stack([paths[d] for paths in rpaths]) for d in range(m)]
-    axes_pts = [rp.point(ts) for rp, ts in zip(stacked, axes_ts)]
-    axes_dz = [rp.derivative(ts) for rp, ts in zip(stacked, axes_ts)]
+    axes_pts = [rp.point(ts) for rp, ts in zip(rpaths, axes_ts)]
+    axes_dz = [rp.derivative(ts) for rp, ts in zip(rpaths, axes_ts)]
     grid_shape = (n_rows,) + tuple(ts.size for ts in axes_ts)
 
     def on_axis(x: np.ndarray, d: int) -> np.ndarray:
@@ -307,7 +287,7 @@ def _term_level_value(
     grids = [np.broadcast_to(on_axis(p, d), grid_shape) for d, p in enumerate(axes_pts)]
 
     factor_logs, coord_logs, errors = branch_logs(
-        spec, a, stacked, axes_ts, axes_pts, tracked_factors, tracked_coords
+        spec, a, rpaths, axes_ts, axes_pts, tracked_factors, tracked_coords
     )
     vals, value_errors = integrand_values(spec, a, grids, factor_logs, coord_logs)
     for r, exc in value_errors.items():
@@ -360,15 +340,16 @@ def integrate_term(
     """Integrate one product-cycle term at each row of ``a``.
 
     ``a`` is an (N, n) batch of coefficient vectors; one vector is a batch
-    of one row, and the default is the scenario's own coefficients.  Rows
-    are grouped by their per-segment rules, and each group refines its
-    levels together, LEVEL_START..LEVEL_CAP, a row leaving when successive
-    values agree to ``spec.settings.tol``.  A level runs on slices of the
-    active rows, each at least one row and otherwise holding rows x nodes
-    per row under _NODE_BUDGET, so memory stays bounded however large the
-    batch; rows are independent, so slicing changes no result.  Values
-    include the term multiplicity.  A row that reaches the level cap
-    without agreement is flagged unconverged but still returned.  Each row's diagnostics
+    of one row, and the default is the scenario's own coefficients.  Each
+    path is resolved once for the batch, and rows are grouped by their
+    per-segment rules.  Each group refines its levels together,
+    LEVEL_START..LEVEL_CAP, a row leaving when successive values agree to
+    ``spec.settings.tol``.  A level runs on slices of the active rows, each
+    at least one row and otherwise holding rows x nodes per row under
+    _NODE_BUDGET, so memory stays bounded however large the batch; rows are
+    independent, so slicing changes no result.  Values include the term
+    multiplicity.  A row that reaches the level cap without agreement is
+    flagged unconverged but still returned.  Each row's diagnostics
     (``diagnostics["rows"]``) hold its rules, level values, ray-tip ratios
     at its last level, clipped-tail estimate and warnings.
     """
@@ -382,32 +363,37 @@ def integrate_term(
     n_rows = a.shape[0]
     tracked_factors, tracked_coords = tracked_requirements(spec)
     errors: list = [None] * n_rows
-    rpaths: list = [None] * n_rows
-    groups: dict = {}
-    resolved = [resolve_path(p, spec, a) for p in term.paths]
-    for r in range(n_rows):
-        rpaths[r] = [per_row[r] for per_row in resolved]
-        errors[r] = next(
-            (rp for rp in rpaths[r] if isinstance(rp, EvaluationError)), None
-        )
-        if errors[r] is not None:
-            continue
-        rules = tuple(
-            tuple(_path_rules(rp, spec, a[r], tracked_factors, tracked_coords))
-            for rp in rpaths[r]
-        )
-        groups.setdefault(rules, []).append(r)
+    rpaths = []
+    for path in term.paths:
+        rpath, path_errors = resolve_path(path, spec, a)
+        rpaths.append(rpath)
+        for r, exc in path_errors.items():
+            errors[r] = errors[r] or exc
+    path_rules = [
+        _path_rules(rp, spec, a, tracked_factors, tracked_coords) for rp in rpaths
+    ]
+    # a group holds the resolved rows of one rule tuple, in order of first row
+    codes = np.concatenate(path_rules, axis=1)
+    pending = np.array([exc is None for exc in errors], dtype=bool)
+    groups = []
+    while pending.any():
+        members = pending & (codes == codes[np.argmax(pending)]).all(axis=1)
+        groups.append(np.nonzero(members)[0])
+        pending &= ~members
 
     tol = spec.settings.tol
     value = np.full(n_rows, np.nan, dtype=complex)
     err = np.full(n_rows, math.inf)
     converged = np.zeros(n_rows, dtype=bool)
     nodes_used = np.zeros(n_rows, dtype=int)
-    row_diags: list = [{} for _ in range(n_rows)]
-    for rules, rows in groups.items():
-        for r in rows:
-            row_diags[r] = {"rules": [list(x) for x in rules], "levels": []}
-        active = rows
+    # per row: its value at each level it completed, its last nonzero
+    # clipped-tail estimate, and ray tips at the level it stopped on
+    level_values = np.zeros((LEVEL_CAP - LEVEL_START + 1, n_rows), dtype=complex)
+    levels_done = np.zeros(n_rows, dtype=int)
+    tail = np.zeros(n_rows)
+    ray_tips: dict = {}
+    group_rules = [tuple(tuple(r[rows[0]].tolist()) for r in path_rules) for rows in groups]
+    for rules, active in zip(group_rules, groups):
         for level in range(LEVEL_START, LEVEL_CAP + 1):
             row_nodes = math.prod(_axis_nodes(r, level)[0].size for r in rules)
             step = max(1, _NODE_BUDGET // row_nodes)
@@ -415,55 +401,69 @@ def integrate_term(
             for start in range(0, len(active), step):
                 part = active[start:start + step]
                 vals, nodes, tails, grid, errs = _term_level_value(
-                    spec, a[part], [rpaths[r] for r in part], rules, level,
+                    spec, a[part], [rp.take(part) for rp in rpaths], rules, level,
                     tracked_factors, tracked_coords,
                 )
-                finished = []
-                for j, r in enumerate(part):
-                    if j in errs:
-                        errors[r] = errs[j]
-                        continue
-                    v = complex(vals[j])
-                    diag = row_diags[r]
-                    nodes_used[r] += nodes
-                    diag["levels"].append({"level": level, "value": repr(v)})
+                ok = np.ones(len(part), dtype=bool)
+                ok[list(errs)] = False
+                for j, exc in errs.items():
+                    errors[part[j]] = exc
+                done, v, t = part[ok], vals[ok], tails[ok]
+                nodes_used[done] += nodes
+                level_values[level - LEVEL_START, done] = v
+                levels_done[done] += 1
+                tail[done] = np.where(t != 0, t, tail[done])
+                if level > LEVEL_START:
                     # clipped-tail mass is invisible to level agreement; fold it in
-                    tail_est = float(tails[j])
-                    if tail_est:
-                        diag["tail_estimate"] = tail_est
-                    if level > LEVEL_START:
-                        err[r] = max(abs(v - value[r]), tail_est)
-                        converged[r] = err[r] <= tol * max(1.0, abs(v))
-                    value[r] = v
-                    if converged[r] or level == LEVEL_CAP:
-                        finished.append(j)
-                    else:
-                        still.append(r)
-                # ray tips only at the level each row stops on
-                for j, tips in zip(finished, _ray_tips(rules, level, grid[finished])):
-                    if tips:
-                        row_diags[part[j]]["ray_tips"] = tips
-            active = still
-            if not active:
+                    diff = _abs(v - value[done])
+                    err[done] = np.where(t > diff, t, diff)
+                    size = _abs(v)
+                    converged[done] = err[done] <= tol * np.where(size > 1.0, size, 1.0)
+                value[done] = v
+                stop = converged[done] | (level == LEVEL_CAP)
+                still.append(done[~stop])
+                finished = np.nonzero(ok)[0][stop]
+                tips = _ray_tips(rules, level, grid[finished])
+                ray_tips.update((r, x) for r, x in zip(part[finished].tolist(), tips) if x)
+            active = np.concatenate(still)
+            if not active.size:
                 break
 
+    failed = np.array([exc is not None for exc in errors], dtype=bool)
+    value[failed] = np.nan
+    nodes_used[failed] = 0
     mult = complex(term.multiplicity)
-    for r in range(n_rows):
-        if errors[r] is not None:
-            value[r] = np.nan
-            nodes_used[r] = 0
-            continue
-        warnings = [
-            f"ray axis {tip['axis']} segment {tip['segment']}: tip magnitude "
-            f"ratio {tip['tip_ratio']:.2e} above {_TIP_RATIO:.0e}; "
-            f"truncation length may be too short"
-            for tip in row_diags[r].get("ray_tips", [])
-            if tip["tip_ratio"] > _TIP_RATIO
-        ]
-        if warnings:
-            row_diags[r]["warnings"] = warnings
-        value[r] = mult * value[r]
-        err[r] = abs(mult) * err[r]
+    # one scalar product per row: numpy's vectorized complex product may
+    # fuse multiply-adds and round a row differently from Python's
+    value[~failed] = [mult * v for v in value[~failed].tolist()]
+    err[~failed] = abs(mult) * err[~failed]
+    row_diags: list = [{} for _ in range(n_rows)]
+    row_values, row_levels, row_tails = (
+        level_values.T.tolist(), levels_done.tolist(), tail.tolist()
+    )
+    for rules, rows in zip(group_rules, groups):
+        for r in rows.tolist():
+            diag = row_diags[r] = {
+                "rules": [list(x) for x in rules],
+                "levels": [
+                    {"level": LEVEL_START + k, "value": v}
+                    for k, v in enumerate(row_values[r][:row_levels[r]])
+                ],
+            }
+            if row_tails[r]:
+                diag["tail_estimate"] = row_tails[r]
+            if r in ray_tips:
+                # only rows that finished without error have ray tips
+                diag["ray_tips"] = ray_tips[r]
+                warnings = [
+                    f"ray axis {tip['axis']} segment {tip['segment']}: tip magnitude "
+                    f"ratio {tip['tip_ratio']:.2e} above {_TIP_RATIO:.0e}; "
+                    f"truncation length may be too short"
+                    for tip in ray_tips[r]
+                    if tip["tip_ratio"] > _TIP_RATIO
+                ]
+                if warnings:
+                    diag["warnings"] = warnings
     return IntegralResult(
         value=value,
         error_estimate=err,

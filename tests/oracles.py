@@ -1,7 +1,8 @@
 """Independent reference values and exact helpers used across the tests.
 
 Everything here is derived without the package's own numerics: closed
-forms, exact rational arithmetic, or brute-force enumeration.
+forms, series, exact rational arithmetic, brute-force enumeration, or the
+scalar one-row-at-a-time form of a batched computation.
 """
 
 import itertools
@@ -9,6 +10,17 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from gkzperiods.analytic_paths import (
+    ArcSegment,
+    LineSegment,
+    RaySegment,
+    ResolvedPath,
+    ResolvedSegment,
+    RootAnchor,
+    _anchor_points,
+)
+from gkzperiods.scenario import ScenarioError
 
 # Value of the gauss scenario's segment period, precomputed once with a
 # 30-digit tanh-sinh integration of (2-x)^(1/3) (x-1/2)^(1/5) x^(-1/2)
@@ -42,6 +54,34 @@ def airy_ai(x: float, terms: int = 40) -> float:
         poch1 *= 1.0 / 3.0 + k
         poch2 *= 2.0 / 3.0 + k
     return c1 * f - c2 * g
+
+
+def hesse_cubic_period(a) -> complex:
+    """Torus period of 1 / (a00 + a03 y^3 + a11 xy + a30 x^3) by its series.
+
+    (2 pi i)^2 / a11 * 2F1(1/3, 2/3; 1; 27 z) with z = -a00 a03 a30 / a11^3,
+    that is (2 pi i)^2 / a11 * sum (3n)!/(n!)^3 z^n: the constant terms of
+    the powers of a00/(xy) + a03 y^2/x + a30 x^2/y, for |a11| dominant.
+    """
+    a00, a03, a11, a30 = (complex(x) for x in a)
+    x = 27.0 * (-a00 * a03 * a30 / a11**3)
+    total, term, n = 0.0, 1.0 + 0.0j, 0
+    while abs(term) > 1e-18 * abs(total):
+        total += term
+        term *= (n + 1.0 / 3.0) * (n + 2.0 / 3.0) / (n + 1.0) ** 2 * x
+        n += 1
+    return (2j * math.pi) ** 2 / a11 * total
+
+
+def torus_coefficient_period(a, lam: float = 1.0 / 3.0) -> complex:
+    """Torus period of (a0 + a1 y + a2 x + a3 xy)^lam x^-2 y^-2 in closed form.
+
+    (2 pi i)^2 times the xy coefficient of f^lam expanded around a0:
+    lam a0^(lam-1) a3 + lam (lam-1) a0^(lam-2) a1 a2, principal powers.
+    """
+    a0, a1, a2, a3 = (complex(x) for x in a)
+    coeff = lam * a0 ** (lam - 1) * a3 + lam * (lam - 1) * a0 ** (lam - 2) * a1 * a2
+    return (2j * math.pi) ** 2 * coeff
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +228,146 @@ def tensor_grid(a, multi, radius_factor: float, nodes: int):
             point[v] = a[v] + rho * np.exp(1j * theta[idx])
             phase *= np.exp(-1j * q * theta[idx])
         yield point, phase
+
+
+# ---------------------------------------------------------------------------
+# scalar path resolution and rule selection, one row at a time
+
+
+def resolve_rows(path, spec, rows) -> list:
+    """Each row's resolution of ``path``, or the error of its anchor.
+
+    Anchor roots come from the package's root finder, once per anchored
+    factor for all rows; everything after them runs row by row.
+    """
+    anchors, errors, roots = {}, {}, {}
+    for seg in path.segments:
+        if isinstance(seg, LineSegment):
+            for pt in (seg.start, seg.end):
+                if isinstance(pt, RootAnchor) and pt not in anchors:
+                    anchors[pt], errs = _anchor_points(pt, spec, rows, roots)
+                    for r, exc in errs.items():
+                        errors.setdefault(r, exc)
+    return [
+        errors[r] if r in errors else resolve_row(path, anchors, r)
+        for r in range(len(rows))
+    ]
+
+
+def resolve_row(path, anchors: dict, r: int):
+    """Row r of a path's resolution, built segment by segment in scalars.
+
+    ``anchors`` maps each RootAnchor of the path to its points at every row.
+    Returns a one-row ResolvedPath, or raises ScenarioError where the path
+    does not chain or close.
+    """
+
+    def endpoint(pt):
+        if isinstance(pt, RootAnchor):
+            return complex(anchors[pt][r]), pt.factor
+        return complex(pt), 0
+
+    segs = []
+    for seg in path.segments:
+        if isinstance(seg, LineSegment):
+            z0, f0 = endpoint(seg.start)
+            z1, f1 = endpoint(seg.end)
+            segs.append(ResolvedSegment(
+                kind="line", z0=z0, z1=z1, anchored_start=f0, anchored_end=f1
+            ))
+        elif isinstance(seg, ArcSegment):
+            segs.append(ResolvedSegment(
+                kind="arc", center=complex(seg.center), radius=float(seg.radius),
+                angle_start=float(seg.angle_start), angle_end=float(seg.angle_end),
+            ))
+        elif isinstance(seg, RaySegment):
+            d = complex(seg.direction)
+            if abs(abs(d) - 1.0) > 1e-9:
+                d = d / abs(d)
+            segs.append(ResolvedSegment(
+                kind="ray", z0=complex(seg.start), direction=d,
+                length=float(seg.length),
+            ))
+    scale = max(
+        1.0, max(abs(start_point(s)) for s in segs), max(abs(end_point(s)) for s in segs)
+    )
+    for prev, nxt in zip(segs, segs[1:]):
+        if abs(end_point(prev) - start_point(nxt)) > 1e-9 * scale:
+            raise ScenarioError(
+                "cycle",
+                f"consecutive segments do not chain: {end_point(prev)} vs "
+                f"{start_point(nxt)}",
+            )
+    if path.closed and abs(end_point(segs[-1]) - start_point(segs[0])) > 1e-9 * scale:
+        raise ScenarioError("cycle", "closed path does not return to its start")
+    anchor_t = float(path.anchor_t)
+    if not 0.0 <= anchor_t <= len(segs):
+        raise ScenarioError("cycle", f"anchor_t {anchor_t} outside [0, {len(segs)}]")
+    return ResolvedPath(segments=tuple(segs), closed=path.closed, anchor_t=anchor_t,
+                        rows=1)
+
+
+def start_point(seg) -> complex:
+    return complex(seg.point(0.0))
+
+
+def end_point(seg) -> complex:
+    return complex(seg.point(1.0))
+
+
+def endpoint_is_singular(seg, which, spec, a, tracked_factors, tracked_coords,
+                         geom_scale) -> bool:
+    """Whether one endpoint of a one-row segment sits on a tracked zero."""
+    anchored = seg.anchored_start if which == "start" else seg.anchored_end
+    if anchored and anchored in tracked_factors:
+        return True
+    z = start_point(seg) if which == "start" else end_point(seg)
+    if spec.m == 1:
+        for fi in tracked_factors:
+            fac = spec.factors[fi - 1]
+            coeffs = spec.coefficients_for(a, fi)
+            val = complex(fac.values(coeffs, (z,)))
+            scale = sum(
+                abs(c) * max(1.0, abs(z)) ** mono[0]
+                for c, mono in zip(coeffs, fac.monomials)
+            )
+            if abs(val) < 1e-9 * max(scale, 1e-300):
+                return True
+    for _p in tracked_coords:
+        if abs(z) < 1e-9 * geom_scale:
+            return True
+    return False
+
+
+def path_rules(rpath, spec, a, tracked_factors, tracked_coords) -> list:
+    """The quadrature rule of each segment of a one-row path at vector ``a``."""
+    seg = rpath.segments[0]
+    if (
+        rpath.closed
+        and rpath.nsegments == 1
+        and seg.kind == "arc"
+        and abs(abs(seg.angle_end - seg.angle_start) - 2 * math.pi) < 1e-12
+        and not tracked_factors
+        and not tracked_coords
+    ):
+        return ["trapezoid"]
+    geom_scale = max(
+        1.0,
+        max(abs(start_point(s)) for s in rpath.segments),
+        max(abs(end_point(s)) for s in rpath.segments),
+    )
+    rules = []
+    for seg in rpath.segments:
+        if seg.kind == "ray":
+            rules.append("ray")
+            continue
+        singular = endpoint_is_singular(
+            seg, "start", spec, a, tracked_factors, tracked_coords, geom_scale
+        ) or endpoint_is_singular(
+            seg, "end", spec, a, tracked_factors, tracked_coords, geom_scale
+        )
+        rules.append("tanh-sinh" if singular else "gauss")
+    return rules
 
 
 # ---------------------------------------------------------------------------

@@ -38,17 +38,25 @@ from oracles import (
     airy_ai0,
     brute_force_kernel,
     fraction_rank,
+    hesse_cubic_period,
     in_integer_span,
     quadratic_formula_root,
     quadratic_root_derivative,
     quadratic_root_second_mixed,
     random_scenario_structure,
+    torus_coefficient_period,
 )
 
 from test_scenario import BUILTINS, builtin
 from test_support_lattice import structure_spec
 from test_period_functions import gl_spec
 from test_analytic_paths import full_circle, transport
+
+
+TORUS_PERIOD_ORACLES = {
+    "hesse_cubic": hesse_cubic_period,
+    "torus_coefficient": torus_coefficient_period,
+}
 
 
 def _report(capsys, num, label, failures, detail, elapsed, budget=None):
@@ -120,34 +128,50 @@ def test_criterion_1_quadratic_root_operators_and_formula_oracle(capsys):
 
 
 def test_criterion_2_gauss_verifies_and_mixed_pair_agrees(capsys):
+    # the gauss segment, and the torus periods of the Hesse cubic pencil and
+    # of a bilinear f^(1/3) (the m = 2 branch comb) against their oracles
     t0 = time.perf_counter()
     failures = []
-    spec = builtin("gauss")
-    system = build_system(spec)
-    phi = PeriodFunction(spec)
-    cache = DerivativeCache()
-    rep = verify(system, phi, points=_scenario_points(spec), cache=cache)
-    if not rep.passed or rep.has_errors:
-        failures.append(f"verify failed, max relative {rep.max_relative:.2e}")
-    if rep.max_relative >= 1e-6:
-        failures.append(f"max relative {rep.max_relative:.2e} >= 1e-6")
+    max_rel = pair_max = oracle_max = 0.0
+    for name in ("gauss", "hesse_cubic", "torus_coefficient"):
+        spec = builtin(name)
+        system = build_system(spec)
+        phi = PeriodFunction(spec)
+        cache = DerivativeCache()
+        points = _scenario_points(spec)
+        rep = verify(system, phi, points=points, cache=cache)
+        if not rep.passed or rep.has_errors:
+            failures.append(f"{name}: verify failed, max relative {rep.max_relative:.2e}")
+        if rep.max_relative >= 1e-6:
+            failures.append(f"{name}: max relative {rep.max_relative:.2e} >= 1e-6")
+        max_rel = max(max_rel, rep.max_relative)
 
-    box = system.boxes[0]
-    a0 = spec.coefficient_vector()
-    d_plus = differentiate(phi, a0, box.u_plus, spec.settings, cache).value
-    d_minus = differentiate(phi, a0, box.u_minus, spec.settings, cache).value
-    pair_rel = abs(d_plus - d_minus) / max(abs(d_plus), abs(d_minus))
-    if pair_rel >= 1e-6:
-        failures.append(f"mixed-pair rel {pair_rel:.2e} >= 1e-6")
+        box = system.boxes[0]
+        a0 = spec.coefficient_vector()
+        d_plus = differentiate(phi, a0, box.u_plus, spec.settings, cache).value
+        d_minus = differentiate(phi, a0, box.u_minus, spec.settings, cache).value
+        pair_rel = abs(d_plus - d_minus) / max(abs(d_plus), abs(d_minus))
+        if pair_rel >= 1e-6:
+            failures.append(f"{name}: mixed-pair rel {pair_rel:.2e} >= 1e-6")
+        pair_max = max(pair_max, pair_rel)
+
+        oracle = TORUS_PERIOD_ORACLES.get(name)
+        for point in [a0] + points if oracle else []:
+            expect = oracle(point)
+            rel = abs(cache.value(phi, point) - expect) / abs(expect)
+            if rel >= 1e-10:
+                failures.append(f"{name}: phi off its oracle by {rel:.2e}")
+            oracle_max = max(oracle_max, rel)
 
     elapsed = time.perf_counter() - t0
     _over_budget(failures, elapsed, 30.0)
     _report(
         capsys,
         2,
-        "gauss segment annihilated, mixed partials agree",
+        "gauss segment and torus periods annihilated, mixed partials agree",
         failures,
-        f"max rel {rep.max_relative:.1e}, pair rel {pair_rel:.1e}",
+        f"max rel {max_rel:.1e}, pair rel {pair_max:.1e}, "
+        f"torus oracles {oracle_max:.1e}",
         elapsed,
         30.0,
     )

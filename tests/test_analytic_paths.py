@@ -15,7 +15,6 @@ from gkzperiods import (
     ScenarioError,
 )
 from gkzperiods.analytic_paths import (
-    ResolvedPath,
     continued_logs,
     integrand_values,
     resolve_path,
@@ -46,15 +45,16 @@ def transport(spec, path, factors=None, coords=None, samples=64):
     logs keyed by index.
     """
     a = spec.coefficient_vector()
-    rpath = resolve_path(path, spec, a)
+    # a batch of one row; its error, if any, is raised
+    rpath, errors = resolve_path(path, spec, a)
+    assert not errors
     ts = np.unique(np.concatenate(
         [np.linspace(k, k + 1, samples + 1) for k in range(rpath.nsegments)]
     ))
     pts = rpath.point(ts)
     auto_factors, auto_coords = tracked_requirements(spec)
-    # a batch of one row; its error, if any, is raised
     factor_logs, coord_logs, errors = branch_logs(
-        spec, a[None], [ResolvedPath.stack([rpath])], [ts], [pts[None]],
+        spec, a[None], [rpath], [ts], [pts],
         auto_factors if factors is None else factors,
         auto_coords if coords is None else coords,
     )
@@ -62,7 +62,7 @@ def transport(spec, path, factors=None, coords=None, samples=64):
         raise errors[0]
     return (
         ts,
-        pts,
+        pts[0],
         {fi: logs[0] for fi, logs in factor_logs.items()},
         {p: logs[0] for p, logs in coord_logs.items()},
     )
@@ -150,15 +150,17 @@ def test_root_anchor_follows_coefficients():
     spec = builtin("gauss")
     path = spec.cycle.terms[0].paths[0]
     a = spec.coefficient_vector()
-    rp = resolve_path(path, spec, a)
+    rp, _ = resolve_path(path, spec, a)
+    ends = rp.endpoints()[0][:, :, 0]
     # base coefficients: factor 2 root at 0.5, factor 1 root at 2.0
-    assert abs(rp.segments[0].start_point - 0.5) < 1e-12
-    assert abs(rp.segments[-1].end_point - 2.0) < 1e-12
+    assert abs(ends[0, 0] - 0.5) < 1e-12
+    assert abs(ends[-1, 1] - 2.0) < 1e-12
     # perturb the linear factors: the endpoints move with the roots
     b = a + np.array([0.07j, -0.02, 0.05, 0.01j])
-    rp2 = resolve_path(path, spec, b)
-    assert abs(rp2.segments[0].start_point - (-b[2] / b[3])) < 1e-10
-    assert abs(rp2.segments[-1].end_point - (-b[0] / b[1])) < 1e-10
+    rp2, _ = resolve_path(path, spec, b)
+    ends = rp2.endpoints()[0][:, :, 0]
+    assert abs(ends[0, 0] - (-b[2] / b[3])) < 1e-10
+    assert abs(ends[-1, 1] - (-b[0] / b[1])) < 1e-10
     assert rp2.segments[0].anchored_start == 2
     assert rp2.segments[-1].anchored_end == 1
 

@@ -11,10 +11,14 @@ from gkzperiods import (
     CycleSpec,
     CycleTerm,
     EvalSettings,
+    EvaluationError,
     FactorSupport,
     LineSegment,
     Path1D,
+    PathSingularityError,
     RaySegment,
+    RootAnchor,
+    ScenarioError,
     ScenarioSpec,
     UnconvergedQuadratureError,
     eval_period,
@@ -30,14 +34,21 @@ from gkzperiods.quadrature import (
     _term_level_value,
     branch_logs,
 )
+from gkzperiods.scenario_io import builtin_scenario_names
 from gkzperiods.verifier import verification_points
 from gkzperiods.analytic_paths import (
-    ResolvedPath,
     resolve_path,
     tracked_requirements,
 )
 
-from oracles import GAUSS_SEGMENT_VALUE, airy_ai0
+from oracles import (
+    GAUSS_SEGMENT_VALUE,
+    airy_ai0,
+    end_point,
+    path_rules,
+    resolve_rows,
+    start_point,
+)
 
 from test_scenario import builtin
 
@@ -134,15 +145,14 @@ def bilinear_spec(a):
 def comb_logs(spec):
     """Transported logs of factor 1 on a 65 x 49 grid over the torus."""
     a = spec.coefficient_vector()
-    rpaths = [resolve_path(p, spec, a) for p in spec.cycle.terms[0].paths]
+    rpaths = [resolve_path(p, spec, a)[0] for p in spec.cycle.terms[0].paths]
     axes_ts = [np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 49)]
     axes_pts = [rp.point(ts) for rp, ts in zip(rpaths, axes_ts)]
     factor_logs, _, errors = branch_logs(
-        spec, a[None], [ResolvedPath.stack([rp]) for rp in rpaths], axes_ts,
-        [pts[None] for pts in axes_pts], (1,), (),
+        spec, a[None], rpaths, axes_ts, axes_pts, (1,), (),
     )
     assert not errors
-    return axes_pts, factor_logs[1][0]
+    return [pts[0] for pts in axes_pts], factor_logs[1][0]
 
 
 def test_comb_transport_is_principal_off_the_zero_locus():
@@ -243,12 +253,12 @@ def test_level_refinement_converges_geometrically():
     a = spec.coefficient_vector()
     term = spec.cycle.terms[0]
     tracked_factors, tracked_coords = tracked_requirements(spec)
-    rpaths = [resolve_path(p, spec, a) for p in term.paths]
-    rules = [_path_rules(rp, spec, a, tracked_factors, tracked_coords)
+    rpaths = [resolve_path(p, spec, a)[0] for p in term.paths]
+    rules = [tuple(_path_rules(rp, spec, a[None], tracked_factors, tracked_coords)[0])
              for rp in rpaths]
     vals = []
     for level in range(4, 10):
-        v = _term_level_value(spec, a[None], [rpaths], rules, level,
+        v = _term_level_value(spec, a[None], rpaths, rules, level,
                               tracked_factors, tracked_coords)[0]
         vals.append(v[0])
     errs = [abs(v - GAUSS_SEGMENT_VALUE) for v in vals]
@@ -360,9 +370,10 @@ def test_batch_rows_keep_their_own_diagnostics(name):
     )
 
 
-def test_batch_rows_do_not_depend_on_the_batch_size():
+def test_batch_rows_do_not_depend_on_the_batch_size(monkeypatch):
     # four 64 x 64 grids fill 256 KiB, where numpy starts to reuse large
-    # temporaries in place; a row must still come out bit for bit as alone
+    # temporaries in place; a row must still come out bit for bit as alone.
+    # The node budget is raised so that the four rows share each level call
     rng = np.random.default_rng(5)
     rows = np.array(
         [np.concatenate([[3.0], 1.2 * np.exp(2j * np.pi * rng.uniform(size=3))])
@@ -370,7 +381,17 @@ def test_batch_rows_do_not_depend_on_the_batch_size():
         dtype=complex,
     )
     spec = bilinear_spec(rows[0])
+    calls = []
+
+    def counted(spec, a, rpaths, rules, level, *args):
+        calls.append((len(a), level))
+        return _term_level_value(spec, a, rpaths, rules, level, *args)
+
+    monkeypatch.setattr(quadrature, "_term_level_value", counted)
+    monkeypatch.setattr(quadrature, "_NODE_BUDGET", len(rows) * 64 * 64)
     batch = eval_period(spec, rows)
+    # level 6 is the 64 x 64 grid
+    assert (len(rows), 6) in calls
     assert batch == [eval_period(spec, row) for row in rows]
     levels = integrate_cycle(spec, rows).diagnostics["terms"][0]["levels"]
     assert max(lv["level"] for lv in levels) >= 6
@@ -413,3 +434,121 @@ def test_node_budget_slices_change_no_result(name, failing, monkeypatch):
         assert [repr(e) for e in w.errors] == [repr(e) for e in s.errors]
         assert w.errors[7] is not None and w.errors.count(None) == 19
         assert w.diagnostics == s.diagnostics
+
+
+def resolution_against_oracle(spec, path, rows):
+    """Batched endpoints, errors and rules of ``path``, checked row by row.
+
+    Every row must match the scalar oracle exactly: the same endpoints, the
+    same anchor error, the same rule for each segment.  Returns the
+    batch's (rows, segments) rules.
+    """
+    tracked_factors, tracked_coords = tracked_requirements(spec)
+    rpath, errors = resolve_path(path, spec, rows)
+    ends, _ = rpath.endpoints()
+    rules = _path_rules(rpath, spec, rows, tracked_factors, tracked_coords)
+    for r, expected in enumerate(resolve_rows(path, spec, rows)):
+        if isinstance(expected, EvaluationError):
+            assert repr(errors[r]) == repr(expected)
+            continue
+        assert r not in errors
+        assert [tuple(ends[k, :, r]) for k in range(rpath.nsegments)] == [
+            (start_point(seg), end_point(seg)) for seg in expected.segments
+        ]
+        assert list(rules[r]) == path_rules(
+            expected, spec, rows[r], tracked_factors, tracked_coords
+        )
+    return rules
+
+
+@pytest.mark.parametrize("name", ["gauss", "beta", "airy", "residue_circle"])
+def test_batched_resolution_matches_the_scalar_oracle(name):
+    spec = builtin(name)
+    rows = np.array(verification_points(spec.coefficient_vector(), 64, seed=5, rel=0.2))
+    for term in spec.cycle.terms:
+        for path in term.paths:
+            resolution_against_oracle(spec, path, rows)
+
+
+def test_endpoint_on_a_tracked_zero_takes_tanh_sinh_at_its_rows():
+    # gauss's factor roots at the base coefficients, now fixed endpoints:
+    # base rows sit on both zeros, perturbed rows on neither
+    spec = builtin("gauss")
+    path = Path1D(segments=(LineSegment(0.5, 2.0),), anchor_t=0.5)
+    a = spec.coefficient_vector()
+    moved = verification_points(a, 62, seed=5, rel=0.2)
+    rows = np.array(moved[:30] + [a, a] + moved[30:])
+    rules = resolution_against_oracle(spec, path, rows)
+    tanh_sinh = rules[:, 0] == "tanh-sinh"
+    assert np.array_equal(np.nonzero(tanh_sinh)[0], [30, 31])
+    assert set(rules[~tanh_sinh, 0]) == {"gauss"}
+
+
+def test_identically_vanishing_anchor_factor_fails_only_its_rows():
+    spec = builtin("gauss")
+    rows = verification_points(spec.coefficient_vector(), 62, seed=5, rel=0.2)
+    rows = np.array(rows[:10] + [[2.0, -1.0, 0.0, 0.0]] + rows[10:]
+                    + [[0.0, 0.0, 0.3, 1.0]], dtype=complex)
+    path = spec.cycle.terms[0].paths[0]
+    resolution_against_oracle(spec, path, rows)
+    _, errors = resolve_path(path, spec, rows)
+    assert sorted(errors) == [10, 63]
+    assert all(isinstance(e, PathSingularityError) for e in errors.values())
+    assert "vanishes identically" in str(errors[10])
+
+
+def test_path_that_stops_chaining_at_one_row_raises_the_oracle_message():
+    # the anchored end meets the next segment's start only while beta's
+    # factor 1 - x keeps its root at 1; the first moved row breaks the chain
+    spec = builtin("beta")
+    path = Path1D(
+        segments=(LineSegment(0.0, RootAnchor(factor=1, near=1.0)),
+                  LineSegment(1.0, 2.0)),
+        anchor_t=0.5,
+    )
+    a = spec.coefficient_vector()
+    moved = verification_points(a, 60, seed=5, rel=0.2)
+    rows = np.array([a] * 4 + moved)
+    resolution_against_oracle(spec, path, rows[:4])
+    with pytest.raises(ScenarioError, match="do not chain") as batched:
+        resolve_path(path, spec, rows)
+    with pytest.raises(ScenarioError) as scalar:
+        resolve_rows(path, spec, rows)
+    assert str(batched.value) == str(scalar.value)
+
+
+# nodes and per-term refinement levels of integrate_cycle at each shipped
+# period scenario's own verification points
+SHIPPED_QUADRATURE_WORK = {
+    "airy": (1344, (9, 9)),
+    "beta": (288, (6,)),
+    "gauss": (282, (6,)),
+    "hesse_cubic": (15360, (6,)),
+    "pochhammer": (1152, (6, 6, 6, 6)),
+    "residue_circle": (288, (6,)),
+    "torus_coefficient": (15360, (6,)),
+}
+
+
+def test_shipped_periods_keep_their_quadrature_work():
+    periods = {
+        name for name in builtin_scenario_names()
+        if builtin(name).function_kind == "period"
+    }
+    assert set(SHIPPED_QUADRATURE_WORK) == periods
+    for name, (nodes, levels) in SHIPPED_QUADRATURE_WORK.items():
+        spec = builtin(name)
+        settings = spec.settings
+        rows = verification_points(
+            spec.coefficient_vector(), settings.points, settings.seed, settings.point_rel
+        )
+        res = integrate_cycle(spec, np.array(rows))
+        assert res.nodes_used == nodes, name
+        assert tuple(len(t["levels"]) for t in res.diagnostics["terms"]) == levels, name
+
+
+def test_empty_batch_integrates_to_no_rows():
+    for name in ("gauss", "airy", "residue_circle"):
+        spec = builtin(name)
+        res = integrate_cycle(spec, np.zeros((0, spec.n_columns()), dtype=complex))
+        assert res.value.shape == (0,) and res.nodes_used == 0 and res.errors == ()

@@ -30,6 +30,8 @@ BUILTINS = (
     "airy",
     "pochhammer",
     "residue_circle",
+    "hesse_cubic",
+    "torus_coefficient",
 )
 
 

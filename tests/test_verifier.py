@@ -560,6 +560,8 @@ SHIPPED_EVAL_COUNTS = {
     "gl_cubic": 1347,
     "cubic_root_parametric": 3939,
     "pochhammer": 771,
+    "hesse_cubic": 1923,
+    "torus_coefficient": 771,
 }
 
 
