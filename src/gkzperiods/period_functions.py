@@ -211,7 +211,10 @@ def eval_root(spec: ScenarioSpec, a: np.ndarray):
             np.broadcast_to(dense, dense1.shape), dense1,
             np.repeat(x, len(rows)), escape,
         )
-    return one_or_rows(a, [errors.get(r, complex(v)) for r, v in enumerate(x)])
+    out = x.tolist()
+    for r, exc in errors.items():
+        out[r] = exc
+    return one_or_rows(a, out)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +270,17 @@ def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray):
         for j in range(roots.shape[1]):
             total = total + terms[:, j]
     bad = multiple | no_weight
-    for i, r in enumerate(rows):
-        if bad[i].any():
+    spoiled = bad.any(axis=1)
+    values = total.tolist()
+    for i in np.flatnonzero(spoiled | ~np.isfinite(total)).tolist():
+        if spoiled[i]:
             j = int(np.argmax(bad[i]))
-            out[r] = _root_error(complex(roots[i, j]), complex(df[i, j]),
-                                 bool(multiple[i, j]), beta)
-        elif not np.isfinite(total[i]):
-            out[r] = PeriodEvaluationError("residue sum is not finite")
+            values[i] = _root_error(complex(roots[i, j]), complex(df[i, j]),
+                                    bool(multiple[i, j]), beta)
         else:
-            out[r] = complex(total[i])
+            values[i] = PeriodEvaluationError("residue sum is not finite")
+    for r, v in zip(rows.tolist(), values):
+        out[r] = v
     return one_or_rows(a, out)
 
 

@@ -8,22 +8,23 @@ is the built-in diagnostic.  Residuals are normalized by the sum of the
 operator's term magnitudes so they stay meaningful where the function is
 small.
 
-verify plans each point before it evaluates anything: it builds the
-stencil of every derivative its operators need there, once, and sends the
-centre and all stencil samples to ``phi.batch`` in one call.  The operator
-loop then only reads the cache, in the same order as without the plan, so
-hit and miss counts and every residual are unchanged.  If the centre
-fails, the stencil samples evaluated with it are discarded.
+verify builds one sample table per point (``_stencils.SampleTable``)
+before it evaluates anything: every stencil its operators need there,
+each derivative at both radii, with the centre, in one array whose rows
+not cached yet go to ``phi.batch`` in one call.  The operator loop then
+reads its derivatives from that table; every residual and every hit and
+miss count is that of summing the circles sample by sample.  If the
+centre fails, the stencil samples evaluated with it are discarded.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._stencils import DerivativeCache, SampleTable
 from .analytic_paths import EvaluationError
 from .gkz_system import BoxOperator, EulerOperator, GkzSystem
 from .scenario import EvalSettings
@@ -42,8 +43,6 @@ __all__ = [
 ]
 
 _MAX_ORDER = 6
-# trapezoid nodes on every Cauchy circle
-_DIFF_NODES = 16
 # below this fraction of |phi| the operator's own scale is numerically zero
 _DEGENERATE_FRACTION = 1e-8
 # full- and half-radius derivatives disagreeing by more than this warn
@@ -54,143 +53,11 @@ class DerivativeOrderError(EvaluationError, ValueError):
     """A derivative above the supported total order was requested."""
 
 
-class DerivativeCache:
-    """Memo for function values and finished derivatives.
-
-    Function values are keyed by the exact evaluation point, so stencils
-    that revisit a point (different derivative orders on the same circles,
-    repeated verify runs at the same seed) share work.  An EvaluationError
-    is remembered like a value and raised again on every later lookup, so
-    a failing point (an unconverged period is the costliest evaluation
-    there is) is evaluated once.  ``prefetch`` evaluates many points in one
-    ``phi.batch`` call: verify sends each verification point's centre and
-    every stencil its operators need, differentiate a lone stencil.  The
-    first lookup of a prefetched point still counts as the miss, so hits
-    and misses do not depend on batching.  ``stencils`` holds the stencils
-    verify built for derivatives not yet taken, so differentiate builds
-    none twice.  One cache serves one function only.
-    """
-
-    def __init__(self):
-        self.values: dict = {}
-        self.derivs: dict = {}
-        self.stencils: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self._prefetched: set = set()
-
-    def prefetch(self, phi, points) -> None:
-        """Evaluate the points not cached yet in one phi.batch call.
-
-        A phi without ``batch`` is left to value(), point by point.
-        """
-        batch = getattr(phi, "batch", None)
-        if batch is None:
-            return
-        fresh: dict = {}
-        for point in points:
-            key = point.tobytes()
-            if key not in self.values:
-                fresh.setdefault(key, point)
-        if not fresh:
-            return
-        for key, v in zip(fresh, batch(np.array(list(fresh.values())))):
-            self.values[key] = v if isinstance(v, EvaluationError) else complex(v)
-        self._prefetched.update(fresh)
-
-    def value(self, phi, point: np.ndarray) -> complex:
-        key = point.tobytes()
-        if key in self._prefetched:
-            self._prefetched.discard(key)
-            self.misses += 1
-            v = self.values[key]
-        elif key in self.values:
-            self.hits += 1
-            v = self.values[key]
-        else:
-            self.misses += 1
-            try:
-                v = complex(phi(point))
-            except EvaluationError as exc:
-                v = exc
-            self.values[key] = v
-        if isinstance(v, EvaluationError):
-            raise v.with_traceback(None)
-        return v
-
-
 @dataclass(frozen=True)
 class DerivResult:
     value: complex
     diagnostic: float
     warnings: tuple = ()
-
-
-def _direction_circles(a: np.ndarray, multi: tuple, radii: dict):
-    """Sample points, phases and prefactor for d^multi phi(a) by 1-D circles.
-
-    The derivative is pref * sum_k phases[k] * phi(points[k]), summed in
-    order.  The first support coordinate s0 moves by radii[s0]; every
-    other support coordinate i moves by radii[i] times an m_i-th root of
-    unity, m_i the smallest power of two above max(u_i, q - u_i).  On each
-    direction h the trapezoid circle gives the q-th derivative of
-    t -> phi(a + t h), a sum of (q!/alpha!) h^alpha d^alpha phi over
-    |alpha| = q; the discrete Fourier average over the directions keeps
-    alpha = multi alone.  That average is unitary, so it amplifies rounding
-    no more than a tensor grid does.  Powers of two make a lower order's
-    directions a subset of a higher order's, so their samples are shared
-    through the cache.  With a single coordinate there is one direction:
-    the plain coordinate circle.
-    """
-    order = sum(multi)
-    support = [v for v, q in enumerate(multi) if q > 0]
-    # samples per support coordinate: circle nodes for s0, m_i for the rest
-    sizes = [_DIFF_NODES] + [
-        1 << max(multi[i], order - multi[i]).bit_length() for i in support[1:]
-    ]
-    theta = 2.0 * math.pi * np.arange(_DIFF_NODES) / _DIFF_NODES
-    rot = np.exp(1j * theta)
-    node_phases = [np.exp(-1j * order * t) for t in theta]
-    points = []
-    phases = []
-    for turns in itertools.product(*(range(m) for m in sizes[1:])):
-        step = {support[0]: radii[support[0]]}
-        coef = 1.0 + 0.0j
-        for i, j, m in zip(support[1:], turns, sizes[1:]):
-            # j/m is exact in binary, so equal directions of different
-            # orders produce bit-identical sample points
-            step[i] = radii[i] * np.exp(2j * math.pi * (j / m))
-            coef *= np.exp(-2j * math.pi * (j * multi[i] % m / m))
-        for idx in range(_DIFF_NODES):
-            point = a.copy()
-            for v, h in step.items():
-                point[v] = a[v] + h * rot[idx]
-            points.append(point)
-            phases.append(coef * node_phases[idx])
-    pref = 1.0 + 0.0j
-    for v, m in zip(support, sizes):
-        pref *= math.factorial(multi[v]) / (m * radii[v] ** multi[v])
-    return points, phases, pref
-
-
-def _stencils(a: np.ndarray, multi: tuple, settings: EvalSettings):
-    """Radii and the full- and half-radius direction circles of d^multi at a."""
-    radii = {
-        v: settings.radius_factor * max(1.0, abs(a[v]))
-        for v, q in enumerate(multi)
-        if q > 0
-    }
-    full = _direction_circles(a, multi, radii)
-    halved = _direction_circles(a, multi, {v: r / 2.0 for v, r in radii.items()})
-    return radii, full, halved
-
-
-def _circle_sum(phi, stencil, cache) -> complex:
-    points, phases, pref = stencil
-    acc = 0.0 + 0.0j
-    for point, phase in zip(points, phases):
-        acc += cache.value(phi, point) * phase
-    return pref * acc
 
 
 def differentiate(
@@ -203,15 +70,17 @@ def differentiate(
     """Mixed partial derivative of phi at a for the given multi-index.
 
     One-dimensional Cauchy circles along root-of-unity directions give
-    the derivative (see _direction_circles): one coordinate circle for a
+    the derivative (see _stencils._directions): one coordinate circle for a
     single-coordinate derivative, prod m_i direction circles for a mixed
     one.  It is exact for polynomials of total degree below the node
     count; the same derivative recomputed at half radius is returned as an
     agreement diagnostic, with a warning when it exceeds _AGREEMENT_TOL.
     Coordinate v of a direction has modulus settings.radius_factor *
-    max(1, |a_v|), the only setting read here, and each circle has
-    _DIFF_NODES nodes.  Orders above _MAX_ORDER raise DerivativeOrderError,
-    which verify() reports as an error cell.
+    max(1, |a_v|), the only setting read here, and each circle has 16
+    nodes.  Both radii's samples come from the cache's sample table when
+    it holds this derivative, else from a table of their own, sent to
+    ``phi.batch`` in one call.  Orders above _MAX_ORDER raise
+    DerivativeOrderError, which verify() reports as an error cell.
     """
     if cache is None:
         cache = DerivativeCache()
@@ -235,20 +104,17 @@ def differentiate(
         return cache.derivs[key]
 
     warnings: list[str] = []
-    stencils = cache.stencils.pop(key, None)
-    if stencils is None:
-        stencils = _stencils(a, multi, settings)
-        # both radii's samples go to phi in one batch
-        cache.prefetch(phi, stencils[1][0] + stencils[2][0])
-    radii, full, halved = stencils
-    val = _circle_sum(phi, full, cache)
-    half = _circle_sum(phi, halved, cache)
+    table = cache.table
+    if (table is None or table.point != (key[0], settings.radius_factor)
+            or multi not in table.slots):
+        table = SampleTable(phi, a, [multi], settings, cache)
+    val, half = table.circle_sums(phi, multi, cache)
     # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
     # (the direction average is unitary and adds no amplification)
     amp = 1.0
-    for v, rho in radii.items():
-        amp *= math.factorial(multi[v]) / (rho / 2.0) ** multi[v]
-    val = complex(val)
+    for v, q in enumerate(multi):
+        if q > 0:
+            amp *= math.factorial(q) / (table.radii[v] / 2.0) ** q
     # a derivative whose both estimates sit at the noise floor is zero, not
     # disagreeing; measure agreement against value, halved value, and floor
     # (floor = 1e-10 * amplified rounding scale, >= 1e4 x the eps-level noise
@@ -387,16 +253,13 @@ def verification_points(
     return points
 
 
-def _prefetch_point(phi, a: np.ndarray, operators, settings, cache) -> None:
-    """Send phi(a) and every stencil the operators need at a to one batch.
+def _point_multis(a: np.ndarray, operators, settings, cache) -> list:
+    """The derivatives verify's sample table at a holds, in operator order.
 
-    The derivatives are the first-order ones of the Euler rows and u+ and
-    u- of every box, less those already finished, of order 0 (the centre)
-    or above _MAX_ORDER.  Their stencils wait in ``cache.stencils`` for
-    differentiate.  A phi without ``batch`` is left to differentiate.
+    They are the first-order ones of the Euler rows and u+ and u- of every
+    box, less those already finished, of order 0 (the centre) or above
+    _MAX_ORDER.
     """
-    if getattr(phi, "batch", None) is None:
-        return
     n = a.size
     multis: dict = {}
     for op in operators:
@@ -407,20 +270,13 @@ def _prefetch_point(phi, a: np.ndarray, operators, settings, cache) -> None:
         elif isinstance(op, BoxOperator):
             multis[tuple(op.u_plus)] = None
             multis[tuple(op.u_minus)] = None
-    points = [a]
-    for multi in multis:
-        key = (a.tobytes(), multi, settings.radius_factor)
-        if (
-            len(multi) != n
-            or min(multi) < 0
-            or not 0 < sum(multi) <= _MAX_ORDER
-            or key in cache.derivs
-        ):
-            continue
-        stencils = _stencils(a, multi, settings)
-        cache.stencils[key] = stencils
-        points += stencils[1][0] + stencils[2][0]
-    cache.prefetch(phi, points)
+    return [
+        multi for multi in multis
+        if len(multi) == n
+        and min(multi) >= 0
+        and 0 < sum(multi) <= _MAX_ORDER
+        and (a.tobytes(), multi, settings.radius_factor) not in cache.derivs
+    ]
 
 
 def _operator_label(op) -> str:
@@ -461,7 +317,12 @@ def verify(
     cells: list[ResidualCell] = []
     phi_values: list = []
     for k, pt in enumerate(points):
-        _prefetch_point(phi, pt, operators, settings, cache)
+        # the centre and every stencil the point needs, in one phi.batch
+        multis = _point_multis(pt, operators, settings, cache)
+        if multis:
+            cache.table = SampleTable(phi, pt, multis, settings, cache, centre=True)
+        else:
+            cache.prefetch(phi, [pt])
         try:
             phi_values.append(cache.value(phi, pt))
             phi_err = None
@@ -498,8 +359,7 @@ def verify(
                     warnings=app.warnings,
                 )
             )
-        # stencils left behind by an error; a later point needs its own
-        cache.stencils.clear()
+        cache.table = None
 
     usable = [
         c.relative for c in cells if c.error is None and not c.degenerate

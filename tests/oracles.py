@@ -231,6 +231,67 @@ def tensor_grid(a, multi, radius_factor: float, nodes: int):
 
 
 # ---------------------------------------------------------------------------
+# direction-circle stencils, one sample at a time
+
+
+def direction_circles(a: np.ndarray, multi: tuple, radii: dict):
+    """Sample points, phases and prefactor for d^multi phi(a) by 1-D circles.
+
+    The derivative is pref * sum_k phases[k] * phi(points[k]), summed in
+    order (see ``circle_sum``).  Each sample point is built by scalar
+    arithmetic; the package's sample table must reproduce them bit for bit.
+    """
+    order = sum(multi)
+    support = [v for v, q in enumerate(multi) if q > 0]
+    sizes = [16] + [
+        1 << max(multi[i], order - multi[i]).bit_length() for i in support[1:]
+    ]
+    theta = 2.0 * math.pi * np.arange(16) / 16
+    rot = np.exp(1j * theta)
+    node_phases = [np.exp(-1j * order * t) for t in theta]
+    points = []
+    phases = []
+    for turns in itertools.product(*(range(m) for m in sizes[1:])):
+        step = {support[0]: radii[support[0]]}
+        coef = 1.0 + 0.0j
+        for i, j, m in zip(support[1:], turns, sizes[1:]):
+            step[i] = radii[i] * np.exp(2j * math.pi * (j / m))
+            coef *= np.exp(-2j * math.pi * (j * multi[i] % m / m))
+        for idx in range(16):
+            point = a.copy()
+            for v, h in step.items():
+                point[v] = a[v] + h * rot[idx]
+            points.append(point)
+            phases.append(coef * node_phases[idx])
+    pref = 1.0 + 0.0j
+    for v, m in zip(support, sizes):
+        pref *= math.factorial(multi[v]) / (m * radii[v] ** multi[v])
+    return points, phases, pref
+
+
+def direction_stencils(a, multi, settings):
+    """Radii and the full- and half-radius direction circles of d^multi at a."""
+    radii = {
+        v: settings.radius_factor * max(1.0, abs(a[v]))
+        for v, q in enumerate(multi)
+        if q > 0
+    }
+    full = direction_circles(a, multi, radii)
+    halved = direction_circles(a, multi, {v: r / 2.0 for v, r in radii.items()})
+    return radii, full, halved
+
+
+def circle_sum(value, stencil) -> complex:
+    """pref * sum of value(point) * phase, one sample at a time, in order;
+    an error raised by ``value`` stops the sum."""
+    points, phases, pref = stencil
+    acc = 0.0 + 0.0j
+    for point, phase in zip(points, phases):
+        acc += value(point) * phase
+    return pref * acc
+
+
+# ---------------------------------------------------------------------------
 # scalar path resolution and rule selection, one row at a time
 
 

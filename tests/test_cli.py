@@ -1,12 +1,18 @@
-"""Command line interface, exercised through real subprocesses."""
+"""Command line interface: ``cli.main`` run in the test process, plus two
+real subprocesses for ``python -m gkzperiods`` and its import path."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+
+from gkzperiods import cli
 
 # The child process may run in another directory (cwd=tmp_path), so a
 # relative PYTHONPATH inherited from the caller would point nowhere; give
@@ -51,7 +57,7 @@ def child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
-def run_cli(*args, cwd=None):
+def run_child(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "gkzperiods", *args],
         capture_output=True,
@@ -60,6 +66,49 @@ def run_cli(*args, cwd=None):
         env=child_env(),
         timeout=120,
     )
+
+
+def run_cli(*args, cwd=None):
+    """``gkzperiods *args`` in this process, with the result of a child.
+
+    stdout and stderr are captured, warnings are shown once per place as
+    in a fresh interpreter and land on stderr, and argparse's SystemExit
+    (usage errors, --version) gives the return code.  Any other exception that
+    escapes main fails the calling test, as a child's traceback would.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("default")
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(home)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return subprocess.CompletedProcess(
+        ["gkzperiods", *args], code or 0, out.getvalue(), err.getvalue()
+    )
+
+
+def test_module_entry_point_runs_in_a_child():
+    res = run_child("system", "quadratic_root")
+    assert res.returncode == 0, res.stderr
+    assert "kernel basis: (1, -2, 1)" in res.stdout
+    assert run_child().returncode == 2
+
+
+def test_child_in_another_directory_imports_the_source(tmp_path):
+    res = run_child("system", "quadratic_root", "--emit-normalized",
+                    "--out", "norm.json", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads((tmp_path / "norm.json").read_text())["name"] == "quadratic_root"
 
 
 def test_system_prints_matrix_and_kernel():

@@ -25,9 +25,9 @@ from gkzperiods import (
 )
 from gkzperiods._roots import univariate_roots
 from gkzperiods.period_functions import track_root
-from gkzperiods.verifier import _direction_circles, verification_points
+from gkzperiods.verifier import verification_points
 
-from oracles import quadratic_formula_root
+from oracles import direction_circles, quadratic_formula_root
 
 from test_scenario import builtin
 
@@ -332,8 +332,8 @@ def direction_stencil(spec):
         for v, q in enumerate(multi)
         if q
     }
-    full, _, _ = _direction_circles(a, multi, radii)
-    half, _, _ = _direction_circles(a, multi, {v: r / 2 for v, r in radii.items()})
+    full, _, _ = direction_circles(a, multi, radii)
+    half, _, _ = direction_circles(a, multi, {v: r / 2 for v, r in radii.items()})
     return np.array(full + half)
 
 

@@ -24,10 +24,12 @@ from gkzperiods import (
 )
 from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
 from gkzperiods.scenario_io import builtin_scenario_names
-from gkzperiods.verifier import _stencils
+from gkzperiods._stencils import SampleTable
 
 from oracles import (
     cauchy_tensor,
+    circle_sum,
+    direction_stencils,
     quadratic_formula_root,
     quadratic_root_derivative,
     quadratic_root_second_mixed,
@@ -214,6 +216,79 @@ def test_failed_batch_row_is_cached_and_raised_again():
     assert (cache.misses, cache.hits) == (2, 2)
     cache.prefetch(phi, [good, bad])
     assert (phi.calls, phi.rows) == (1, 2)
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+def _smooth(a):
+    return complex(cmath.exp(0.3 * complex(sum(a))) / (3.0 + a[0]))
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_sample_table_matches_scalar_stencils_bit_for_bit(name):
+    spec = load_scenario(name)
+    settings = spec.settings
+    system = build_system(spec)
+    a = verification_points(
+        spec.coefficient_vector(), 1, settings.seed, settings.point_rel
+    )[0]
+    n = a.size
+    multis = list(dict.fromkeys(
+        m for op in list(system.eulers) + list(system.boxes)
+        for m in _derivatives(op, n) if sum(m) <= 6
+    ))
+    cache, lazy_cache = DerivativeCache(), DerivativeCache()
+    table = SampleTable(BatchOnly(_smooth), a, multis, settings, cache, centre=True)
+    assert _bits(table.rows[0]).tolist() == _bits(a).tolist()
+    # a phi without batch is evaluated stencil by stencil, to the same sums
+    lazy = SampleTable(_smooth, a, multis, settings, lazy_cache, centre=True)
+    scalar = DerivativeCache()
+    for j, multi in enumerate(multis):
+        _, *stencils = direction_stencils(a, multi, settings)
+        sums = table.circle_sums(BatchOnly(_smooth), multi, cache)
+        assert np.array_equal(_bits(lazy.circle_sums(_smooth, multi, lazy_cache)),
+                              _bits(sums))
+        for t, (points, phases, pref), got in zip((2 * j, 2 * j + 1), stencils, sums):
+            k = table.lengths[t]
+            assert np.array_equal(_bits(table.rows[table.index[t, :k]]), _bits(points))
+            assert np.array_equal(_bits(table.phases[t, :k]), _bits(phases))
+            assert np.array_equal(_bits(table.prefs[t]), _bits(pref)), multi
+            want = circle_sum(lambda p: scalar.value(_smooth, p), (points, phases, pref))
+            assert np.array_equal(_bits(got), _bits(want)), multi
+    assert (cache.hits, cache.misses) == (scalar.hits, scalar.misses)
+    assert (lazy_cache.hits, lazy_cache.misses) == (scalar.hits, scalar.misses)
+
+
+@pytest.mark.parametrize("batching", [False, True])
+def test_failing_half_radius_row_raises_like_the_scalar_sum(batching):
+    a = np.array([0.3 + 0.1j, -0.5 + 0.2j], dtype=complex)
+    # (1, 2) and (2, 2) sample the same four directions
+    half_points = direction_stencils(a, (1, 2), DIFF)[2][0]
+    bad = half_points[len(half_points) // 2].tobytes()
+
+    def fn(p):
+        if p.tobytes() == bad:
+            raise PathSingularityError("synthetic middle row")
+        return _smooth(p)
+
+    phi = BatchOnly(fn) if batching else fn
+    cache, scalar = DerivativeCache(), DerivativeCache()
+    for multi in ((1, 2), (2, 2), (1, 2)):
+        _, full, half = direction_stencils(a, multi, DIFF)
+        with pytest.raises(PathSingularityError) as want:
+            for stencil in (full, half):
+                circle_sum(lambda p: scalar.value(fn, p), stencil)
+        with pytest.raises(PathSingularityError) as got:
+            differentiate(phi, a, multi, DIFF, cache)
+        assert str(got.value) == str(want.value) == "synthetic middle row"
+        assert (cache.hits, cache.misses) == (scalar.hits, scalar.misses)
+    if batching:
+        # (2, 2) and the repeat find every row cached
+        assert phi.calls == 1
+    else:
+        assert len(cache.values) == len(scalar.values)
 
 
 def _noise_floor(a, multi, radius_factor, phi0):
@@ -505,10 +580,11 @@ def test_failing_rows_mark_only_the_cells_that_use_them(name):
     multi = max(
         (m for op in operators for m in _derivatives(op, n)), key=lambda m: (sum(m), m)
     )
-    bad = _stencils(points[1], multi, settings)[2][0][-1]
+    bad = direction_stencils(points[1], multi, settings)[2][0][-1]
     using = {
         m for op in operators for m in _derivatives(op, n)
-        if any(np.array_equal(p, bad) for st in _stencils(points[1], m, settings)[1:]
+        if any(np.array_equal(p, bad)
+               for st in direction_stencils(points[1], m, settings)[1:]
                for p in st[0])
     }
     plain = verify(system, FailingPhi(spec, [points[0], bad]), points=points)
