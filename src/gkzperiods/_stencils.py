@@ -1,14 +1,14 @@
 """Cauchy-circle stencils of one point as one sample table, and the value
-cache the tables read and fill.
+cache that evaluates their rows.
 
 Every derivative a point needs is a full- and a half-radius stencil of
 direction circles (see ``_directions``).  A SampleTable builds all of
-them as blocks of rows of one array, merges rows equal in bits, sends the
-rows not cached yet to ``phi.batch`` in one call, and takes each circle
-sum on the gathered values.  Its products and its left-to-right sums are
-rounded as a sample-by-sample loop rounds them, so every derivative is
-bit-identical to that loop; lookups count hits and misses as the loop
-would.
+them as blocks of rows of one array after the point itself, merges rows
+equal in bits, and takes every circle sum on the rows' values with the
+products and left-to-right additions of a sample-by-sample loop, so each
+sum is bit-identical to that loop.  ``DerivativeCache.evaluate`` sends
+the rows not cached yet to phi in one batch call, and ``batch_of`` makes
+a plain callable a row loop that returns each row's error as its entry.
 """
 
 from __future__ import annotations
@@ -28,75 +28,66 @@ __all__ = ["DerivativeCache", "SampleTable"]
 _DIFF_NODES = 16
 
 
+def batch_of(phi):
+    """phi's batch call: ``phi.batch``, or for a plain callable a loop over
+    the rows that returns each row's value or its EvaluationError."""
+    batch = getattr(phi, "batch", None)
+    if batch is not None:
+        return batch
+
+    def rows_of(rows) -> list:
+        out = []
+        for row in rows:
+            try:
+                out.append(phi(row))
+            except EvaluationError as exc:
+                out.append(exc)
+        return out
+
+    return rows_of
+
+
 class DerivativeCache:
     """Memo for function values and finished derivatives.
 
-    Function values are keyed by the bytes of the exact evaluation point,
-    so stencils that revisit a point (different derivative orders on the
-    same circles, repeated verify runs at the same seed) share work.  An
-    EvaluationError is remembered like a value and raised again on every
-    later lookup, so a failing point (an unconverged period is the
-    costliest evaluation there is) is evaluated once.  ``table`` is the
-    sample table of the point verify is at; its rows not cached yet were
-    sent to ``phi.batch`` in one call (``prefetch`` does the same for any
-    list of points).  A key's first lookup counts as the miss, whether or
-    not a batch evaluated it earlier, so hits and misses do not depend on
-    batching.  One cache serves one function only.
+    ``values`` maps the bytes of an exact evaluation point to phi's value
+    there or the EvaluationError it raised, so a failing point (an
+    unconverged period is the costliest evaluation there is) is evaluated
+    once and its error is raised again on every later lookup.  ``derivs``
+    maps (point bytes, multi-index, radius factor) to a finished
+    derivative or the error it raised.  A lookup is a miss if it evaluates
+    phi and a hit otherwise; a derivative looks up each sample of its two
+    stencils and the point once.  One cache serves one function only.
     """
 
     def __init__(self):
         self.values: dict = {}
         self.derivs: dict = {}
-        self.table: SampleTable | None = None
         self.hits = 0
         self.misses = 0
-        # keys evaluated by a batch and not looked up yet
-        self._fresh: set = set()
 
-    def prefetch(self, phi, points) -> None:
-        """Evaluate the points not cached yet in one phi.batch call.
-
-        A phi without ``batch`` is left to value(), point by point.
-        """
-        first: dict = {}
-        for point in points:
-            first.setdefault(point.tobytes(), point)
-        self._evaluate(phi, list(first), np.array(list(first.values())))
-
-    def _evaluate(self, phi, keys: list, rows) -> list:
-        """Cached entry of each keyed row (keys distinct), None if unknown.
-
-        With ``phi.batch`` the rows not cached yet are evaluated first, in
-        one call, and stay fresh until their first lookup.
-        """
-        got = [self.values.get(key) for key in keys]
-        batch = getattr(phi, "batch", None)
-        missing = [u for u, v in enumerate(got) if v is None]
-        if batch is None or not missing:
-            return got
-        for u, v in zip(missing, batch(rows[missing])):
-            got[u] = self.values[keys[u]] = (
-                v if isinstance(v, EvaluationError) else complex(v)
-            )
-        self._fresh.update(keys[u] for u in missing)
-        return got
+    def evaluate(self, phi, rows: np.ndarray) -> list:
+        """The entry of each row of an (N, n) array of rows distinct in bits;
+        the rows not cached yet are evaluated in one batch_of(phi) call."""
+        buf, size = rows.tobytes(), rows.itemsize * rows.shape[1]
+        keys = [buf[i:i + size] for i in range(0, len(buf), size)]
+        values = self.values
+        missing = [u for u, key in enumerate(keys) if key not in values]
+        if missing:
+            got = batch_of(phi)(rows[missing])
+            if len(got) != len(missing):
+                raise ValueError(
+                    f"phi.batch returned {len(got)} entries for {len(missing)} rows"
+                )
+            for u, v in zip(missing, got):
+                values[keys[u]] = v if isinstance(v, EvaluationError) else complex(v)
+        self.misses += len(missing)
+        self.hits += len(keys) - len(missing)
+        return [values[key] for key in keys]
 
     def value(self, phi, point: np.ndarray) -> complex:
-        key = point.tobytes()
-        if key in self._fresh:
-            self._fresh.discard(key)
-            self.misses += 1
-            v = self.values[key]
-        elif key in self.values:
-            self.hits += 1
-            v = self.values[key]
-        else:
-            self.misses += 1
-            try:
-                v = complex(phi(point))
-            except EvaluationError as exc:
-                v = exc
-            self.values[key] = v
+        """phi at one point; raises the point's EvaluationError."""
+        v, = self.evaluate(phi, point[None])
         if isinstance(v, EvaluationError):
             raise v.with_traceback(None)
         return v
@@ -167,22 +158,17 @@ def _directions(multi: tuple):
 class SampleTable:
     """Every circle sample of some derivatives at one point, as arrays.
 
-    Derivative j (``slots[multi]``) owns stencils 2j (full radius) and
-    2j + 1 (half radius), consecutive blocks of sample rows after the
-    point itself if ``centre``.  Rows equal in bits are merged into
-    ``rows``, first occurrences first; ``index[t, k]`` is the row of
-    stencil t's sample k, padded with ``len(rows)`` past ``lengths[t]``.
-    The rows not cached yet go to ``phi.batch`` in one call; a phi without
-    ``batch`` is evaluated lazily by ``circle_sums``.
+    Derivative j of ``multis`` owns stencils 2j (full radius) and 2j + 1
+    (half radius), consecutive blocks of sample rows after the point
+    itself.  Rows equal in bits are merged into ``rows``, first occurrences
+    first, so the point is row 0; ``index[t, k]`` is the row of stencil t's
+    sample k, padded with row 0 past ``lengths[t]``.
     """
 
-    def __init__(self, phi, a: np.ndarray, multis: list, settings: EvalSettings,
-                 cache: DerivativeCache, centre: bool = False):
+    def __init__(self, a: np.ndarray, multis: list, settings: EvalSettings):
         n = a.size
-        self.point = (a.tobytes(), settings.radius_factor)
         self.radii = [settings.radius_factor * max(1.0, abs(x)) for x in a]
         halved = [r / 2.0 for r in self.radii]
-        self.slots = {multi: j for j, multi in enumerate(multis)}
         dirs = [_directions(multi) for multi in multis for _ in range(2)]
         prefs = []
         for t, (support, sizes, *_) in enumerate(dirs):
@@ -193,87 +179,38 @@ class SampleTable:
             prefs.append(pref)
         self.prefs = np.array(prefs)
         self.lengths = np.array([len(d[2]) for d in dirs])
-        self.starts = int(centre) + np.cumsum(self.lengths) - self.lengths
+        starts = 1 + np.cumsum(self.lengths) - self.lengths
 
         phase, sample, column, unit, node = map(
             np.concatenate, zip(*(d[2:] for d in dirs)))
         entries = [len(d[3]) for d in dirs]
-        sample = sample + np.repeat(self.starts, entries)
+        sample = sample + np.repeat(starts, entries)
         halves = np.repeat(np.arange(len(dirs)) % 2, entries)
         radius = np.array(self.radii + halved, dtype=complex)[column + n * halves]
-        flat = np.empty((int(centre) + self.lengths.sum(), n), dtype=complex)
+        flat = np.empty((1 + self.lengths.sum(), n), dtype=complex)
         flat[:] = a
         step = _mul(_mul(radius, unit), node)
         flat.reshape(-1)[sample * n + column] = a[column] + step
-        self.rows, self.sample_rows = _merge_rows(flat)
+        self.rows, sample_rows = _merge_rows(flat)
 
         width = self.lengths.max()
-        into = np.arange(int(centre), len(flat)) + np.repeat(
-            np.arange(len(dirs)) * width - self.starts, self.lengths)
-        self.index = np.full(len(dirs) * width, len(self.rows))
-        self.index[into] = self.sample_rows[int(centre):]
+        into = np.arange(1, len(flat)) + np.repeat(
+            np.arange(len(dirs)) * width - starts, self.lengths)
+        self.index = np.zeros(len(dirs) * width, dtype=np.intp)
+        self.index[into] = sample_rows[1:]
         self.index = self.index.reshape(-1, width)
         self.phases = np.zeros(len(dirs) * width, dtype=complex)
         self.phases[into] = phase
         self.phases = self.phases.reshape(-1, width)
 
-        buf, size = self.rows.tobytes(), self.rows.itemsize * n
-        self.keys = [buf[i:i + size] for i in range(0, len(buf), size)]
-        # per row, and for the padding slot last: known, failed, value
-        got = cache._evaluate(phi, self.keys, self.rows) + [0j]
-        self.known = np.array([v is not None for v in got])
-        self.failed = np.array([isinstance(v, EvaluationError) for v in got])
-        self.values = np.array([v if v.__class__ is complex else 0j for v in got])
-        # a row's first lookup is its miss; the padding slot is never looked up
-        fresh = cache._fresh
-        self.looked = self.known[:-1] & np.array([k not in fresh for k in self.keys])
-        self.sums = self._circle_sums(slice(None)) if self.known.all() else None
-
-    def _circle_sums(self, stencils) -> list:
-        """Each stencil's pref * sum of value * phase, added left to right."""
-        ends = self.lengths[stencils]
-        terms = np.zeros((len(ends), self.index.shape[1] + 1), dtype=complex)
-        terms[:, 1:] = _mul(self.values[self.index[stencils]], self.phases[stencils])
+    def circle_sums(self, values: np.ndarray) -> list:
+        """Each stencil's pref * sum of value * phase, added left to right,
+        from the value of every row."""
+        terms = np.zeros((len(self.lengths), self.index.shape[1] + 1), dtype=complex)
+        terms[:, 1:] = _mul(values[self.index], self.phases)
         # the running sum from 0 of a sample-by-sample loop, not np.sum's pairs
-        sums = np.cumsum(terms, axis=1)[np.arange(len(ends)), ends]
-        return _mul(self.prefs[stencils], sums).tolist()
-
-    def circle_sums(self, phi, multi: tuple, cache: DerivativeCache):
-        """The full- and half-radius circle sums of d^multi.
-
-        Samples are looked up in summation order, full radius first, each
-        counting a hit or a miss.  A phi without ``batch`` is evaluated at
-        rows not known yet; the first failing sample ends the lookups and
-        its error is raised.
-        """
-        j = self.slots[multi]
-        begin = self.starts[2 * j]
-        order = self.sample_rows[begin:begin + 2 * self.lengths[2 * j]]
-        for u in order[self.failed[order] | ~self.known[order]].tolist():
-            if not self.known[u]:
-                try:
-                    v = self.values[u] = complex(phi(self.rows[u].copy()))
-                except EvaluationError as exc:
-                    v = exc
-                    self.failed[u] = True
-                cache.values[self.keys[u]] = v
-                self.known[u] = True
-            if self.failed[u]:
-                break
-        failing = self.failed[order]
-        if failing.any():
-            order = order[:failing.argmax() + 1]
-        before = self.looked.copy()
-        self.looked[order] = True
-        new = np.flatnonzero(self.looked & ~before).tolist()
-        cache.misses += len(new)
-        cache.hits += len(order) - len(new)
-        cache._fresh.difference_update(self.keys[u] for u in new)
-        if failing.any():
-            raise cache.values[self.keys[order[-1]]].with_traceback(None)
-        if self.sums is None:
-            return self._circle_sums(slice(2 * j, 2 * j + 2))
-        return self.sums[2 * j:2 * j + 2]
+        sums = np.cumsum(terms, axis=1)[np.arange(len(self.lengths)), self.lengths]
+        return _mul(self.prefs, sums).tolist()
 
 
 def _merge_rows(flat: np.ndarray):

@@ -8,13 +8,12 @@ is the built-in diagnostic.  Residuals are normalized by the sum of the
 operator's term magnitudes so they stay meaningful where the function is
 small.
 
-verify builds one sample table per point (``_stencils.SampleTable``)
-before it evaluates anything: every stencil its operators need there,
-each derivative at both radii, with the centre, in one array whose rows
-not cached yet go to ``phi.batch`` in one call.  The operator loop then
-reads its derivatives from that table; every residual and every hit and
-miss count is that of summing the circles sample by sample.  If the
-centre fails, the stencil samples evaluated with it are discarded.
+Every derivative is made by ``_derive``: one sample table
+(``_stencils.SampleTable``) holds the point and both radii's stencils of
+all the derivatives asked for, its rows not cached yet go to phi in one
+batch call, and each derivative, or the error of a sample it needs, is
+stored in the cache.  verify asks for every derivative its operators
+need at a point at once, so it sends one batch per point.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ def differentiate(
     agreement diagnostic, with a warning when it exceeds _AGREEMENT_TOL.
     Coordinate v of a direction has modulus settings.radius_factor *
     max(1, |a_v|), the only setting read here, and each circle has 16
-    nodes.  Both radii's samples come from the cache's sample table when
-    it holds this derivative, else from a table of their own, sent to
-    ``phi.batch`` in one call.  Orders above _MAX_ORDER raise
+    nodes.  A derivative not in the cache is made by ``_derive``, whose
+    one batch holds a and both radii's samples; a failing sample's error
+    is cached and raised again.  Orders above _MAX_ORDER raise
     DerivativeOrderError, which verify() reports as an error cell.
     """
     if cache is None:
@@ -100,35 +99,60 @@ def differentiate(
         return DerivResult(value=v, diagnostic=0.0)
 
     key = (a.tobytes(), multi, settings.radius_factor)
-    if key in cache.derivs:
-        return cache.derivs[key]
-
-    warnings: list[str] = []
-    table = cache.table
-    if (table is None or table.point != (key[0], settings.radius_factor)
-            or multi not in table.slots):
-        table = SampleTable(phi, a, [multi], settings, cache)
-    val, half = table.circle_sums(phi, multi, cache)
-    # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
-    # (the direction average is unitary and adds no amplification)
-    amp = 1.0
-    for v, q in enumerate(multi):
-        if q > 0:
-            amp *= math.factorial(q) / (table.radii[v] / 2.0) ** q
-    # a derivative whose both estimates sit at the noise floor is zero, not
-    # disagreeing; measure agreement against value, halved value, and floor
-    # (floor = 1e-10 * amplified rounding scale, >= 1e4 x the eps-level noise
-    # so vanishing derivatives stay comfortably below _AGREEMENT_TOL)
-    floor = amp * max(abs(cache.value(phi, a)), 1e-300) * 1e-10
-    diag = float(abs(val - half) / max(abs(val), abs(half), floor))
-    if diag > _AGREEMENT_TOL:
-        warnings.append(
-            f"derivative d^{multi} agreement {diag:.2e} above "
-            f"{_AGREEMENT_TOL:g}; value may be unreliable"
-        )
-    result = DerivResult(value=val, diagnostic=diag, warnings=tuple(warnings))
-    cache.derivs[key] = result
+    if key not in cache.derivs:
+        _derive(phi, a, [multi], settings, cache)
+    result = cache.derivs[key]
+    if isinstance(result, EvaluationError):
+        raise result.with_traceback(None)
     return result
+
+
+def _derive(phi, a: np.ndarray, multis: list, settings: EvalSettings,
+            cache: DerivativeCache) -> None:
+    """Store d^multi phi at a in cache.derivs for every multi, from one
+    sample table whose rows go to one cache.evaluate call.
+
+    A derivative whose samples and point all have values gets its
+    DerivResult; else its entry is the error of its first failing sample
+    in summation order (full radius first), or else the error at a.
+    """
+    table = SampleTable(a, multis, settings)
+    got = cache.evaluate(phi, table.rows)
+    # each derivative looks up its samples and a; evaluate counted each row once
+    cache.hits += int(table.lengths.sum()) + len(multis) - len(got)
+    errors = {u: v for u, v in enumerate(got) if v.__class__ is not complex}
+    for u in errors:
+        got[u] = 0j
+    sums = table.circle_sums(np.array(got))
+    point = a.tobytes()
+    for j, multi in enumerate(multis):
+        key = (point, multi, settings.radius_factor)
+        if errors:
+            order = table.index[2 * j:2 * j + 2, :table.lengths[2 * j]]
+            first = [u for u in order.ravel().tolist() + [0] if u in errors]
+            if first:
+                cache.derivs[key] = errors[first[0]]
+                continue
+        val, half = sums[2 * j:2 * j + 2]
+        # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
+        # (the direction average is unitary and adds no amplification)
+        amp = 1.0
+        for v, q in enumerate(multi):
+            if q > 0:
+                amp *= math.factorial(q) / (table.radii[v] / 2.0) ** q
+        # a derivative whose both estimates sit at the noise floor is zero, not
+        # disagreeing; measure agreement against value, halved value, and floor
+        # (floor = 1e-10 * amplified rounding scale, >= 1e4 x the eps-level noise
+        # so vanishing derivatives stay comfortably below _AGREEMENT_TOL)
+        floor = amp * max(abs(got[0]), 1e-300) * 1e-10
+        diag = float(abs(val - half) / max(abs(val), abs(half), floor))
+        warnings = ()
+        if diag > _AGREEMENT_TOL:
+            warnings = (
+                f"derivative d^{multi} agreement {diag:.2e} above "
+                f"{_AGREEMENT_TOL:g}; value may be unreliable",
+            )
+        cache.derivs[key] = DerivResult(value=val, diagnostic=diag, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +278,10 @@ def verification_points(
 
 
 def _point_multis(a: np.ndarray, operators, settings, cache) -> list:
-    """The derivatives verify's sample table at a holds, in operator order.
+    """The derivatives verify derives at a in one batch, in operator order.
 
     They are the first-order ones of the Euler rows and u+ and u- of every
-    box, less those already finished, of order 0 (the centre) or above
+    box, less those already finished, of order 0 (phi itself) or above
     _MAX_ORDER.
     """
     n = a.size
@@ -317,12 +341,10 @@ def verify(
     cells: list[ResidualCell] = []
     phi_values: list = []
     for k, pt in enumerate(points):
-        # the centre and every stencil the point needs, in one phi.batch
+        # the point and every stencil its operators need, in one batch
         multis = _point_multis(pt, operators, settings, cache)
         if multis:
-            cache.table = SampleTable(phi, pt, multis, settings, cache, centre=True)
-        else:
-            cache.prefetch(phi, [pt])
+            _derive(phi, pt, multis, settings, cache)
         try:
             phi_values.append(cache.value(phi, pt))
             phi_err = None
@@ -359,7 +381,6 @@ def verify(
                     warnings=app.warnings,
                 )
             )
-        cache.table = None
 
     usable = [
         c.relative for c in cells if c.error is None and not c.degenerate

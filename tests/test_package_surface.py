@@ -122,3 +122,28 @@ def test_every_setting_is_set_somewhere():
         if name not in moved and "--" + name.replace("_", "-") not in flags
     )
     assert not idle, f"settings no scenario or CLI flag sets: {idle}"
+
+
+def batch_lookups(unit):
+    """Nodes in ``unit`` that look up ``batch`` on an object other than
+    ``self``, as an attribute or through getattr."""
+    for node in ast.walk(unit):
+        if isinstance(node, ast.Attribute) and node.attr == "batch":
+            if getattr(node.value, "id", None) != "self":
+                yield node
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+            if any(isinstance(a, ast.Constant) and a.value == "batch" for a in node.args):
+                yield node
+
+
+def test_phi_batch_is_looked_up_in_one_place():
+    # a second caller of phi.batch would be a second evaluation path; a
+    # class calling its own batch method (self.batch) is not one
+    places = [
+        (path.name, getattr(unit, "name", None))
+        for path in [*MODULES, PKG / "__init__.py"]
+        for top in parse(path).body
+        for unit in (top.body if isinstance(top, ast.ClassDef) else [top])
+        for _ in batch_lookups(unit)
+    ]
+    assert places == [("_stencils.py", "batch_of")]

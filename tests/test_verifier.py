@@ -25,6 +25,7 @@ from gkzperiods import (
 from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
 from gkzperiods.scenario_io import builtin_scenario_names
 from gkzperiods._stencils import SampleTable
+from gkzperiods.verifier import _derive
 
 from oracles import (
     cauchy_tensor,
@@ -146,12 +147,12 @@ def test_failed_evaluation_is_cached_and_raised_again():
 
     cache = DerivativeCache()
     a = np.array([0.3 + 0.1j, 0.5])
-    # every request starts on the same first circle node
+    # the first request evaluates a and its circle once; every order
+    # samples the same circle, so later requests evaluate nothing
     for multi in ((1, 0), (2, 0), (3, 0), (4, 0)):
         with pytest.raises(PathSingularityError, match="synthetic failure"):
             differentiate(phi, a, multi, DIFF, cache)
-    assert calls["n"] == 1
-    assert (cache.misses, cache.hits) == (1, 3)
+    assert calls["n"] == cache.misses == 1 + 2 * 16
 
 
 class BatchOnly:
@@ -182,15 +183,13 @@ def test_stencil_goes_to_phi_batch_once():
     plain = DerivativeCache()
     batched = DerivativeCache()
     a = np.array([0.1, 0.2], dtype=complex)
-    # the centre point is not part of the stencil; look it up first
-    batched.prefetch(phi, [a])
     for multi in ((1, 2), (2, 2), (1, 0)):
         want = differentiate(phi.fn, a, multi, DIFF, plain)
         calls = phi.calls
         got = differentiate(phi, a, multi, DIFF, batched)
         assert got == want
         assert phi.calls - calls <= 1
-    # prefetching moves evaluations, not counts
+    # batching moves evaluations, not counts
     assert (batched.hits, batched.misses) == (plain.hits, plain.misses)
     assert phi.rows == plain.misses
 
@@ -206,16 +205,35 @@ def test_failed_batch_row_is_cached_and_raised_again():
     phi = BatchOnly(fn)
     cache = DerivativeCache()
     good = np.array([0.25, 0.0], dtype=complex)
-    cache.prefetch(phi, [good, bad])
+    rows = np.array([good, bad])
+    got = cache.evaluate(phi, rows)
     assert (phi.calls, phi.rows) == (1, 2)
+    assert got[0] == 0.25 and isinstance(got[1], PathSingularityError)
     assert cache.value(phi, good) == 0.25
     for _ in range(3):
         with pytest.raises(PathSingularityError, match="synthetic row failure"):
             cache.value(phi, bad)
-    # two misses for the two prefetched points, then hits; no re-evaluation
-    assert (cache.misses, cache.hits) == (2, 2)
-    cache.prefetch(phi, [good, bad])
+    # two misses for the two evaluated rows, then hits; no re-evaluation
+    assert (cache.misses, cache.hits) == (2, 4)
+    cache.evaluate(phi, rows)
     assert (phi.calls, phi.rows) == (1, 2)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_batch_of_the_wrong_length_is_rejected(extra):
+    class WrongLength:
+        def __call__(self, a):
+            return _smooth(a)
+
+        def batch(self, rows):
+            return [_smooth(row) for row in rows[:len(rows) + extra]] + [0j] * extra
+
+    cache = DerivativeCache()
+    # a and the 2 x 16 samples of one circle's two radii
+    expect = f"phi.batch returned {33 + extra} entries for 33 rows"
+    with pytest.raises(ValueError, match=expect):
+        differentiate(WrongLength(), np.array([0.1j]), (1,), DIFF, cache)
+    assert cache.values == {}
 
 
 def _bits(values):
@@ -239,26 +257,25 @@ def test_sample_table_matches_scalar_stencils_bit_for_bit(name):
         m for op in list(system.eulers) + list(system.boxes)
         for m in _derivatives(op, n) if sum(m) <= 6
     ))
-    cache, lazy_cache = DerivativeCache(), DerivativeCache()
-    table = SampleTable(BatchOnly(_smooth), a, multis, settings, cache, centre=True)
+    table = SampleTable(a, multis, settings)
     assert _bits(table.rows[0]).tolist() == _bits(a).tolist()
-    # a phi without batch is evaluated stencil by stencil, to the same sums
-    lazy = SampleTable(_smooth, a, multis, settings, lazy_cache, centre=True)
+    sums = table.circle_sums(np.array(DerivativeCache().evaluate(_smooth, table.rows)))
     scalar = DerivativeCache()
     for j, multi in enumerate(multis):
         _, *stencils = direction_stencils(a, multi, settings)
-        sums = table.circle_sums(BatchOnly(_smooth), multi, cache)
-        assert np.array_equal(_bits(lazy.circle_sums(_smooth, multi, lazy_cache)),
-                              _bits(sums))
-        for t, (points, phases, pref), got in zip((2 * j, 2 * j + 1), stencils, sums):
+        for t, (points, phases, pref) in zip((2 * j, 2 * j + 1), stencils):
             k = table.lengths[t]
             assert np.array_equal(_bits(table.rows[table.index[t, :k]]), _bits(points))
             assert np.array_equal(_bits(table.phases[t, :k]), _bits(phases))
             assert np.array_equal(_bits(table.prefs[t]), _bits(pref)), multi
             want = circle_sum(lambda p: scalar.value(_smooth, p), (points, phases, pref))
-            assert np.array_equal(_bits(got), _bits(want)), multi
+            assert np.array_equal(_bits(sums[t]), _bits(want)), multi
+        # each derivative also looks up the point once, for its noise floor
+        scalar.value(_smooth, a)
+    # all derivatives at once count as the sample-by-sample loop does
+    cache = DerivativeCache()
+    _derive(BatchOnly(_smooth), a, multis, settings, cache)
     assert (cache.hits, cache.misses) == (scalar.hits, scalar.misses)
-    assert (lazy_cache.hits, lazy_cache.misses) == (scalar.hits, scalar.misses)
 
 
 @pytest.mark.parametrize("batching", [False, True])
@@ -283,12 +300,16 @@ def test_failing_half_radius_row_raises_like_the_scalar_sum(batching):
         with pytest.raises(PathSingularityError) as got:
             differentiate(phi, a, multi, DIFF, cache)
         assert str(got.value) == str(want.value) == "synthetic middle row"
-        assert (cache.hits, cache.misses) == (scalar.hits, scalar.misses)
+    # (1, 2) evaluates a and every sample once, the failing row included;
+    # (2, 2) and the repeat find every row cached
+    samples = {p.tobytes() for stencil in (full, half) for p in stencil[0]}
+    assert cache.misses == len(cache.values) == 1 + len(samples)
+    # (1, 2) and (2, 2) each look up their samples and a once; the repeat
+    # reads the cached error and looks nothing up
+    lookups = 2 * (len(full[0]) + len(half[0]) + 1)
+    assert cache.hits == lookups - cache.misses > 0
     if batching:
-        # (2, 2) and the repeat find every row cached
-        assert phi.calls == 1
-    else:
-        assert len(cache.values) == len(scalar.values)
+        assert (phi.calls, phi.rows) == (1, cache.misses)
 
 
 def _noise_floor(a, multi, radius_factor, phi0):
@@ -317,7 +338,7 @@ def test_direction_circles_match_tensor_grid_on_shipped_boxes(name):
         new = differentiate(pf, a, multi, settings, cache).value
         # 16 nodes per circle, as in the verifier; the grid goes to phi.batch
         grid = tensor_grid(a, multi, settings.radius_factor, 16)
-        cache.prefetch(pf, [point for point, _ in grid])
+        cache.evaluate(pf, np.array(list({p.tobytes(): p for p, _ in grid}.values())))
         tensor = cauchy_tensor(
             lambda p: cache.value(pf, p), a, multi, settings.radius_factor, 16
         )
@@ -535,13 +556,16 @@ def test_verify_sends_one_batch_per_point():
 
 
 class FailingPhi:
-    """A shipped phi that raises PathSingularityError at the chosen points."""
+    """A shipped phi that raises PathSingularityError at the chosen points;
+    counts the points it evaluates."""
 
     def __init__(self, spec, bad):
         self.pf = PeriodFunction(scenario=spec)
         self.bad = {p.tobytes() for p in bad}
+        self.points = 0
 
     def __call__(self, a):
+        self.points += 1
         if a.tobytes() in self.bad:
             raise PathSingularityError("synthetic row failure")
         return self.pf(a)
@@ -552,6 +576,7 @@ class FailingBatchPhi(FailingPhi):
 
     def batch(self, rows):
         self.calls += 1
+        self.points += len(rows)
         return [
             PathSingularityError("synthetic row failure")
             if row.tobytes() in self.bad else v
@@ -587,11 +612,16 @@ def test_failing_rows_mark_only_the_cells_that_use_them(name):
                for st in direction_stencils(points[1], m, settings)[1:]
                for p in st[0])
     }
-    plain = verify(system, FailingPhi(spec, [points[0], bad]), points=points)
-    batching = FailingBatchPhi(spec, [points[0], bad])
-    report = verify(system, batching, points=points)
+    plain_phi, plain_cache = FailingPhi(spec, [points[0], bad]), DerivativeCache()
+    plain = verify(system, plain_phi, points=points, cache=plain_cache)
+    batching, cache = FailingBatchPhi(spec, [points[0], bad]), DerivativeCache()
+    report = verify(system, batching, points=points, cache=cache)
     assert report == plain
     assert batching.calls == 2
+    # misses count every evaluation, the rows beside a failing point too
+    assert plain_phi.points == plain_cache.misses
+    assert batching.points == cache.misses
+    assert (plain_cache.hits, plain_cache.misses) == (cache.hits, cache.misses)
     message = "PathSingularityError: synthetic row failure"
     # a failing centre fails every cell at its point
     assert report.phi_values[0] is None
@@ -625,29 +655,31 @@ class CountingPhi:
         return self.phi.batch(rows)
 
 
-# phi evaluations of one verify run at each shipped scenario's own settings
+# (phi evaluations, cache hits) of one verify run at each shipped
+# scenario's own settings
 SHIPPED_EVAL_COUNTS = {
-    "gauss": 771,
-    "airy": 195,
-    "beta": 195,
-    "residue_circle": 99,
-    "quadratic_root": 675,
-    "gl_quadratic": 675,
-    "gl_cubic": 1347,
-    "cubic_root_parametric": 3939,
-    "pochhammer": 771,
-    "hesse_cubic": 1923,
-    "torus_coefficient": 771,
+    "gauss": (771, 30),
+    "airy": (195, 111),
+    "beta": (195, 12),
+    "residue_circle": (99, 9),
+    "quadratic_root": (675, 417),
+    "gl_quadratic": (675, 417),
+    "gl_cubic": (1347, 1023),
+    "cubic_root_parametric": (3939, 1707),
+    "pochhammer": (771, 30),
+    "hesse_cubic": (1923, 126),
+    "torus_coefficient": (771, 30),
 }
 
 
 def test_shipped_scenarios_keep_their_eval_counts():
     assert set(SHIPPED_EVAL_COUNTS) == set(builtin_scenario_names())
-    for name, count in SHIPPED_EVAL_COUNTS.items():
+    for name, (count, hits) in SHIPPED_EVAL_COUNTS.items():
         spec = load_scenario(name)
         phi = CountingPhi(PeriodFunction(scenario=spec))
         cache = DerivativeCache()
         report = verify(build_system(spec), phi, cache=cache)
         assert report.passed, name
         assert phi.points == cache.misses == count, name
+        assert cache.hits == hits, name
         assert phi.batches == spec.settings.points, name
