@@ -7,7 +7,8 @@ composite Gauss-Legendre otherwise, including truncated rays.  Levels
 refine until successive values agree to the requested tolerance.  All of
 it runs on batches of coefficient vectors: rows with the same rules share
 nodes, branch transport and integrand evaluation, and keep their own
-convergence and errors.
+convergence and errors.  Each row's levels, level values and ray-tip
+ratio are entries of arrays over the batch, not objects of their own.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ __all__ = ["IntegralResult", "branch_logs", "integrate_term", "integrate_cycle"]
 _TS_TMAX = 3.2
 # nodes closer to an endpoint than this are dropped (weights are ~1e-15)
 _TS_EDGE = 1e-15
-# ray truncation quality: tip magnitude over max magnitude along the path
+# ray truncation quality: a row whose ray tip magnitude over its grid's
+# peak magnitude is above this has short_rays
 _TIP_RATIO = 1e-18
 # refinement levels tried by integrate_term, first to last
 LEVEL_START = 5
@@ -310,26 +312,26 @@ def _term_level_value(
     return value, nodes, tail_est, vals, errors
 
 
-def _ray_tips(rules: tuple, level: int, grid: np.ndarray) -> list[list[dict]]:
-    """Per row of an integrand grid: tip over peak magnitude of each ray."""
-    tips: list = [[] for _ in range(grid.shape[0])]
+def _tip_ratios(rules: tuple, level: int, grid: np.ndarray) -> np.ndarray:
+    """Per row of an integrand grid: the largest tip over peak magnitude of
+    its rays, 0 where it has none."""
+    ratio = np.zeros(grid.shape[0])
     rays = [
         (axis, k)
         for axis, axis_rules in enumerate(rules)
         for k, rule in enumerate(axis_rules)
         if rule == "ray"
     ]
-    if not rays or not tips:
-        return tips
+    if not rays or not ratio.size:
+        return ratio
     mags = np.abs(grid)
-    peak = np.max(mags.reshape(len(mags), -1), axis=1)
+    peak = np.maximum(np.max(mags.reshape(len(mags), -1), axis=1), 1e-300)
     for axis, seg_idx in rays:
-        ts = _axis_nodes(tuple(rules[axis]), level)[0]
+        ts = _axis_nodes(rules[axis], level)[0]
         tip_idx = np.nonzero((ts >= seg_idx) & (ts <= seg_idx + 1))[0][-1]
-        tip = np.moveaxis(mags, axis + 1, 1)[:, tip_idx].reshape(len(mags), -1)
-        for row, ratio in zip(tips, np.max(tip, axis=1) / np.maximum(peak, 1e-300)):
-            row.append({"axis": axis, "segment": seg_idx, "tip_ratio": float(ratio)})
-    return tips
+        tip = np.take(mags, tip_idx, axis=axis + 1).reshape(len(mags), -1)
+        ratio = np.maximum(ratio, np.max(tip, axis=1) / peak)
+    return ratio
 
 
 def integrate_term(
@@ -349,9 +351,14 @@ def integrate_term(
     _NODE_BUDGET, so memory stays bounded however large the batch; rows are
     independent, so slicing changes no result.  Values include the term
     multiplicity.  A row that reaches the level cap without agreement is
-    flagged unconverged but still returned.  Each row's diagnostics
-    (``diagnostics["rows"]``) hold its rules, level values, ray-tip ratios
-    at its last level, clipped-tail estimate and warnings.
+    flagged unconverged but still returned.
+
+    ``diagnostics`` holds arrays: ``row_levels``, the levels each row
+    completed (0 where it failed); ``levels``, the values (without the
+    multiplicity) of those levels, row after row; ``tip_ratio``, each row's
+    largest ray tip over peak magnitude at the level it stopped on (0
+    without rays); and ``short_rays``, where that ratio is above
+    _TIP_RATIO, a sign that the ray truncation is too short.
     """
     if a is None:
         a = spec.coefficient_vector()
@@ -374,7 +381,8 @@ def integrate_term(
     ]
     # a group holds the resolved rows of one rule tuple, in order of first row
     codes = np.concatenate(path_rules, axis=1)
-    pending = np.array([exc is None for exc in errors], dtype=bool)
+    failed = np.array([exc is not None for exc in errors], dtype=bool)
+    pending = ~failed
     groups = []
     while pending.any():
         members = pending & (codes == codes[np.argmax(pending)]).all(axis=1)
@@ -386,14 +394,13 @@ def integrate_term(
     err = np.full(n_rows, math.inf)
     converged = np.zeros(n_rows, dtype=bool)
     nodes_used = np.zeros(n_rows, dtype=int)
-    # per row: its value at each level it completed, its last nonzero
-    # clipped-tail estimate, and ray tips at the level it stopped on
-    level_values = np.zeros((LEVEL_CAP - LEVEL_START + 1, n_rows), dtype=complex)
+    # per row: its value at each level it completed, and its ray-tip ratio
+    # at the level it stopped on
+    level_values = np.zeros((n_rows, LEVEL_CAP - LEVEL_START + 1), dtype=complex)
     levels_done = np.zeros(n_rows, dtype=int)
-    tail = np.zeros(n_rows)
-    ray_tips: dict = {}
-    group_rules = [tuple(tuple(r[rows[0]].tolist()) for r in path_rules) for rows in groups]
-    for rules, active in zip(group_rules, groups):
+    tip_ratio = np.zeros(n_rows)
+    for active in groups:
+        rules = tuple(tuple(r[active[0]].tolist()) for r in path_rules)
         for level in range(LEVEL_START, LEVEL_CAP + 1):
             row_nodes = math.prod(_axis_nodes(r, level)[0].size for r in rules)
             step = max(1, _NODE_BUDGET // row_nodes)
@@ -408,11 +415,11 @@ def integrate_term(
                 ok[list(errs)] = False
                 for j, exc in errs.items():
                     errors[part[j]] = exc
+                failed[part[~ok]] = True
                 done, v, t = part[ok], vals[ok], tails[ok]
                 nodes_used[done] += nodes
-                level_values[level - LEVEL_START, done] = v
+                level_values[done, level - LEVEL_START] = v
                 levels_done[done] += 1
-                tail[done] = np.where(t != 0, t, tail[done])
                 if level > LEVEL_START:
                     # clipped-tail mass is invisible to level agreement; fold it in
                     diff = _abs(v - value[done])
@@ -423,59 +430,29 @@ def integrate_term(
                 stop = converged[done] | (level == LEVEL_CAP)
                 still.append(done[~stop])
                 finished = np.nonzero(ok)[0][stop]
-                tips = _ray_tips(rules, level, grid[finished])
-                ray_tips.update((r, x) for r, x in zip(part[finished].tolist(), tips) if x)
+                tip_ratio[part[finished]] = _tip_ratios(rules, level, grid[finished])
             active = np.concatenate(still)
             if not active.size:
                 break
 
-    failed = np.array([exc is not None for exc in errors], dtype=bool)
     value[failed] = np.nan
     nodes_used[failed] = 0
+    levels_done[failed] = 0
     mult = complex(term.multiplicity)
     # one scalar product per row: numpy's vectorized complex product may
     # fuse multiply-adds and round a row differently from Python's
     value[~failed] = [mult * v for v in value[~failed].tolist()]
     err[~failed] = abs(mult) * err[~failed]
-    row_diags: list = [{} for _ in range(n_rows)]
-    row_values, row_levels, row_tails = (
-        level_values.T.tolist(), levels_done.tolist(), tail.tolist()
-    )
-    for rules, rows in zip(group_rules, groups):
-        for r in rows.tolist():
-            diag = row_diags[r] = {
-                "rules": [list(x) for x in rules],
-                "levels": [
-                    {"level": LEVEL_START + k, "value": v}
-                    for k, v in enumerate(row_values[r][:row_levels[r]])
-                ],
-            }
-            if row_tails[r]:
-                diag["tail_estimate"] = row_tails[r]
-            if r in ray_tips:
-                # only rows that finished without error have ray tips
-                diag["ray_tips"] = ray_tips[r]
-                warnings = [
-                    f"ray axis {tip['axis']} segment {tip['segment']}: tip magnitude "
-                    f"ratio {tip['tip_ratio']:.2e} above {_TIP_RATIO:.0e}; "
-                    f"truncation length may be too short"
-                    for tip in ray_tips[r]
-                    if tip["tip_ratio"] > _TIP_RATIO
-                ]
-                if warnings:
-                    diag["warnings"] = warnings
+    completed = np.arange(level_values.shape[1]) < levels_done[:, None]
     return IntegralResult(
         value=value,
         error_estimate=err,
         nodes_used=int(nodes_used.sum()),
         diagnostics={
-            "levels": [
-                lv
-                for d, exc in zip(row_diags, errors)
-                if exc is None
-                for lv in d["levels"]
-            ],
-            "rows": row_diags,
+            "levels": level_values[completed],
+            "row_levels": levels_done,
+            "tip_ratio": tip_ratio,
+            "short_rays": tip_ratio > _TIP_RATIO,
         },
         row_converged=converged,
         errors=tuple(errors),

@@ -186,8 +186,15 @@ def apply_operator(
     if cache is None:
         cache = DerivativeCache()
     a = np.asarray(a, dtype=complex)
+    return _residual(op, phi, a, cache.value(phi, a), settings, cache)
+
+
+def _residual(
+    op, phi, a: np.ndarray, phi0: complex, settings: EvalSettings,
+    cache: DerivativeCache,
+) -> OperatorApplication:
+    """apply_operator at a point whose value phi0 is already looked up."""
     n = a.size
-    phi0 = cache.value(phi, a)
     warnings: list[str] = []
     diag = 0.0
     if isinstance(op, EulerOperator):
@@ -346,11 +353,12 @@ def verify(
         if multis:
             _derive(phi, pt, multis, settings, cache)
         try:
-            phi_values.append(cache.value(phi, pt))
+            phi0 = cache.value(phi, pt)
             phi_err = None
         except EvaluationError as exc:
-            phi_values.append(None)
+            phi0 = None
             phi_err = f"{type(exc).__name__}: {exc}"
+        phi_values.append(phi0)
         for op in operators:
             label = _operator_label(op)
             if phi_err is not None:
@@ -359,7 +367,7 @@ def verify(
                 )
                 continue
             try:
-                app = apply_operator(op, phi, pt, settings, cache)
+                app = _residual(op, phi, pt, phi0, settings, cache)
             except EvaluationError as exc:
                 cells.append(
                     ResidualCell(

@@ -294,26 +294,43 @@ def test_orientation_reversal_flips_sign():
     assert abs(val + forward) < 1e-12
 
 
-def test_ray_truncation_is_long_enough():
-    # lengthening the airy rays by a third moves nothing at this tolerance
-    spec = builtin("airy")
-    short = eval_period(spec, spec.coefficient_vector())
-
-    def stretch(path):
+def with_ray_length(spec, length):
+    """spec with every ray of its cycle truncated at ``length``."""
+    def cut(path):
         segs = tuple(
-            dataclasses.replace(s, length=12.0) if isinstance(s, RaySegment)
+            dataclasses.replace(s, length=length) if isinstance(s, RaySegment)
             else s
             for s in path.segments
         )
         return dataclasses.replace(path, segments=segs)
 
     terms = tuple(
-        CycleTerm(t.multiplicity, tuple(stretch(p) for p in t.paths))
+        CycleTerm(t.multiplicity, tuple(cut(p) for p in t.paths))
         for t in spec.cycle.terms
     )
-    long = dataclasses.replace(spec, cycle=CycleSpec(terms))
+    return dataclasses.replace(spec, cycle=CycleSpec(terms))
+
+
+def test_ray_truncation_is_long_enough():
+    # lengthening the airy rays by a third moves nothing at this tolerance
+    spec = builtin("airy")
+    short = eval_period(spec, spec.coefficient_vector())
+    long = with_ray_length(spec, 12.0)
     val = eval_period(long, long.coefficient_vector())
     assert abs(val - short) < 1e-10
+
+
+def test_short_rays_are_flagged():
+    # airy's rays cut from length 9 to 3 still converge, but their tips keep
+    # about 1e-4 of the peak magnitude; the shipped rays end below 1e-97
+    spec = builtin("airy")
+    rows = np.array(verification_points(spec.coefficient_vector(), 3, seed=7))
+    for length, short in ((9.0, False), (3.0, True)):
+        res = integrate_cycle(with_ray_length(spec, length), rows)
+        assert res.row_converged.all()
+        for term in res.diagnostics["terms"]:
+            assert (term["tip_ratio"] > 0).all()
+            assert term["short_rays"].tolist() == [short] * len(rows), length
 
 
 def test_level_cap_failure_raises():
@@ -351,6 +368,12 @@ def test_quadrature_nodes_are_built_once_and_read_only():
             x[0] = 0.5
 
 
+def row_level_values(diag, k):
+    """Row k's level values, cut out of the rows' concatenated ones."""
+    start = int(diag["row_levels"][:k].sum())
+    return diag["levels"][start:start + diag["row_levels"][k]]
+
+
 @pytest.mark.parametrize("name", ["airy", "gauss"])
 def test_batch_rows_keep_their_own_diagnostics(name):
     # airy's rays carry tip ratios, gauss's tanh-sinh ends tail estimates
@@ -364,7 +387,11 @@ def test_batch_rows_keep_their_own_diagnostics(name):
         for term_batch, term_alone in zip(
             batch.diagnostics["terms"], alone.diagnostics["terms"]
         ):
-            assert term_batch["rows"][k] == term_alone["rows"][0]
+            for key in ("row_levels", "tip_ratio", "short_rays"):
+                assert term_batch[key][k] == term_alone[key][0], key
+            assert np.array_equal(
+                row_level_values(term_batch, k), term_alone["levels"]
+            )
     assert batch.nodes_used == sum(
         integrate_cycle(spec, row).nodes_used for row in rows
     )
@@ -393,8 +420,8 @@ def test_batch_rows_do_not_depend_on_the_batch_size(monkeypatch):
     # level 6 is the 64 x 64 grid
     assert (len(rows), 6) in calls
     assert batch == [eval_period(spec, row) for row in rows]
-    levels = integrate_cycle(spec, rows).diagnostics["terms"][0]["levels"]
-    assert max(lv["level"] for lv in levels) >= 6
+    levels = integrate_cycle(spec, rows).diagnostics["terms"][0]["row_levels"]
+    assert quadrature.LEVEL_START + max(levels) - 1 >= 6
 
 
 @pytest.mark.parametrize(
@@ -433,7 +460,9 @@ def test_node_budget_slices_change_no_result(name, failing, monkeypatch):
         assert w.nodes_used == s.nodes_used
         assert [repr(e) for e in w.errors] == [repr(e) for e in s.errors]
         assert w.errors[7] is not None and w.errors.count(None) == 19
-        assert w.diagnostics == s.diagnostics
+        assert w.diagnostics.keys() == s.diagnostics.keys()
+        for key, x in w.diagnostics.items():
+            assert np.array_equal(x, s.diagnostics[key]), key
 
 
 def resolution_against_oracle(spec, path, rows):
@@ -547,8 +576,20 @@ def test_shipped_periods_keep_their_quadrature_work():
         assert tuple(len(t["levels"]) for t in res.diagnostics["terms"]) == levels, name
 
 
+def test_every_completed_level_has_its_value():
+    # perfbench counts a term's levels as len(diagnostics["levels"])
+    for name in SHIPPED_QUADRATURE_WORK:
+        spec = builtin(name)
+        rows = verification_points(spec.coefficient_vector(), 3, seed=5)
+        for term in spec.cycle.terms:
+            diag = integrate_term(term, spec, np.array(rows)).diagnostics
+            assert diag["row_levels"].shape == (len(rows),), name
+            assert len(diag["levels"]) == diag["row_levels"].sum() > 0, name
+
+
 def test_empty_batch_integrates_to_no_rows():
     for name in ("gauss", "airy", "residue_circle"):
         spec = builtin(name)
         res = integrate_cycle(spec, np.zeros((0, spec.n_columns()), dtype=complex))
         assert res.value.shape == (0,) and res.nodes_used == 0 and res.errors == ()
+        assert all(len(x) == 0 for t in res.diagnostics["terms"] for x in t.values())
