@@ -1,14 +1,15 @@
-"""Cauchy-circle stencils of one point as one sample table, and the value
-cache that evaluates their rows.
+"""Cauchy-circle stencils of one point as one sample table, and the cache
+of the derivatives made from them.
 
 Every derivative a point needs is a full- and a half-radius stencil of
 direction circles (see ``_directions``).  A SampleTable builds all of
 them as blocks of rows of one array after the point itself, merges rows
 equal in bits, and takes every circle sum on the rows' values with the
 products and left-to-right additions of a sample-by-sample loop, so each
-sum is bit-identical to that loop.  ``DerivativeCache.evaluate`` sends
-the rows not cached yet to phi in one batch call, and ``batch_of`` makes
-a plain callable a row loop that returns each row's error as its entry.
+sum is bit-identical to that loop.  The table is the one place rows are
+deduplicated: ``DerivativeCache.evaluate`` sends the rows it is given to
+phi in one batch call and keeps none of them, and ``batch_of`` makes a
+plain callable a row loop that returns each row's error as its entry.
 """
 
 from __future__ import annotations
@@ -48,16 +49,17 @@ def batch_of(phi):
 
 
 class DerivativeCache:
-    """Memo for function values and finished derivatives.
+    """Memo for finished derivatives and phi at their points.
 
-    ``values`` maps the bytes of an exact evaluation point to phi's value
-    there or the EvaluationError it raised, so a failing point (an
-    unconverged period is the costliest evaluation there is) is evaluated
-    once and its error is raised again on every later lookup.  ``derivs``
-    maps (point bytes, multi-index, radius factor) to a finished
-    derivative or the error it raised.  A lookup is a miss if it evaluates
-    phi and a hit otherwise; a derivative looks up each sample of its two
-    stencils and the point once.  One cache serves one function only.
+    ``derivs`` maps (point bytes, multi-index, radius factor) to a finished
+    derivative or the error it raised.  ``values`` maps the bytes of each
+    point whose derivatives or value were asked for to phi's value there
+    or the EvaluationError it raised, so a failing point (an unconverged
+    period is the costliest evaluation there is) is evaluated once and its
+    error is raised again on every later lookup.  ``misses`` counts the
+    rows phi was evaluated at; ``hits`` counts the requests answered
+    without evaluating phi: a derivative found in ``derivs`` or a value
+    found in ``values``.  One cache serves one function only.
     """
 
     def __init__(self):
@@ -67,27 +69,25 @@ class DerivativeCache:
         self.misses = 0
 
     def evaluate(self, phi, rows: np.ndarray) -> list:
-        """The entry of each row of an (N, n) array of rows distinct in bits;
-        the rows not cached yet are evaluated in one batch_of(phi) call."""
-        buf, size = rows.tobytes(), rows.itemsize * rows.shape[1]
-        keys = [buf[i:i + size] for i in range(0, len(buf), size)]
-        values = self.values
-        missing = [u for u, key in enumerate(keys) if key not in values]
-        if missing:
-            got = batch_of(phi)(rows[missing])
-            if len(got) != len(missing):
-                raise ValueError(
-                    f"phi.batch returned {len(got)} entries for {len(missing)} rows"
-                )
-            for u, v in zip(missing, got):
-                values[keys[u]] = v if isinstance(v, EvaluationError) else complex(v)
-        self.misses += len(missing)
-        self.hits += len(keys) - len(missing)
-        return [values[key] for key in keys]
+        """phi's entry at each row of an (N, n) array, from one
+        batch_of(phi) call: a value or the row's EvaluationError."""
+        got = list(batch_of(phi)(rows))
+        if len(got) != len(rows):
+            raise ValueError(
+                f"phi.batch returned {len(got)} entries for {len(rows)} rows"
+            )
+        self.misses += len(rows)
+        return got
 
     def value(self, phi, point: np.ndarray) -> complex:
         """phi at one point; raises the point's EvaluationError."""
-        v, = self.evaluate(phi, point[None])
+        key = point.tobytes()
+        if key in self.values:
+            self.hits += 1
+        else:
+            v, = self.evaluate(phi, point[None])
+            self.values[key] = v if isinstance(v, EvaluationError) else complex(v)
+        v = self.values[key]
         if isinstance(v, EvaluationError):
             raise v.with_traceback(None)
         return v
@@ -116,7 +116,7 @@ def _directions(multi: tuple):
     alpha = multi alone.  That average is unitary, so it amplifies rounding
     no more than a tensor grid does.  Powers of two make a lower order's
     directions a subset of a higher order's, so their samples are shared
-    through the cache.  With a single coordinate there is one direction:
+    in one sample table.  With a single coordinate there is one direction:
     the plain coordinate circle.
 
     Returns the support, the m_v (circle nodes for s0), every sample's

@@ -125,11 +125,9 @@ def _cmd_period(args) -> int:
             raise res.errors[0]
         error_estimate = float(res.error_estimate[0])
         if not res.converged:
-            print(
-                f"error: quadrature did not converge "
-                f"(estimate {error_estimate:.3e})",
-                file=sys.stderr,
-            )
+            short = any(d["short_rays"][0] for d in res.diagnostics["terms"])
+            cause = "a ray truncation is too short" if short else "quadrature did not converge"
+            print(f"error: {cause} (estimate {error_estimate:.3e})", file=sys.stderr)
             return 2
         value = complex(res.value[0])
     else:

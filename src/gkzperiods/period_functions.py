@@ -35,7 +35,6 @@ __all__ = [
     "PeriodFunction",
     "eval_period",
     "eval_root",
-    "track_root",
     "eval_gl_residue",
 ]
 
@@ -173,24 +172,6 @@ def _base_root(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, float]:
     return dense, x, 1e6 * (1.0 + abs(x0))
 
 
-def track_root(spec: ScenarioSpec, waypoints) -> complex:
-    """Continue the base root along straight segments through the waypoints.
-
-    Each segment is followed by predictor-corrector continuation with
-    adaptive step halving and Newton correction to |f| <= 1e-13 *
-    coefficient scale; the root at the last waypoint is returned.
-    """
-    with np.errstate(all="ignore"):
-        dense, x, escape = _base_root(spec)
-        for w in waypoints:
-            dense_next = spec.dense_univariate(np.asarray(w, dtype=complex)[None])
-            x, errors = _continue_root_segment(dense, dense_next, x, escape)
-            if errors:
-                raise errors[0]
-            dense = dense_next
-    return complex(x[0])
-
-
 def eval_root(spec: ScenarioSpec, a: np.ndarray):
     """Analytic continuation of the base root to coefficients a.
 
@@ -309,15 +290,24 @@ def eval_period(spec: ScenarioSpec, a: np.ndarray):
 
     ``a`` is one coefficient vector, or an (N, n) batch whose rows are
     integrated together: then one complex or EvaluationError per row is
-    returned, and an unconverged row is an UnconvergedQuadratureError.
+    returned, and an unconverged row, or one whose rays are cut too short,
+    is an UnconvergedQuadratureError.
     """
     a = np.asarray(a, dtype=complex)
     res = integrate_cycle(spec, a=a)
+    terms = res.diagnostics["terms"]
+    short = np.any([d["short_rays"] for d in terms], axis=0)
+    tips = np.max([d["tip_ratio"] for d in terms], axis=0)
     out: list = []
-    for value, estimate, converged, exc in zip(
-        res.value, res.error_estimate, res.row_converged, res.errors
+    for value, estimate, converged, exc, cut, tip in zip(
+        res.value, res.error_estimate, res.row_converged, res.errors, short, tips
     ):
-        if exc is None and not converged:
+        if exc is None and cut:
+            exc = UnconvergedQuadratureError(
+                f"a ray truncation is too short: its tip keeps {tip:.1e} of "
+                f"the integrand's peak magnitude"
+            )
+        elif exc is None and not converged:
             exc = UnconvergedQuadratureError(
                 f"quadrature did not converge below tol {spec.settings.tol:g} "
                 f"within level cap {LEVEL_CAP} (error estimate "

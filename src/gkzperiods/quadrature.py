@@ -350,15 +350,17 @@ def integrate_term(
     at least one row and otherwise holding rows x nodes per row under
     _NODE_BUDGET, so memory stays bounded however large the batch; rows are
     independent, so slicing changes no result.  Values include the term
-    multiplicity.  A row that reaches the level cap without agreement is
-    flagged unconverged but still returned.
+    multiplicity.  A row that reaches the level cap without agreement, or
+    whose rays are cut too short (``short_rays``), is flagged unconverged
+    but still returned.
 
     ``diagnostics`` holds arrays: ``row_levels``, the levels each row
     completed (0 where it failed); ``levels``, the values (without the
     multiplicity) of those levels, row after row; ``tip_ratio``, each row's
     largest ray tip over peak magnitude at the level it stopped on (0
     without rays); and ``short_rays``, where that ratio is above
-    _TIP_RATIO, a sign that the ray truncation is too short.
+    _TIP_RATIO, a sign that the ray truncation is too short: level
+    agreement cannot see the mass cut off past the tips.
     """
     if a is None:
         a = spec.coefficient_vector()
@@ -444,6 +446,7 @@ def integrate_term(
     value[~failed] = [mult * v for v in value[~failed].tolist()]
     err[~failed] = abs(mult) * err[~failed]
     completed = np.arange(level_values.shape[1]) < levels_done[:, None]
+    short_rays = tip_ratio > _TIP_RATIO
     return IntegralResult(
         value=value,
         error_estimate=err,
@@ -452,9 +455,9 @@ def integrate_term(
             "levels": level_values[completed],
             "row_levels": levels_done,
             "tip_ratio": tip_ratio,
-            "short_rays": tip_ratio > _TIP_RATIO,
+            "short_rays": short_rays,
         },
-        row_converged=converged,
+        row_converged=converged & ~short_rays,
         errors=tuple(errors),
     )
 

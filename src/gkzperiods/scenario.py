@@ -10,7 +10,7 @@ roots of a univariate polynomial).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -188,21 +188,6 @@ class ScenarioSpec:
         vectors (one per row) gives one slice per row.
         """
         return a[..., self.factor_slices()[index - 1]]
-
-    def with_coefficients(self, a: Sequence[complex]) -> "ScenarioSpec":
-        """Copy of the scenario with the coefficient vector replaced."""
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.n_columns(),):
-            raise ScenarioError(
-                "coefficients",
-                f"expected {self.n_columns()} coefficients, got {a.shape}",
-            )
-        new_factors = []
-        for fac, sl in zip(self.factors, self.factor_slices()):
-            new_factors.append(
-                replace(fac, coefficients=tuple(complex(z) for z in a[sl]))
-            )
-        return replace(self, factors=tuple(new_factors))
 
     # ---- root-scenario helpers ---------------------------------------------
 

@@ -43,9 +43,6 @@ class ExponentMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.column_labels))
 
-    def row_for(self, label: RowLabel) -> tuple[int, ...]:
-        return self.rows[self.row_labels.index(label)]
-
 
 @dataclass(frozen=True)
 class LatticeBasis:

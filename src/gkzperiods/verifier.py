@@ -10,10 +10,12 @@ small.
 
 Every derivative is made by ``_derive``: one sample table
 (``_stencils.SampleTable``) holds the point and both radii's stencils of
-all the derivatives asked for, its rows not cached yet go to phi in one
-batch call, and each derivative, or the error of a sample it needs, is
-stored in the cache.  verify asks for every derivative its operators
-need at a point at once, so it sends one batch per point.
+all the derivatives asked for, its rows (less the point, if phi is
+already known there) go to phi in one batch call, and each derivative,
+or the error of a sample it needs, is stored in the cache with phi at the
+point.  ``_derivatives`` names the derivatives an operator applies;
+verify asks for all of them at a point at once, so it sends one batch
+per point, and the residuals then read them from the cache.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ def differentiate(
     Coordinate v of a direction has modulus settings.radius_factor *
     max(1, |a_v|), the only setting read here, and each circle has 16
     nodes.  A derivative not in the cache is made by ``_derive``, whose
-    one batch holds a and both radii's samples; a failing sample's error
-    is cached and raised again.  Orders above _MAX_ORDER raise
+    one batch holds both radii's samples and a, unless phi(a) is cached;
+    a failing sample's error is cached and raised again.  Orders above _MAX_ORDER raise
     DerivativeOrderError, which verify() reports as an error cell.
     """
     if cache is None:
@@ -99,7 +101,9 @@ def differentiate(
         return DerivResult(value=v, diagnostic=0.0)
 
     key = (a.tobytes(), multi, settings.radius_factor)
-    if key not in cache.derivs:
+    if key in cache.derivs:
+        cache.hits += 1
+    else:
         _derive(phi, a, [multi], settings, cache)
     result = cache.derivs[key]
     if isinstance(result, EvaluationError):
@@ -109,24 +113,37 @@ def differentiate(
 
 def _derive(phi, a: np.ndarray, multis: list, settings: EvalSettings,
             cache: DerivativeCache) -> None:
-    """Store d^multi phi at a in cache.derivs for every multi, from one
-    sample table whose rows go to one cache.evaluate call.
+    """Store d^multi phi at a in cache.derivs for every multi, and phi(a)
+    in cache.values, from one sample table whose rows go to one
+    cache.evaluate call.
 
-    A derivative whose samples and point all have values gets its
+    Multis of order 0 or above _MAX_ORDER, repeated or already finished
+    are skipped, and phi(a) is not evaluated again if it is cached.  A
+    derivative whose samples and point all have values gets its
     DerivResult; else its entry is the error of its first failing sample
     in summation order (full radius first), or else the error at a.
     """
+    point, radius = a.tobytes(), settings.radius_factor
+    multis = [
+        multi for multi in dict.fromkeys(multis)
+        if 0 < sum(multi) <= _MAX_ORDER and (point, multi, radius) not in cache.derivs
+    ]
+    if not multis:
+        return
     table = SampleTable(a, multis, settings)
-    got = cache.evaluate(phi, table.rows)
-    # each derivative looks up its samples and a; evaluate counted each row once
-    cache.hits += int(table.lengths.sum()) + len(multis) - len(got)
-    errors = {u: v for u, v in enumerate(got) if v.__class__ is not complex}
+    if point in cache.values:
+        got = [cache.values[point], *cache.evaluate(phi, table.rows[1:])]
+    else:
+        got = cache.evaluate(phi, table.rows)
+    errors = {u: v for u, v in enumerate(got) if isinstance(v, EvaluationError)}
     for u in errors:
         got[u] = 0j
-    sums = table.circle_sums(np.array(got))
-    point = a.tobytes()
+    values = np.array(got, dtype=complex)
+    phi0 = complex(values[0])
+    cache.values[point] = errors.get(0, phi0)
+    sums = table.circle_sums(values)
     for j, multi in enumerate(multis):
-        key = (point, multi, settings.radius_factor)
+        key = (point, multi, radius)
         if errors:
             order = table.index[2 * j:2 * j + 2, :table.lengths[2 * j]]
             first = [u for u in order.ravel().tolist() + [0] if u in errors]
@@ -144,7 +161,7 @@ def _derive(phi, a: np.ndarray, multis: list, settings: EvalSettings,
         # disagreeing; measure agreement against value, halved value, and floor
         # (floor = 1e-10 * amplified rounding scale, >= 1e4 x the eps-level noise
         # so vanishing derivatives stay comfortably below _AGREEMENT_TOL)
-        floor = amp * max(abs(got[0]), 1e-300) * 1e-10
+        floor = amp * max(abs(phi0), 1e-300) * 1e-10
         diag = float(abs(val - half) / max(abs(val), abs(half), floor))
         warnings = ()
         if diag > _AGREEMENT_TOL:
@@ -194,32 +211,22 @@ def _residual(
     cache: DerivativeCache,
 ) -> OperatorApplication:
     """apply_operator at a point whose value phi0 is already looked up."""
-    n = a.size
-    warnings: list[str] = []
-    diag = 0.0
+    multis = _derivatives(op, a.size)
+    ds = [differentiate(phi, a, m, settings, cache) for m in multis]
     if isinstance(op, EulerOperator):
         raw = -complex(op.eigenvalue) * phi0
         norm = abs(complex(op.eigenvalue) * phi0)
-        for v, w in enumerate(op.weights):
-            if w == 0:
-                continue
-            multi = tuple(1 if u == v else 0 for u in range(n))
-            d = differentiate(phi, a, multi, settings, cache)
-            term = w * a[v] * d.value
+        for multi, d in zip(multis, ds):
+            v = multi.index(1)
+            term = op.weights[v] * a[v] * d.value
             raw += term
             norm += abs(term)
-            diag = max(diag, d.diagnostic)
-            warnings.extend(d.warnings)
-    elif isinstance(op, BoxOperator):
-        dplus = differentiate(phi, a, op.u_plus, settings, cache)
-        dminus = differentiate(phi, a, op.u_minus, settings, cache)
-        raw = dplus.value - dminus.value
-        norm = abs(dplus.value) + abs(dminus.value)
-        diag = max(dplus.diagnostic, dminus.diagnostic)
-        warnings.extend(dplus.warnings)
-        warnings.extend(dminus.warnings)
     else:
-        raise TypeError(f"not an operator: {type(op).__name__}")
+        plus, minus = ds
+        raw = plus.value - minus.value
+        norm = abs(plus.value) + abs(minus.value)
+    diag = max([d.diagnostic for d in ds], default=0.0)
+    warnings = [w for d in ds for w in d.warnings]
     raw = complex(raw)
     norm = float(norm)
     diag = float(diag)
@@ -284,30 +291,18 @@ def verification_points(
     return points
 
 
-def _point_multis(a: np.ndarray, operators, settings, cache) -> list:
-    """The derivatives verify derives at a in one batch, in operator order.
-
-    They are the first-order ones of the Euler rows and u+ and u- of every
-    box, less those already finished, of order 0 (phi itself) or above
-    _MAX_ORDER.
-    """
-    n = a.size
-    multis: dict = {}
-    for op in operators:
-        if isinstance(op, EulerOperator):
-            for v, w in enumerate(op.weights):
-                if w != 0:
-                    multis[tuple(1 if u == v else 0 for u in range(n))] = None
-        elif isinstance(op, BoxOperator):
-            multis[tuple(op.u_plus)] = None
-            multis[tuple(op.u_minus)] = None
-    return [
-        multi for multi in multis
-        if len(multi) == n
-        and min(multi) >= 0
-        and 0 < sum(multi) <= _MAX_ORDER
-        and (a.tobytes(), multi, settings.radius_factor) not in cache.derivs
-    ]
+def _derivatives(op, n: int) -> list:
+    """The derivatives an operator applies to phi, in the order it sums
+    them: the first-order one of each nonzero Euler weight, or u+ and u-
+    of a box."""
+    if isinstance(op, EulerOperator):
+        return [
+            tuple(int(u == v) for u in range(n))
+            for v, w in enumerate(op.weights) if w != 0
+        ]
+    if isinstance(op, BoxOperator):
+        return [tuple(op.u_plus), tuple(op.u_minus)]
+    raise TypeError(f"not an operator: {type(op).__name__}")
 
 
 def _operator_label(op) -> str:
@@ -349,9 +344,8 @@ def verify(
     phi_values: list = []
     for k, pt in enumerate(points):
         # the point and every stencil its operators need, in one batch
-        multis = _point_multis(pt, operators, settings, cache)
-        if multis:
-            _derive(phi, pt, multis, settings, cache)
+        multis = [m for op in operators for m in _derivatives(op, pt.size)]
+        _derive(phi, pt, multis, settings, cache)
         try:
             phi0 = cache.value(phi, pt)
             phi_err = None

@@ -20,6 +20,7 @@ from gkzperiods.analytic_paths import (
     RootAnchor,
     _anchor_points,
 )
+from gkzperiods.period_functions import _continue_root_segment
 from gkzperiods.scenario import ScenarioError
 
 # Value of the gauss scenario's segment period, precomputed once with a
@@ -188,6 +189,20 @@ def quadratic_root_second_mixed(a, x):
     """
     fprime = a[1] + 2.0 * a[2] * x
     return -2.0 * a[0] / fprime**3
+
+
+def track_root(spec, waypoints) -> complex:
+    """The base root continued along straight segments through the
+    waypoints, one segment after another."""
+    dense = spec.dense_univariate(spec.coefficient_vector()[None])
+    x = np.array([complex(spec.base_root)])
+    with np.errstate(all="ignore"):
+        for w in waypoints:
+            following = spec.dense_univariate(np.asarray(w, dtype=complex)[None])
+            x, errors = _continue_root_segment(dense, following, x, 1e6)
+            assert not errors, errors
+            dense = following
+    return complex(x[0])
 
 
 # ---------------------------------------------------------------------------

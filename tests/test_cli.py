@@ -192,6 +192,18 @@ def test_period_identically_zero_anchor_factor_is_evaluation_error():
     assert "vanishes identically" in lines[0]
 
 
+def test_period_with_short_rays_exits_2(tmp_path):
+    # airy's rays cut from length 9 to 3: the levels agree, the tips do not vanish
+    text = (SRC / "gkzperiods" / "scenarios" / "airy.json").read_text()
+    assert text.count('"length": 9.0') == 2
+    path = tmp_path / "airy_short.json"
+    path.write_text(text.replace('"length": 9.0', '"length": 3.0'))
+    res = run_cli("period", str(path))
+    assert res.returncode == 2
+    assert "error: a ray truncation is too short" in res.stderr
+    assert "value =" not in res.stdout
+
+
 @pytest.mark.parametrize(
     "name, point, error",
     [

@@ -24,10 +24,9 @@ from gkzperiods import (
     validate_scenario,
 )
 from gkzperiods._roots import univariate_roots
-from gkzperiods.period_functions import track_root
 from gkzperiods.verifier import verification_points
 
-from oracles import direction_circles, quadratic_formula_root
+from oracles import direction_circles, quadratic_formula_root, track_root
 
 from test_scenario import builtin
 

@@ -321,16 +321,21 @@ def test_ray_truncation_is_long_enough():
 
 
 def test_short_rays_are_flagged():
-    # airy's rays cut from length 9 to 3 still converge, but their tips keep
-    # about 1e-4 of the peak magnitude; the shipped rays end below 1e-97
+    # airy's rays cut from length 9 to 3 still agree between levels, but their
+    # tips keep about 1e-4 of the peak magnitude, so those rows are not
+    # converged; the shipped rays end below 1e-97
     spec = builtin("airy")
     rows = np.array(verification_points(spec.coefficient_vector(), 3, seed=7))
     for length, short in ((9.0, False), (3.0, True)):
-        res = integrate_cycle(with_ray_length(spec, length), rows)
-        assert res.row_converged.all()
+        cut = with_ray_length(spec, length)
+        res = integrate_cycle(cut, rows)
+        assert res.row_converged.tolist() == [not short] * len(rows), length
         for term in res.diagnostics["terms"]:
             assert (term["tip_ratio"] > 0).all()
             assert term["short_rays"].tolist() == [short] * len(rows), length
+    for got in eval_period(cut, rows):
+        assert isinstance(got, UnconvergedQuadratureError)
+        assert "ray truncation is too short" in str(got)
 
 
 def test_level_cap_failure_raises():

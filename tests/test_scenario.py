@@ -262,15 +262,6 @@ def test_normalized_document_key_order_is_canonical():
     }
 
 
-def test_with_coefficients_replaces_vector():
-    spec = builtin("quadratic_root")
-    new = spec.with_coefficients([2.0, 3.0, 4.0])
-    assert np.allclose(new.coefficient_vector(), [2.0, 3.0, 4.0])
-    assert np.allclose(spec.coefficient_vector(), [-1.0, 0.1, 1.0])
-    with pytest.raises(ScenarioError, match="expected 3 coefficients"):
-        spec.with_coefficients([1.0, 2.0])
-
-
 def test_factor_values_broadcast():
     spec = builtin("quadratic_root")
     fac = spec.factors[0]

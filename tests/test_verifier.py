@@ -25,7 +25,7 @@ from gkzperiods import (
 from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
 from gkzperiods.scenario_io import builtin_scenario_names
 from gkzperiods._stencils import SampleTable
-from gkzperiods.verifier import _derive
+from gkzperiods.verifier import _derivatives, _derive
 
 from oracles import (
     cauchy_tensor,
@@ -119,23 +119,26 @@ def test_circle_evaluations_are_shared_between_orders():
         calls["n"] += 1
         return cmath.exp(a[0] + 0.5 * a[1])
 
-    cache = DerivativeCache()
     a = np.array([0.1, 0.2], dtype=complex)
-    # (1,2) and (2,2) both use the 4 directions (rho0, rho1 i^j)
-    differentiate(phi, a, (1, 2), DIFF, cache)
-    first = calls["n"]
-    assert first > 0
-    differentiate(phi, a, (2, 2), DIFF, cache)
-    assert calls["n"] == first
-    # a single coordinate: one circle serves every order
-    differentiate(phi, a, (1, 0), DIFF, cache)
-    second = calls["n"]
-    assert second > first
-    differentiate(phi, a, (3, 0), DIFF, cache)
-    assert calls["n"] == second
+
+    def evaluations(*multis):
+        cache = DerivativeCache()
+        before = calls["n"]
+        _derive(phi, a, list(multis), DIFF, cache)
+        return calls["n"] - before, cache
+
+    # (1,2) and (2,2) both use the 4 directions (rho0, rho1 i^j), and a single
+    # coordinate's one circle serves every order: derived together, each pair
+    # evaluates exactly the rows of its lower order alone
+    for low, high in (((1, 2), (2, 2)), ((1, 0), (3, 0))):
+        alone, _ = evaluations(low)
+        together, cache = evaluations(low, high)
+        assert together == alone > 0
     # and a repeated request is memoized outright
-    differentiate(phi, a, (1, 2), DIFF, cache)
-    assert calls["n"] == second
+    before = calls["n"]
+    for multi in ((3, 0), (1, 0), (0, 0)):
+        differentiate(phi, a, multi, DIFF, cache)
+    assert calls["n"] == before
 
 
 def test_failed_evaluation_is_cached_and_raised_again():
@@ -147,12 +150,18 @@ def test_failed_evaluation_is_cached_and_raised_again():
 
     cache = DerivativeCache()
     a = np.array([0.3 + 0.1j, 0.5])
-    # the first request evaluates a and its circle once; every order
-    # samples the same circle, so later requests evaluate nothing
-    for multi in ((1, 0), (2, 0), (3, 0), (4, 0)):
+    # the first request evaluates a and both radii's circle once; asking
+    # again evaluates nothing
+    for _ in range(2):
         with pytest.raises(PathSingularityError, match="synthetic failure"):
-            differentiate(phi, a, multi, DIFF, cache)
+            differentiate(phi, a, (1, 0), DIFF, cache)
     assert calls["n"] == cache.misses == 1 + 2 * 16
+    # a new order samples its circles again, but not the failing centre
+    with pytest.raises(PathSingularityError, match="synthetic failure"):
+        differentiate(phi, a, (2, 0), DIFF, cache)
+    with pytest.raises(PathSingularityError, match="synthetic failure"):
+        cache.value(phi, a)
+    assert calls["n"] == cache.misses == 1 + 4 * 16
 
 
 class BatchOnly:
@@ -205,18 +214,14 @@ def test_failed_batch_row_is_cached_and_raised_again():
     phi = BatchOnly(fn)
     cache = DerivativeCache()
     good = np.array([0.25, 0.0], dtype=complex)
-    rows = np.array([good, bad])
-    got = cache.evaluate(phi, rows)
-    assert (phi.calls, phi.rows) == (1, 2)
-    assert got[0] == 0.25 and isinstance(got[1], PathSingularityError)
     assert cache.value(phi, good) == 0.25
     for _ in range(3):
         with pytest.raises(PathSingularityError, match="synthetic row failure"):
             cache.value(phi, bad)
-    # two misses for the two evaluated rows, then hits; no re-evaluation
-    assert (cache.misses, cache.hits) == (2, 4)
-    cache.evaluate(phi, rows)
-    assert (phi.calls, phi.rows) == (1, 2)
+    assert cache.value(phi, good) == 0.25
+    # one miss for each point's first lookup, then hits; no re-evaluation
+    assert (phi.calls, phi.rows) == (2, 2)
+    assert (cache.misses, cache.hits) == (2, 3)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -255,7 +260,7 @@ def test_sample_table_matches_scalar_stencils_bit_for_bit(name):
     n = a.size
     multis = list(dict.fromkeys(
         m for op in list(system.eulers) + list(system.boxes)
-        for m in _derivatives(op, n) if sum(m) <= 6
+        for m in _derivatives(op, n) if 0 < sum(m) <= 6
     ))
     table = SampleTable(a, multis, settings)
     assert _bits(table.rows[0]).tolist() == _bits(a).tolist()
@@ -270,12 +275,12 @@ def test_sample_table_matches_scalar_stencils_bit_for_bit(name):
             assert np.array_equal(_bits(table.prefs[t]), _bits(pref)), multi
             want = circle_sum(lambda p: scalar.value(_smooth, p), (points, phases, pref))
             assert np.array_equal(_bits(sums[t]), _bits(want)), multi
-        # each derivative also looks up the point once, for its noise floor
-        scalar.value(_smooth, a)
-    # all derivatives at once count as the sample-by-sample loop does
+    # all derivatives at once evaluate a and every distinct sample once,
+    # as the sample-by-sample loop does
+    scalar.value(_smooth, a)
     cache = DerivativeCache()
     _derive(BatchOnly(_smooth), a, multis, settings, cache)
-    assert (cache.hits, cache.misses) == (scalar.hits, scalar.misses)
+    assert cache.misses == scalar.misses == len(table.rows)
 
 
 @pytest.mark.parametrize("batching", [False, True])
@@ -301,15 +306,13 @@ def test_failing_half_radius_row_raises_like_the_scalar_sum(batching):
             differentiate(phi, a, multi, DIFF, cache)
         assert str(got.value) == str(want.value) == "synthetic middle row"
     # (1, 2) evaluates a and every sample once, the failing row included;
-    # (2, 2) and the repeat find every row cached
+    # (2, 2) samples the same rows and evaluates them again, but not a; the
+    # repeat reads the cached error
     samples = {p.tobytes() for stencil in (full, half) for p in stencil[0]}
-    assert cache.misses == len(cache.values) == 1 + len(samples)
-    # (1, 2) and (2, 2) each look up their samples and a once; the repeat
-    # reads the cached error and looks nothing up
-    lookups = 2 * (len(full[0]) + len(half[0]) + 1)
-    assert cache.hits == lookups - cache.misses > 0
+    assert (cache.misses, cache.hits) == (1 + 2 * len(samples), 1)
+    assert list(cache.values) == [a.tobytes()]
     if batching:
-        assert (phi.calls, phi.rows) == (1, cache.misses)
+        assert (phi.calls, phi.rows) == (2, cache.misses)
 
 
 def _noise_floor(a, multi, radius_factor, phi0):
@@ -337,10 +340,10 @@ def test_direction_circles_match_tensor_grid_on_shipped_boxes(name):
     for multi in sorted(multis):
         new = differentiate(pf, a, multi, settings, cache).value
         # 16 nodes per circle, as in the verifier; the grid goes to phi.batch
-        grid = tensor_grid(a, multi, settings.radius_factor, 16)
-        cache.evaluate(pf, np.array(list({p.tobytes(): p for p, _ in grid}.values())))
+        grid = {p.tobytes(): p for p, _ in tensor_grid(a, multi, settings.radius_factor, 16)}
+        values = dict(zip(grid, pf.batch(np.array(list(grid.values())))))
         tensor = cauchy_tensor(
-            lambda p: cache.value(pf, p), a, multi, settings.radius_factor, 16
+            lambda p: values[p.tobytes()], a, multi, settings.radius_factor, 16
         )
         floor = _noise_floor(a, multi, settings.radius_factor, phi0)
         scale = max(abs(new), abs(tensor))
@@ -367,6 +370,8 @@ def test_mixed_partials_exact_on_polynomials():
         u for u in itertools.product(range(7), repeat=3)
         if sum(u) <= 6 and sum(q > 0 for q in u) >= 2
     ]
+    # one table for all of them, as verify derives a point's derivatives
+    _derive(phi, a, mixed, DIFF, cache)
     for u in mixed:
         expect = 0.0j
         for e, c in zip(exps, coeffs):
@@ -555,6 +560,30 @@ def test_verify_sends_one_batch_per_point():
     assert phi.calls == 2
 
 
+def test_verified_points_keep_their_derivatives_not_their_rows():
+    spec = builtin("gl_quadratic")
+    settings = spec.settings
+    system = build_system(spec)
+    phi = BatchOnly(lambda a: cmath.exp(a[0]) / a[2] + a[1] ** 3)
+    points = verification_points(spec.coefficient_vector(), 2, seed=4)
+    cache = DerivativeCache()
+    verify(system, phi, points=points, cache=cache)
+    rows, n = phi.rows, points[0].size
+    needed = {
+        m for op in list(system.eulers) + list(system.boxes)
+        for m in _derivatives(op, n)
+    }
+    for multi in needed:
+        differentiate(phi, points[1], multi, settings, cache)
+    assert phi.rows == rows
+    # a derivative no operator needs: its stencil rows, not the point
+    multi = next(m for m in itertools.product(range(3), repeat=n)
+                 if sum(m) == 2 and m not in needed)
+    differentiate(phi, points[1], multi, settings, cache)
+    table = SampleTable(points[1], [multi], settings)
+    assert phi.rows - rows == len(table.rows) - 1
+
+
 class FailingPhi:
     """A shipped phi that raises PathSingularityError at the chosen points;
     counts the points it evaluates."""
@@ -582,15 +611,6 @@ class FailingBatchPhi(FailingPhi):
             if row.tobytes() in self.bad else v
             for row, v in zip(rows, self.pf.batch(rows))
         ]
-
-
-def _derivatives(op, n):
-    if isinstance(op, EulerOperator):
-        return [
-            tuple(int(u == v) for u in range(n))
-            for v, w in enumerate(op.weights) if w != 0
-        ]
-    return [m for m in (op.u_plus, op.u_minus) if sum(m) > 0]
 
 
 @pytest.mark.parametrize("name", ["quadratic_root", "gl_quadratic", "residue_circle"])
@@ -656,20 +676,20 @@ class CountingPhi:
 
 
 # (phi evaluations, cache hits) of one verify run at each shipped
-# scenario's own settings; verify looks phi up once per point, so a cell's
-# residual adds no hit
+# scenario's own settings; a hit is phi(a) looked up once per point, and
+# each derivative a cell's residual reads from the cache
 SHIPPED_EVAL_COUNTS = {
-    "gauss": (771, 18),
-    "airy": (195, 105),
-    "beta": (195, 6),
-    "residue_circle": (99, 3),
-    "quadratic_root": (675, 405),
-    "gl_quadratic": (675, 405),
-    "gl_cubic": (1347, 1002),
-    "cubic_root_parametric": (3939, 1683),
-    "pochhammer": (771, 18),
-    "hesse_cubic": (1923, 114),
-    "torus_coefficient": (771, 18),
+    "gauss": (771, 27),
+    "airy": (195, 15),
+    "beta": (195, 12),
+    "residue_circle": (99, 9),
+    "quadratic_root": (675, 30),
+    "gl_quadratic": (675, 30),
+    "gl_cubic": (1347, 54),
+    "cubic_root_parametric": (3939, 63),
+    "pochhammer": (771, 27),
+    "hesse_cubic": (1923, 33),
+    "torus_coefficient": (771, 33),
 }
 
 
