@@ -1,7 +1,9 @@
 """Internal helper: roots of stacks of dense univariate polynomials.
 
-Companion-matrix eigenvalues followed by a few Newton polish steps, and
-the Horner evaluation they share with root continuation and residue sums.
+Starting roots from closed forms for degrees 1 to 3 and from
+companion-matrix eigenvalues above, followed by a few Newton polish
+steps, and the Horner evaluation they share with root continuation and
+residue sums.
 Kept separate so path resolution, root continuation and residue
 evaluation share one implementation.  Everything works on stacks, one
 polynomial per row, and a row's results do not depend on the rest of its
@@ -14,8 +16,10 @@ import numpy as np
 
 __all__ = ["univariate_roots", "eval_with_derivative"]
 
-# Newton polish steps after the companion eigenvalues.
+# Newton polish steps after the starting roots.
 _POLISH_STEPS = 8
+# the cube roots of unity, one per branch of Cardano's formula
+_OMEGA = np.array([1.0, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5))])
 
 
 def eval_with_derivative(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
@@ -54,14 +58,73 @@ def _polish(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _closed_form_roots(monic: np.ndarray) -> np.ndarray:
+    """Starting roots of monic rows of degree d <= 3, (N, d).
+
+    Degree 1 is -c0.  A row of degree 2 or 3 is scaled, x = 2^e y, by the
+    power of two nearest its root bound max_k |c_k|^(1/(d-k)), which is
+    exact and keeps the closed forms clear of overflow, and its largest
+    root r is found there.  Degree 2 takes the root -(b + s sqrt(b^2 - 4c))
+    / 2 with the sign s that makes it largest, so nothing cancels.  Degree
+    3 is Cardano on the depressed cubic, taking the square-root sign that
+    makes |u^3| largest, then the largest of the three cube-root branches:
+    the branches are accurate only to eps times the largest root.  The
+    other roots come from Vieta's formulas on the unscaled row, c0 / r for
+    degree 2 and the roots of the quadratic with product -c0 / r and sum
+    (c1 - product) / r for degree 3, so a root many orders of magnitude
+    smaller than r is still within reach of the Newton polish.
+    """
+    d = monic.shape[1] - 1
+    if d == 1:
+        return -monic[:, :1]
+    k = np.arange(d)
+    e = np.rint(np.max(np.log2(np.abs(monic[:, :d])) / (d - k), axis=1))
+    e = np.where(np.isfinite(e), e, 0.0).astype(int)
+    m = _ldexp(monic[:, :d], e[:, None] * (k - d))
+    if d == 2:
+        b, c = m[:, 1], m[:, 0]
+        w = np.sqrt(b * b - 4.0 * c)
+        big = -0.5 * (b + np.where(b.real * w.real + b.imag * w.imag < 0, -w, w))
+    else:
+        a, b, c = m[:, 2], m[:, 1], m[:, 0]
+        p = b - a * a / 3.0
+        q = (2.0 * a * a * a - 9.0 * a * b) / 27.0 + c
+        w = np.sqrt(0.25 * q * q + p * p * p / 27.0)
+        u3 = np.where(np.abs(w - 0.5 * q) >= np.abs(w + 0.5 * q), w - 0.5 * q, -w - 0.5 * q)
+        u = u3 ** (1.0 / 3.0)
+        v = np.divide(-p, 3.0 * u, out=np.zeros_like(u), where=u != 0)
+        branches = u[:, None] * _OMEGA + v[:, None] * _OMEGA.conj() - a[:, None] / 3.0
+        big = branches[np.arange(len(m)), np.argmax(np.abs(branches), axis=1)]
+    r = _ldexp(big, e)
+    # r is 0 only when every root is
+    prod = np.divide(-monic[:, 0], r, out=np.zeros_like(r), where=r != 0)
+    if d == 2:
+        return np.stack([r, -prod], axis=1)
+    total = np.divide(monic[:, 1] - prod, r, out=np.zeros_like(r), where=r != 0)
+    rest = _closed_form_roots(np.stack([prod, -total, np.ones_like(r)], axis=1))
+    return np.concatenate([r[:, None], rest], axis=1)
+
+
+def _ldexp(z: np.ndarray, e) -> np.ndarray:
+    """z * 2**e for exponents e broadcasting to z's shape, exact unless
+    it leaves the normal range."""
+    out = np.empty_like(z)
+    out.real = np.ldexp(z.real, e)
+    out.imag = np.ldexp(z.imag, e)
+    return out
+
+
 def univariate_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
     """All roots of sum_k coeffs[r, k] x^k for each row r of an (N, D+1) array.
 
-    Trailing (high-degree) zero coefficients of a row are trimmed first;
-    rows of equal trimmed degree share one stacked companion eigvals call.
-    Returns the roots, (N, D) with row r's in its first deg[r] entries and
-    nan after them, and the trimmed degrees deg, -1 for the zero
-    polynomial.  A row with non-finite coefficients keeps nan roots.
+    Trailing (high-degree) zero coefficients of a row are trimmed first,
+    and rows of equal trimmed degree are solved together.  Rows of degree
+    1 to 3 start from closed forms (_closed_form_roots), rows of degree 4
+    and above from one stacked companion eigvals call; all then get the
+    same Newton polish.  Returns the roots, (N, D) with row r's in its
+    first deg[r] entries and nan after them, and the trimmed degrees deg,
+    -1 for the zero polynomial.  A row with non-finite coefficients keeps
+    nan roots.
     """
     c = np.asarray(coeffs, dtype=complex)
     n, width = c.shape
@@ -75,9 +138,13 @@ def univariate_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
             monic = cd / cd[:, d, None]
             # a row with non-finite coefficients keeps nan roots
             ok = np.isfinite(monic).all(axis=1)
-            comp = np.zeros((ok.sum(), d, d), dtype=complex)
-            comp[:, 1:, :-1] = np.eye(d - 1)
-            comp[:, :, -1] = -monic[ok, :d]
+            if d <= 3:
+                start = _closed_form_roots(monic[ok])
+            else:
+                comp = np.zeros((ok.sum(), d, d), dtype=complex)
+                comp[:, 1:, :-1] = np.eye(d - 1)
+                comp[:, :, -1] = -monic[ok, :d]
+                start = np.linalg.eigvals(comp)
             rows = np.nonzero(deg == d)[0][ok]
-            roots[rows, :d] = _polish(cd[ok], np.linalg.eigvals(comp))
+            roots[rows, :d] = _polish(cd[ok], start)
     return roots, deg

@@ -205,7 +205,8 @@ def eval_root(spec: ScenarioSpec, a: np.ndarray):
 def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray):
     """Sum of r^(beta-1) / f'(r) over all roots r of the factor.
 
-    Roots come from companion-matrix eigenvalues plus Newton polish.  For
+    Roots come from _roots.univariate_roots: closed forms for degrees 1
+    to 3, companion-matrix eigenvalues above, then Newton polish.  For
     non-integer beta the power uses the principal branch; a root on (or
     hugging) the negative real axis makes that choice ambiguous and raises.
     ``a`` is one coefficient vector, or an (N, n) batch whose roots are

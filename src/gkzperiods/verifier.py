@@ -198,11 +198,14 @@ def apply_operator(
     Euler: sum_v w_v a_v d_v(phi) - kappa phi, normalized by the sum of the
     term magnitudes.  Box: d^(u+) phi - d^(u-) phi, normalized by the two
     magnitudes.  If the normalization is numerically zero relative to |phi|
-    the cell is flagged degenerate instead of dividing by noise.
+    the cell is flagged degenerate instead of dividing by noise.  The
+    derivatives it needs and phi(a) come from one ``_derive``, so their
+    samples go to phi in one batch.
     """
     if cache is None:
         cache = DerivativeCache()
     a = np.asarray(a, dtype=complex)
+    _derive(phi, a, _derivatives(op, a.size), settings, cache)
     return _residual(op, phi, a, cache.value(phi, a), settings, cache)
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -172,23 +173,89 @@ def test_period_function_wrapper_checks_shape():
     assert abs(pf(base) - 0.9512492197250393) < 1e-12
 
 
+def root_tolerance(row, r, m):
+    """How far a root r of multiplicity m of sum_k row[k] x^k may move when
+    every coefficient moves by a rounding: 64 |r| (eps S / |D|)^(1/m), with
+    S = sum_k |row[k] r^k| and D = f^(m)(r) r^m / m!, both divided by the
+    largest term |row[k] r^k| (in logs, so a root of 1e240 does not
+    overflow).  A zero root gets 64 (eps |row[0]| / |row[m]|)^(1/m)."""
+    eps = np.finfo(float).eps
+    c = np.asarray(row, dtype=complex)
+    if r == 0:
+        return 64 * (eps * abs(c[0]) / abs(c[m])) ** (1 / m)
+    k = np.arange(len(c))
+    with np.errstate(divide="ignore"):
+        logs = np.log(c) + k * np.log(complex(r))
+    terms = np.exp(logs - logs.real.max())
+    binom = np.array([math.comb(q, m) for q in k])
+    ratio = np.sum(np.abs(terms)) / abs(np.sum(binom * terms))
+    return 64 * abs(r) * (eps * ratio) ** (1 / m)
+
+
+def assert_roots_match_np_roots(row, found, exact=None):
+    """found is np.roots(row) as a multiset, each root within its
+    root_tolerance; a root's multiplicity is that of the nearest root in
+    ``exact`` (all simple if none are given)."""
+    expected = np.roots(np.asarray(row)[::-1])
+    mult = [1] * len(expected)
+    if exact is not None:
+        exact = np.asarray(exact, dtype=complex)
+        mult = [int(np.sum(exact == exact[np.argmin(np.abs(exact - r))])) for r in expected]
+    tol = [root_tolerance(row, r, m) for r, m in zip(expected, mult)]
+    assert any(
+        all(abs(found[q] - r) <= t for q, r, t in zip(perm, expected, tol))
+        for perm in itertools.permutations(range(len(found)))
+    ), (row, found, expected, tol)
+
+
+# rows of degree 1 to 3, as ascending coefficients, and their exact roots
+HARD_ROOT_ROWS = [
+    *((np.poly(roots)[::-1], roots) for roots in (
+        [1.0, 1.0 + 1e-7],                 # roots 1e-7 apart
+        [1.0, 1.0 + 1e-7, -0.5],
+        [2.0, 2.0, 2.0],                   # a triple root at 2
+        [2.0, 2.0, 0.0],
+        [1e-6, 1e6],                       # root spreads from 1e-6 to 1e6
+        [1e-6, 1.0, 1e6],
+        [1 + 2j, 1 - 2j, 0.5],             # a conjugate pair, real coefficients
+    )),
+    ([0.0, 1.0], [0.0]),                   # zero roots
+    ([0.0, 0.0, 1.0], [0.0, 0.0]),
+    ([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),
+    ([-1e240, 1.0], [1e240]),              # a 1e240 root
+    ([0.0, -1e240, 1.0], [0.0, 1e240]),
+    ([0.0, 0.0, -1e240, 1.0], [0.0, 0.0, 1e240]),
+    ([1.0, 1.0, 1e-240], [-1e240, -1.0]),
+    ([5.0, 2.0, 1.0], [-1 + 2j, -1 - 2j]),
+    # depressed cubics with p = 0 (x^3 - 8 and (x - 1)^3 - 8) and with
+    # q = 0 (x^3 - 4x and (x - 1)^3 - 4 (x - 1))
+    ([-8.0, 0.0, 0.0, 1.0], 2 * np.exp(2j * np.pi * np.arange(3) / 3)),
+    ([-9.0, 3.0, -3.0, 1.0], 1 + 2 * np.exp(2j * np.pi * np.arange(3) / 3)),
+    ([0.0, -4.0, 0.0, 1.0], [0.0, 2.0, -2.0]),
+    ([3.0, -1.0, -3.0, 1.0], [1.0, 3.0, -1.0]),
+]
+
+
 def test_stacked_roots_match_np_roots_per_row():
     # degrees 1-6 mixed in one stack, padded with trailing zeros, plus a
-    # constant and the zero polynomial
+    # constant, the zero polynomial and the hard rows of degree 1 to 3
     rng = np.random.default_rng(77)
     degrees = [int(d) for d in rng.integers(1, 7, size=40)] + [0, -1]
-    stack = np.zeros((len(degrees), 7), dtype=complex)
+    stack = np.zeros((len(degrees) + len(HARD_ROOT_ROWS), 7), dtype=complex)
     for row, d in zip(stack, degrees):
         row[: d + 1] = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    exact = [None] * len(degrees)
+    for row, (coeffs, roots) in zip(stack[len(degrees):], HARD_ROOT_ROWS):
+        row[: len(coeffs)] = coeffs
+        degrees.append(len(coeffs) - 1)
+        exact.append(roots)
     roots, deg = univariate_roots(stack)
     assert deg.tolist() == degrees
-    for row, d, found in zip(stack, degrees, roots):
+    for row, d, found, known in zip(stack, degrees, roots, exact):
         assert np.isnan(found[max(d, 0):]).all()
         if d < 1:
             continue
-        expected = np.roots(row[: d + 1][::-1])
-        for r in expected:
-            assert np.min(np.abs(found[:d] - r)) < 1e-10 * max(1.0, abs(r))
+        assert_roots_match_np_roots(row[: d + 1], found[:d], known)
         # a row's roots do not depend on the rest of its stack
         alone, _ = univariate_roots(row[None])
         assert np.array_equal(alone[0], found, equal_nan=True)
@@ -244,6 +311,21 @@ def test_cubic_residue_against_direct_root_sum():
     direct = sum(r ** (beta - 1.0) / dpoly(r) for r in map(complex, roots))
     val = eval_gl_residue(spec, a)
     assert abs(val - direct) < 1e-12 * max(1.0, abs(direct))
+
+
+def test_gl_cubic_base_value_from_exact_roots():
+    # x^3 - 8x^2 + 22x - 20 = (x - 2)(x^2 - 6x + 10): the roots are 2 and
+    # 3 +- i, and sum r^(-1/2) / f'(r) over them, taken on exact roots to
+    # 20 digits, is 0.030974808687702289245
+    roots = [2, 3 + 1j, 3 - 1j]
+    direct = sum(
+        cmath.exp(-0.5 * cmath.log(r)) / math.prod(r - s for s in roots if s != r)
+        for r in roots
+    )
+    exact = 0.030974808687702289245
+    assert abs(direct - exact) < 1e-14 * exact
+    spec = builtin("gl_cubic")
+    assert abs(PeriodFunction(spec)(spec.coefficient_vector()) - exact) < 1e-13 * exact
 
 
 def test_residue_function_smooth_through_root_collision():

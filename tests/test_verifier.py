@@ -452,6 +452,31 @@ def test_box_operator_application():
     assert on.relative < 1e-10
 
 
+def test_apply_operator_sends_one_batch():
+    # the point and both radii's samples of every derivative the operator
+    # applies go to phi together, with the same residual as derivatives
+    # made one at a time
+    fn = lambda a: cmath.exp(a[0] * a[2] + 0.5 * a[1] ** 2)
+    a = np.array([0.3, 0.4, 0.2], dtype=complex)
+    box = BoxOperator(u_plus=(1, 0, 1), u_minus=(0, 2, 0))
+    euler = EulerOperator(weights=(1, 0, 2), eigenvalue=1.5, label=("exponent", 1))
+    for op in (box, euler):
+        phi = BatchOnly(fn)
+        cache = DerivativeCache()
+        app = apply_operator(op, phi, a, DIFF, cache)
+        assert (phi.calls, phi.rows) == (1, cache.misses)
+        one_at_a_time = DerivativeCache()
+        ds = [differentiate(fn, a, m, DIFF, one_at_a_time) for m in _derivatives(op, 3)]
+        if op is box:
+            assert app.raw == ds[0].value - ds[1].value
+        else:
+            phi0 = fn(a)
+            assert app.raw == -1.5 * phi0 + a[0] * ds[0].value + 2 * a[2] * ds[1].value
+        # a repeated application evaluates nothing
+        assert apply_operator(op, phi, a, DIFF, cache) == app
+        assert phi.calls == 1
+
+
 def test_degenerate_operator_flagged():
     # box of order 2 on a linear function: both sides vanish identically
     phi = lambda a: 2.0 * a[0] + a[1]
