@@ -12,6 +12,8 @@ stack.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 __all__ = ["univariate_roots", "eval_with_derivative"]
@@ -44,18 +46,35 @@ def _polish(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Row r's roots x[r] belong to coeffs[r].  A root stops when its
     derivative vanishes or its step falls below 1e-16 * max(1, |x|).
+    Where a term |c_k x^k| of the stack could near overflow, each root
+    runs in its own variable y = x / 2^e, 2^e near its start, on its row
+    scaled by the power of two that brings its largest term at |y| = 1 to
+    about 1.  Powers of two scale exactly: in the normal range the scaled
+    steps are the unscaled ones, bit for bit.
     """
-    c = coeffs[:, None, :]
+    e = np.frexp(np.abs(x))[1]
+    size = np.frexp(np.abs(coeffs))[1]
+    degree = coeffs.shape[1] - 1
+    c, y, unit = coeffs[:, None, :], x, 1.0
+    scaled = size.max(initial=0) + degree * max(int(e.max(initial=0)), 0) >= 1000
+    if scaled:
+        size[coeffs == 0] = -(2**20)
+        ek = e[..., None] * np.arange(degree + 1, dtype=e.dtype)
+        # each root's largest term, k by k: numpy reduces a short axis slowly
+        top = reduce(np.maximum, [size[:, None, k] + ek[..., k] for k in range(degree + 1)])
+        c = _ldexp(c, ek - top[..., None])
+        # the stop rule in y: 1e-16 max(1, |x|) = 2^e 1e-16 max(2^-e, |y|)
+        y, unit = _ldexp(x, -e), np.ldexp(1.0, -e)
     live = np.ones(x.shape, dtype=bool)
     for _ in range(_POLISH_STEPS):
-        f, df = eval_with_derivative(c, x)
+        f, df = eval_with_derivative(c, y)
         live &= df != 0
         step = np.where(live, f / df, 0.0)
-        x = x - step
-        live &= ~(np.abs(step) < 1e-16 * np.maximum(1.0, np.abs(x)))
+        y = y - step
+        live &= ~(np.abs(step) < 1e-16 * np.maximum(unit, np.abs(y)))
         if not live.any():
             break
-    return x
+    return _ldexp(y, e) if scaled else y
 
 
 def _closed_form_roots(monic: np.ndarray) -> np.ndarray:
@@ -106,12 +125,10 @@ def _closed_form_roots(monic: np.ndarray) -> np.ndarray:
 
 
 def _ldexp(z: np.ndarray, e) -> np.ndarray:
-    """z * 2**e for exponents e broadcasting to z's shape, exact unless
-    it leaves the normal range."""
-    out = np.empty_like(z)
-    out.real = np.ldexp(z.real, e)
-    out.imag = np.ldexp(z.imag, e)
-    return out
+    """z * 2**e for exponents e broadcasting against z, exact unless it
+    leaves the normal range: one ldexp on both parts as a float pair."""
+    pairs = np.ascontiguousarray(z).view(float).reshape(z.shape + (2,))
+    return np.ldexp(pairs, np.asarray(e)[..., None]).view(complex)[..., 0]
 
 
 def univariate_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:

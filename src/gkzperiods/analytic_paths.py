@@ -62,19 +62,6 @@ class IntegrandOverflowError(EvaluationError):
     """The integrand magnitude exceeded floating-point range."""
 
 
-def one_or_rows(a: np.ndarray, out: list):
-    """``out`` for an (N, n) batch ``a``; for one vector, its one entry.
-
-    ``out`` holds a result or EvaluationError per row; the entry of a
-    single vector is returned, or raised if it is an error.
-    """
-    if a.ndim == 2:
-        return out
-    if isinstance(out[0], EvaluationError):
-        raise out[0]
-    return out[0]
-
-
 # ---------------------------------------------------------------------------
 # path geometry
 
@@ -272,14 +259,14 @@ def _anchor_points(
 def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
     """Replace RootAnchor endpoints by concrete roots and validate chaining.
 
-    ``a`` is an (N, n) batch of coefficient vectors; one vector is a batch
-    of one row.  The anchors of all rows are found together, one root
-    finding per anchored factor.  Returns one ResolvedPath for the batch
-    and a dict mapping each row whose anchor has no root to its
-    PathSingularityError; that row's anchored endpoints are nan.  A path
-    that does not chain or close at another row raises ScenarioError.
+    ``a`` is an (N, n) array of coefficient vectors.  The anchors of all
+    rows are found together, one root finding per anchored factor.
+    Returns one ResolvedPath for the batch and a dict mapping each row
+    whose anchor has no root to its PathSingularityError; that row's
+    anchored endpoints are nan.  A path that does not chain or close at
+    another row raises ScenarioError.
     """
-    rows = np.atleast_2d(np.asarray(a, dtype=complex))
+    rows = spec.coefficient_rows(a)
     errors: dict = {}
     anchors: dict = {}
     roots: dict = {}

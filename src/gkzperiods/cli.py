@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .analytic_paths import EvaluationError
 from .gkz_system import GkzSystem, build_system, corrupt_eigenvalue, render_system
-from .period_functions import PeriodFunction
+from .period_functions import PeriodFunction, period_values
 from .quadrature import integrate_cycle
 from .scenario import ScenarioError, ScenarioSpec
 from .scenario_io import (
@@ -120,16 +120,11 @@ def _cmd_period(args) -> int:
         a = _parse_point(args.point, spec.n_columns())
     error_estimate = None
     if spec.function_kind == "period":
-        res = integrate_cycle(spec, a)
-        if res.errors[0] is not None:
-            raise res.errors[0]
+        res = integrate_cycle(spec, a[None])
+        value = period_values(spec, res)[0]
+        if isinstance(value, EvaluationError):
+            raise value
         error_estimate = float(res.error_estimate[0])
-        if not res.converged:
-            short = any(d["short_rays"][0] for d in res.diagnostics["terms"])
-            cause = "a ray truncation is too short" if short else "quadrature did not converge"
-            print(f"error: {cause} (estimate {error_estimate:.3e})", file=sys.stderr)
-            return 2
-        value = complex(res.value[0])
     else:
         value = PeriodFunction(spec)(a)
     print(f"value = {_fmt_value(value)}")

@@ -8,10 +8,11 @@ numerical differentiation:
   root        continue the base root along a straight coefficient segment
   gl_residue  sum r^(beta-1)/f'(r) over all roots of the univariate factor
 
-PeriodFunction.batch evaluates many coefficient vectors in one call, each
-row to its value or its own EvaluationError; a single call is a batch of
-one row.  All three kinds evaluate a batch together: roots and residue
-sums share the stacked root kernel of ``_roots``.
+Every evaluator takes an (N, n) array of coefficient vectors and returns
+one entry per row: its value or its own EvaluationError.  All three kinds
+evaluate a batch together: roots and residue sums share the stacked root
+kernel of ``_roots``.  PeriodFunction is the single-vector entry: a call
+is a batch of one row that raises the row's error.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import eval_with_derivative, univariate_roots
-from .analytic_paths import EvaluationError, one_or_rows
-from .quadrature import LEVEL_CAP, integrate_cycle
+from .analytic_paths import EvaluationError
+from .quadrature import LEVEL_CAP, IntegralResult, integrate_cycle
 from .scenario import ScenarioSpec, is_real_integer
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "BranchAmbiguityError",
     "PeriodFunction",
     "eval_period",
+    "period_values",
     "eval_root",
     "eval_gl_residue",
 ]
@@ -75,6 +77,12 @@ def _poly_scale(dense: np.ndarray, x) -> np.ndarray:
     for k in range(dense.shape[-1] - 1, -1, -1):
         s = s * m + mags[..., k]
     return s
+
+
+def _degenerate_lead(dense: np.ndarray) -> np.ndarray:
+    """Rows whose leading coefficient degenerates: |c_d| < 1e-10 max_k |c_k|."""
+    mags = np.abs(dense)
+    return mags[:, -1] < 1e-10 * np.maximum(mags.max(axis=1), 1e-300)
 
 
 def _newton(dense: np.ndarray, x: np.ndarray, tol_rel: float = 1e-13,
@@ -122,8 +130,7 @@ def _continue_root_segment(
         dtl = np.minimum(dt[live], 1.0 - tl)
         tn = tl + dtl
         dense_t = d0 + tn[:, None] * dd
-        lead = np.abs(dense_t)
-        escaped = lead[:, -1] < 1e-10 * np.maximum(lead.max(axis=1), 1e-300)
+        escaped = _degenerate_lead(dense_t)
         fdot, _ = eval_with_derivative(dd, xl)
         _, df = eval_with_derivative(d0 + tl[:, None] * dd, xl)
         pred = np.where(df != 0, xl - dtl * fdot / df, xl)
@@ -172,54 +179,50 @@ def _base_root(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, float]:
     return dense, x, 1e6 * (1.0 + abs(x0))
 
 
-def eval_root(spec: ScenarioSpec, a: np.ndarray):
-    """Analytic continuation of the base root to coefficients a.
+def eval_root(spec: ScenarioSpec, a: np.ndarray) -> list:
+    """Analytic continuation of the base root to each row of ``a``.
 
     The path is the straight segment from the scenario base coefficients.
-    ``a`` is one coefficient vector, or an (N, n) batch whose rows are
-    continued together, each with its own step control: then one complex
-    or EvaluationError per row is returned.
+    The rows of the (N, n) array ``a`` are continued together, each with
+    its own step control; one complex or EvaluationError per row is
+    returned.
     """
-    a = np.asarray(a, dtype=complex)
-    rows = np.atleast_2d(a)
+    a = spec.coefficient_rows(a)
     with np.errstate(all="ignore"):
         try:
             dense, x, escape = _base_root(spec)
         except PeriodEvaluationError as exc:
-            return one_or_rows(a, [exc] * len(rows))
-        dense1 = spec.dense_univariate(rows)
+            return [exc] * len(a)
+        dense1 = spec.dense_univariate(a)
         x, errors = _continue_root_segment(
             np.broadcast_to(dense, dense1.shape), dense1,
-            np.repeat(x, len(rows)), escape,
+            np.repeat(x, len(a)), escape,
         )
     out = x.tolist()
     for r, exc in errors.items():
         out[r] = exc
-    return one_or_rows(a, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # residue sums
 
 
-def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray):
+def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray) -> list:
     """Sum of r^(beta-1) / f'(r) over all roots r of the factor.
 
     Roots come from _roots.univariate_roots: closed forms for degrees 1
     to 3, companion-matrix eigenvalues above, then Newton polish.  For
     non-integer beta the power uses the principal branch; a root on (or
-    hugging) the negative real axis makes that choice ambiguous and raises.
-    ``a`` is one coefficient vector, or an (N, n) batch whose roots are
-    found together: then one complex or EvaluationError per row is
-    returned.
+    hugging) the negative real axis makes that choice ambiguous, an error
+    for that row.  The roots of all rows of the (N, n) array ``a`` are
+    found together; one complex or EvaluationError per row is returned.
     """
-    a = np.asarray(a, dtype=complex)
-    dense = spec.dense_univariate(np.atleast_2d(a))
+    dense = spec.dense_univariate(spec.coefficient_rows(a))
     out: list = [None] * len(dense)
     beta = complex(spec.twist_beta[0])
     with np.errstate(all="ignore"):
-        mags = np.abs(dense)
-        degenerate = mags[:, -1] < 1e-10 * np.maximum(mags.max(axis=1), 1e-300)
+        degenerate = _degenerate_lead(dense)
         for r in np.nonzero(degenerate)[0]:
             out[r] = RootEscapeError("leading coefficient of the factor degenerates")
         rows = np.nonzero(~degenerate)[0]
@@ -228,7 +231,7 @@ def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray):
                 out[r] = PeriodEvaluationError(
                     "factor is constant; no roots to sum over"
                 )
-            return one_or_rows(a, out)
+            return out
         d = dense[rows]
         roots, _ = univariate_roots(d)
         # each row's roots in (real, imag) order, which fixes the summation order
@@ -263,7 +266,7 @@ def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray):
             values[i] = PeriodEvaluationError("residue sum is not finite")
     for r, v in zip(rows.tolist(), values):
         out[r] = v
-    return one_or_rows(a, out)
+    return out
 
 
 def _root_error(r: complex, df: complex, multiple: bool, beta: complex):
@@ -286,16 +289,18 @@ def _root_error(r: complex, df: complex, multiple: bool, beta: complex):
 # periods
 
 
-def eval_period(spec: ScenarioSpec, a: np.ndarray):
-    """Cycle integral at coefficients a; raises instead of returning junk.
+def eval_period(spec: ScenarioSpec, a: np.ndarray) -> list:
+    """Cycle integral at each row of (N, n) ``a``, as period_values gives it."""
+    return period_values(spec, integrate_cycle(spec, a))
 
-    ``a`` is one coefficient vector, or an (N, n) batch whose rows are
-    integrated together: then one complex or EvaluationError per row is
-    returned, and an unconverged row, or one whose rays are cut too short,
-    is an UnconvergedQuadratureError.
+
+def period_values(spec: ScenarioSpec, res: IntegralResult) -> list:
+    """Each row of a cycle integral as its complex value or its error.
+
+    A row keeps the EvaluationError its integration raised; otherwise a
+    row whose rays are cut too short, or that did not converge within the
+    level cap, is an UnconvergedQuadratureError.
     """
-    a = np.asarray(a, dtype=complex)
-    res = integrate_cycle(spec, a=a)
     terms = res.diagnostics["terms"]
     short = np.any([d["short_rays"] for d in terms], axis=0)
     tips = np.max([d["tip_ratio"] for d in terms], axis=0)
@@ -315,7 +320,7 @@ def eval_period(spec: ScenarioSpec, a: np.ndarray):
                 f"{estimate:.3e})"
             )
         out.append(complex(value) if exc is None else exc)
-    return one_or_rows(a, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +334,6 @@ class PeriodFunction:
     scenario: ScenarioSpec
 
     @property
-    def kind(self) -> str:
-        return self.scenario.function_kind
-
-    @property
     def dimension(self) -> int:
         return self.scenario.n_columns()
 
@@ -344,12 +345,6 @@ class PeriodFunction:
         value does not depend on the rest of its batch.  Every kind
         evaluates all rows together.
         """
-        a = np.asarray(a, dtype=complex)
-        if a.ndim != 2 or a.shape[1] != self.dimension:
-            raise ValueError(
-                f"expected an (N, {self.dimension}) coefficient array, "
-                f"got shape {a.shape}"
-            )
         kind = self.scenario.function_kind
         if kind == "period":
             return eval_period(self.scenario, a)

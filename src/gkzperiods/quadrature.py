@@ -335,15 +335,12 @@ def _tip_ratios(rules: tuple, level: int, grid: np.ndarray) -> np.ndarray:
 
 
 def integrate_term(
-    term: CycleTerm,
-    spec: ScenarioSpec,
-    a: np.ndarray | None = None,
+    term: CycleTerm, spec: ScenarioSpec, a: np.ndarray
 ) -> IntegralResult:
     """Integrate one product-cycle term at each row of ``a``.
 
-    ``a`` is an (N, n) batch of coefficient vectors; one vector is a batch
-    of one row, and the default is the scenario's own coefficients.  Each
-    path is resolved once for the batch, and rows are grouped by their
+    ``a`` is an (N, n) array of coefficient vectors.  Each path is
+    resolved once for the batch, and rows are grouped by their
     per-segment rules.  Each group refines its levels together,
     LEVEL_START..LEVEL_CAP, a row leaving when successive values agree to
     ``spec.settings.tol``.  A level runs on slices of the active rows, each
@@ -362,9 +359,7 @@ def integrate_term(
     _TIP_RATIO, a sign that the ray truncation is too short: level
     agreement cannot see the mass cut off past the tips.
     """
-    if a is None:
-        a = spec.coefficient_vector()
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    a = spec.coefficient_rows(a)
     if len(term.paths) != spec.m:
         raise ValueError(
             f"cycle term has {len(term.paths)} path factors, scenario has m = {spec.m}"
@@ -462,7 +457,7 @@ def integrate_term(
     )
 
 
-def integrate_cycle(spec: ScenarioSpec, a: np.ndarray | None = None) -> IntegralResult:
+def integrate_cycle(spec: ScenarioSpec, a: np.ndarray) -> IntegralResult:
     """Multiplicity-weighted sum over ``spec.cycle`` at each row of ``a``.
 
     Errors are added in quadrature; a row keeps the error of the first
@@ -471,9 +466,7 @@ def integrate_cycle(spec: ScenarioSpec, a: np.ndarray | None = None) -> Integral
     cycle = spec.cycle
     if not cycle.terms:
         raise ValueError("cycle has no terms")
-    if a is None:
-        a = spec.coefficient_vector()
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    a = spec.coefficient_rows(a)
     n_rows = a.shape[0]
     total = np.zeros(n_rows, dtype=complex)
     err_sq = np.zeros(n_rows)

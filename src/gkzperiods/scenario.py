@@ -181,6 +181,14 @@ class ScenarioSpec:
             vals.extend(fac.coefficients)
         return np.asarray(vals, dtype=complex)
 
+    def coefficient_rows(self, a) -> np.ndarray:
+        """``a`` as (N, n) complex rows; anything else raises ValueError."""
+        a = np.asarray(a, dtype=complex)
+        n = self.n_columns()
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"expected an (N, {n}) coefficient array, got shape {a.shape}")
+        return a
+
     def coefficients_for(self, a: np.ndarray, index: int) -> np.ndarray:
         """Slice of coefficient vector ``a`` belonging to factor ``index``.
 

@@ -21,8 +21,6 @@ from gkzperiods import (
     PeriodFunction,
     build_exponent_matrix,
     build_system,
-    eval_gl_residue,
-    eval_period,
     integer_kernel_basis,
 )
 from gkzperiods.gkz_system import corrupt_eigenvalue
@@ -191,7 +189,7 @@ def test_criterion_3_airy_verifies_and_matches_series_value(capsys):
     series = airy_ai(0.0)
     if abs(series - airy_ai0()) > 1e-14:
         failures.append("series oracle disagrees with its closed form")
-    val = eval_period(spec, spec.coefficient_vector())
+    val = PeriodFunction(spec)(spec.coefficient_vector())
     value_err = abs(abs(val) - 2.0 * math.pi * series)
     if value_err >= 1e-8:
         failures.append(f"|value| vs 2*pi*Ai(0): {value_err:.2e} >= 1e-8")
@@ -217,7 +215,7 @@ def test_criterion_4_residue_closed_forms_and_power_sums(capsys):
     worst_quad = 0.0
     for _ in range(10):
         a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        val = eval_gl_residue(gl_spec(a, 2.0), np.asarray(a, dtype=complex))
+        val = PeriodFunction(gl_spec(a, 2.0))(np.asarray(a, dtype=complex))
         worst_quad = max(worst_quad, abs(val - 1.0 / a[2]))
     if worst_quad >= 1e-12:
         failures.append(f"quadratic closed form err {worst_quad:.2e} >= 1e-12")
@@ -229,7 +227,7 @@ def test_criterion_4_residue_closed_forms_and_power_sums(capsys):
         deg = int(rng.choice([3, 4]))
         a = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         for k in range(deg - 1):
-            val = eval_gl_residue(gl_spec(a, k + 1.0), np.asarray(a, dtype=complex))
+            val = PeriodFunction(gl_spec(a, k + 1.0))(np.asarray(a, dtype=complex))
             worst_sum = max(worst_sum, abs(val))
     if worst_sum >= 1e-12:
         failures.append(f"vanishing power sum err {worst_sum:.2e} >= 1e-12")
@@ -318,7 +316,7 @@ def test_criterion_7_contour_and_branch_invariants(capsys):
     failures = []
 
     spec = builtin("residue_circle")
-    residue_err = abs(eval_period(spec, np.array([1.0 + 0j])) - 2j * math.pi)
+    residue_err = abs(PeriodFunction(spec)(np.array([1.0 + 0j])) - 2j * math.pi)
     if residue_err >= 1e-12:
         failures.append(f"unit residue err {residue_err:.2e} >= 1e-12")
 
@@ -334,14 +332,14 @@ def test_criterion_7_contour_and_branch_invariants(capsys):
         failures.append(f"monodromy factor err {mono_err:.2e} >= 1e-8")
 
     beta = builtin("beta")
-    single = eval_period(beta, beta.coefficient_vector())
+    single = PeriodFunction(beta)(beta.coefficient_vector())
     split_path = Path1D(
         segments=(LineSegment(0.0, 0.3), LineSegment(0.3, 1.0)), anchor_t=1.0
     )
     split = dataclasses.replace(
         beta, cycle=CycleSpec((CycleTerm(1.0, (split_path,)),))
     )
-    reparam_err = abs(eval_period(split, split.coefficient_vector()) - single)
+    reparam_err = abs(PeriodFunction(split)(split.coefficient_vector()) - single)
     if reparam_err >= 1e-10:
         failures.append(f"reparameterization err {reparam_err:.2e} >= 1e-10")
 
@@ -349,7 +347,7 @@ def test_criterion_7_contour_and_branch_invariants(capsys):
     back = dataclasses.replace(
         beta, cycle=CycleSpec((CycleTerm(1.0, (back_path,)),))
     )
-    reverse_err = abs(eval_period(back, back.coefficient_vector()) + single)
+    reverse_err = abs(PeriodFunction(back)(back.coefficient_vector()) + single)
     if reverse_err >= 1e-12:
         failures.append(f"orientation reversal err {reverse_err:.2e} >= 1e-12")
 

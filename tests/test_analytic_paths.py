@@ -44,9 +44,8 @@ def transport(spec, path, factors=None, coords=None, samples=64):
     Returns the parameters, their points, and the factor and coordinate
     logs keyed by index.
     """
-    a = spec.coefficient_vector()
-    # a batch of one row; its error, if any, is raised
-    rpath, errors = resolve_path(path, spec, a)
+    rows = spec.coefficient_vector()[None]
+    rpath, errors = resolve_path(path, spec, rows)
     assert not errors
     ts = np.unique(np.concatenate(
         [np.linspace(k, k + 1, samples + 1) for k in range(rpath.nsegments)]
@@ -54,7 +53,7 @@ def transport(spec, path, factors=None, coords=None, samples=64):
     pts = rpath.point(ts)
     auto_factors, auto_coords = tracked_requirements(spec)
     factor_logs, coord_logs, errors = branch_logs(
-        spec, a[None], [rpath], [ts], [pts],
+        spec, rows, [rpath], [ts], [pts],
         auto_factors if factors is None else factors,
         auto_coords if coords is None else coords,
     )
@@ -150,14 +149,14 @@ def test_root_anchor_follows_coefficients():
     spec = builtin("gauss")
     path = spec.cycle.terms[0].paths[0]
     a = spec.coefficient_vector()
-    rp, _ = resolve_path(path, spec, a)
+    rp, _ = resolve_path(path, spec, a[None])
     ends = rp.endpoints()[0][:, :, 0]
     # base coefficients: factor 2 root at 0.5, factor 1 root at 2.0
     assert abs(ends[0, 0] - 0.5) < 1e-12
     assert abs(ends[-1, 1] - 2.0) < 1e-12
     # perturb the linear factors: the endpoints move with the roots
     b = a + np.array([0.07j, -0.02, 0.05, 0.01j])
-    rp2, _ = resolve_path(path, spec, b)
+    rp2, _ = resolve_path(path, spec, b[None])
     ends = rp2.endpoints()[0][:, :, 0]
     assert abs(ends[0, 0] - (-b[2] / b[3])) < 1e-10
     assert abs(ends[-1, 1] - (-b[0] / b[1])) < 1e-10
@@ -174,7 +173,7 @@ def test_non_chaining_segments_rejected():
         ),
     )
     with pytest.raises(ScenarioError, match="do not chain"):
-        resolve_path(path, spec, spec.coefficient_vector())
+        resolve_path(path, spec, spec.coefficient_vector()[None])
 
 
 def test_closed_path_must_return_to_start():
@@ -187,7 +186,7 @@ def test_closed_path_must_return_to_start():
         closed=True,
     )
     with pytest.raises(ScenarioError, match="does not return"):
-        resolve_path(path, spec, spec.coefficient_vector())
+        resolve_path(path, spec, spec.coefficient_vector()[None])
 
 
 def test_tracked_requirements_by_kind():
@@ -252,7 +251,7 @@ def test_anchor_out_of_range_rejected():
         anchor_t=5.0,
     )
     with pytest.raises(ScenarioError, match="anchor_t"):
-        resolve_path(path, spec, spec.coefficient_vector())
+        resolve_path(path, spec, spec.coefficient_vector()[None])
 
 
 def test_bisection_runs_per_row_and_keeps_rows_apart():

@@ -200,7 +200,21 @@ def test_period_with_short_rays_exits_2(tmp_path):
     path.write_text(text.replace('"length": 9.0', '"length": 3.0'))
     res = run_cli("period", str(path))
     assert res.returncode == 2
-    assert "error: a ray truncation is too short" in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: UnconvergedQuadratureError: a ray truncation is too short"
+    ), res.stderr
+    assert "value =" not in res.stdout
+
+
+def test_period_without_convergence_exits_2():
+    # no level of gauss agrees to 1e-30 before the level cap
+    res = run_cli("period", "gauss", "--tol", "1e-30")
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: UnconvergedQuadratureError: quadrature did not converge"
+    ), res.stderr
     assert "value =" not in res.stdout
 
 

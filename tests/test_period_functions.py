@@ -21,10 +21,14 @@ from gkzperiods import (
     ScenarioSpec,
     build_system,
     eval_gl_residue,
+    eval_period,
     eval_root,
+    integrate_cycle,
+    integrate_term,
     validate_scenario,
 )
 from gkzperiods._roots import univariate_roots
+from gkzperiods.analytic_paths import resolve_path
 from gkzperiods.verifier import verification_points
 
 from oracles import direction_circles, quadratic_formula_root, track_root
@@ -60,7 +64,7 @@ def test_continued_root_still_satisfies_polynomial():
     base = spec.coefficient_vector()
     points = verification_points(base, 100, seed=2024)
     for a in points:
-        x = eval_root(spec, a)
+        x = PeriodFunction(spec)(a)
         residual = abs(a[0] + a[1] * x + a[2] * x * x)
         assert residual < 1e-12 * max(1.0, abs(x)) * float(np.max(np.abs(a)))
 
@@ -69,7 +73,7 @@ def test_continuation_matches_quadratic_formula():
     spec = builtin("quadratic_root")
     base = spec.coefficient_vector()
     for a in verification_points(base, 25, seed=99):
-        x = eval_root(spec, a)
+        x = PeriodFunction(spec)(a)
         expect = quadratic_formula_root(a, near=x)
         assert abs(x - expect) < 1e-12
         # nearest-branch matching is not circular: the two roots are far apart
@@ -79,7 +83,7 @@ def test_continuation_matches_quadratic_formula():
 
 def test_square_root_of_two():
     spec = builtin("quadratic_root")
-    x = eval_root(spec, np.array([-2.0, 0.0, 1.0]))
+    x = PeriodFunction(spec)(np.array([-2.0, 0.0, 1.0]))
     assert abs(x - math.sqrt(2.0)) < 1e-12
 
 
@@ -87,7 +91,7 @@ def test_loop_around_discriminant_swaps_branch():
     # x^2 + a0 with a0 circling 0: the tracked square root changes sign
     spec = builtin("quadratic_root")
     start = np.array([-1.0, 0.0, 1.0], dtype=complex)
-    x0 = eval_root(spec, start)
+    x0 = PeriodFunction(spec)(start)
     assert abs(x0 - 1.0) < 1e-12
     loop = [
         np.array([-cmath.exp(2j * math.pi * k / 12), 0.0, 1.0])
@@ -102,18 +106,18 @@ def test_root_scaling_identities():
     # x(t a) = x(a); x(a0, t a1, t^2 a2) = x(a) / t
     spec = builtin("quadratic_root")
     a = np.array([-1.1, 0.13, 0.94], dtype=complex)
-    x = eval_root(spec, a)
+    x = PeriodFunction(spec)(a)
     t = 1.3 - 0.4j
-    assert abs(eval_root(spec, t * a) - x) < 1e-10
+    assert abs(PeriodFunction(spec)(t * a) - x) < 1e-10
     scaled = np.array([a[0], t * a[1], t * t * a[2]])
-    assert abs(eval_root(spec, scaled) - x / t) < 1e-10
+    assert abs(PeriodFunction(spec)(scaled) - x / t) < 1e-10
 
 
 def test_root_against_log_derivative_contour():
     # (1/2 pi i) oint x f'/f dx around the tracked root, plain trapezoid
     spec = builtin("quadratic_root")
     a = np.array([-1.05 + 0.1j, 0.2 - 0.05j, 0.93], dtype=complex)
-    x_star = eval_root(spec, a)
+    x_star = PeriodFunction(spec)(a)
     r, n = 0.3, 256
     theta = 2.0 * math.pi * np.arange(n) / n
     z = x_star + r * np.exp(1j * theta)
@@ -127,21 +131,21 @@ def test_root_against_log_derivative_contour():
 def test_root_function_is_holomorphic():
     # first-order differences in h and ih agree through multiplication by i
     spec = builtin("quadratic_root")
+    phi = PeriodFunction(spec)
     a = spec.coefficient_vector().astype(complex)
     h = 1e-5
     for v in range(3):
         e = np.zeros(3, dtype=complex)
         e[v] = 1.0
-        d_re = (eval_root(spec, a + h * e) - eval_root(spec, a - h * e)) / (2 * h)
-        d_im = (eval_root(spec, a + 1j * h * e)
-                - eval_root(spec, a - 1j * h * e)) / (2j * h)
+        d_re = (phi(a + h * e) - phi(a - h * e)) / (2 * h)
+        d_im = (phi(a + 1j * h * e) - phi(a - 1j * h * e)) / (2j * h)
         assert abs(d_re - d_im) < 1e-8 * max(1.0, abs(d_re))
 
 
 def test_parametric_root_scenario_folds_frozen_variable():
     spec = builtin("cubic_root_parametric")
     a = spec.coefficient_vector()
-    x = eval_root(spec, a)
+    x = PeriodFunction(spec)(a)
     assert abs(x - complex(spec.base_root)) < 1e-12
     # residual of the bivariate factor at (x1, x2) = (0.7, root)
     fac = spec.factors[0]
@@ -153,19 +157,18 @@ def test_near_discriminant_raises():
     # target polynomial has an exact double root; Newton stalls approaching it
     spec = builtin("quadratic_root")
     with pytest.raises(NearDiscriminantError):
-        eval_root(spec, np.array([1.0, -2.0, 1.0]))
+        PeriodFunction(spec)(np.array([1.0, -2.0, 1.0]))
 
 
 def test_root_escape_raises():
     # leading coefficient dies along the segment
     spec = builtin("quadratic_root")
     with pytest.raises(RootEscapeError):
-        eval_root(spec, np.array([-1.0, 0.1, -1.0]))
+        PeriodFunction(spec)(np.array([-1.0, 0.1, -1.0]))
 
 
 def test_period_function_wrapper_checks_shape():
     pf = PeriodFunction(builtin("quadratic_root"))
-    assert pf.kind == "root"
     assert pf.dimension == 3
     with pytest.raises(ValueError, match="length 3"):
         pf(np.array([1.0, 2.0]))
@@ -261,6 +264,16 @@ def test_stacked_roots_match_np_roots_per_row():
         assert np.array_equal(alone[0], found, equal_nan=True)
 
 
+def test_polish_keeps_far_apart_roots_in_range():
+    # Horner on the unscaled row at x = 1e240 overflows; each root is
+    # polished in its own scaled variable, so all three come out
+    roots, deg = univariate_roots(np.poly([1e240, 1.0, 2.0])[::-1][None])
+    assert deg.tolist() == [3]
+    found = sorted(roots[0], key=abs)
+    for got, want in zip(found, [1.0, 2.0, 1e240]):
+        assert abs(got - want) <= 1e-15 * want
+
+
 # ---------------------------------------------------------------------------
 # global residue sums
 
@@ -273,7 +286,7 @@ def test_quadratic_residue_closed_form():
         a = spec.coefficient_vector() + 0.3 * (
             rng.standard_normal(3) + 1j * rng.standard_normal(3)
         )
-        val = eval_gl_residue(spec, a)
+        val = PeriodFunction(spec)(a)
         assert abs(val - 1.0 / a[2]) < 1e-12 * abs(1.0 / a[2])
 
 
@@ -285,7 +298,7 @@ def test_euler_jacobi_vanishing():
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             for k in range(deg - 1):
                 spec = gl_spec(coeffs, beta=k + 1)
-                val = eval_gl_residue(spec, spec.coefficient_vector())
+                val = PeriodFunction(spec)(spec.coefficient_vector())
                 roots = np.roots(coeffs[::-1])
                 dpoly = np.polyder(np.poly1d(coeffs[::-1]))
                 scale = float(np.sum(np.abs(roots**k / dpoly(roots))))
@@ -298,7 +311,7 @@ def test_top_residue_is_inverse_leading_coefficient():
     for deg in (2, 3, 4, 5):
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         spec = gl_spec(coeffs, beta=deg)
-        val = eval_gl_residue(spec, spec.coefficient_vector())
+        val = PeriodFunction(spec)(spec.coefficient_vector())
         assert abs(val - 1.0 / coeffs[-1]) < 1e-12 * abs(1.0 / coeffs[-1])
 
 
@@ -309,7 +322,7 @@ def test_cubic_residue_against_direct_root_sum():
     roots = np.roots(a[::-1])
     dpoly = np.poly1d(a[::-1]).deriv()
     direct = sum(r ** (beta - 1.0) / dpoly(r) for r in map(complex, roots))
-    val = eval_gl_residue(spec, a)
+    val = PeriodFunction(spec)(a)
     assert abs(val - direct) < 1e-12 * max(1.0, abs(direct))
 
 
@@ -336,7 +349,7 @@ def test_residue_function_smooth_through_root_collision():
     spec = gl_spec(base, beta=0.5)
 
     def phi(eps):
-        return eval_gl_residue(spec, base + np.array([eps, 0.0, 0.0, 0.0]))
+        return PeriodFunction(spec)(base + np.array([eps, 0.0, 0.0, 0.0]))
 
     vals = [phi(10.0**-k) for k in (2, 3, 4, 5)]
     diffs = [abs(v1 - v0) for v0, v1 in zip(vals, vals[1:])]
@@ -350,13 +363,13 @@ def test_residue_function_smooth_through_root_collision():
 def test_multiple_root_raises():
     spec = gl_spec([1.0, -2.0, 1.0], beta=2)  # (x-1)^2
     with pytest.raises(MultipleRootError):
-        eval_gl_residue(spec, spec.coefficient_vector())
+        PeriodFunction(spec)(spec.coefficient_vector())
 
 
 def test_branch_cut_root_raises():
     spec = gl_spec([1.0, 1.0], beta=0.5)  # root at -1, non-integer twist
     with pytest.raises(BranchAmbiguityError):
-        eval_gl_residue(spec, spec.coefficient_vector())
+        PeriodFunction(spec)(spec.coefficient_vector())
 
 
 def test_degenerate_leading_coefficient_raises():
@@ -364,7 +377,7 @@ def test_degenerate_leading_coefficient_raises():
     a = spec.coefficient_vector()
     a[2] = 0.0
     with pytest.raises(RootEscapeError, match="leading coefficient"):
-        eval_gl_residue(spec, a)
+        PeriodFunction(spec)(a)
 
 
 def test_gl_cubic_fractional_beta_uses_principal_branch():
@@ -372,7 +385,7 @@ def test_gl_cubic_fractional_beta_uses_principal_branch():
     # against cmath at every root
     spec = builtin("gl_cubic")
     a = spec.coefficient_vector()
-    val = eval_gl_residue(spec, a)
+    val = PeriodFunction(spec)(a)
     roots = np.roots(a[::-1])
     dpoly = np.poly1d(a[::-1]).deriv()
     direct = sum(
@@ -470,3 +483,23 @@ def test_batch_rejects_a_single_vector():
     pf = PeriodFunction(builtin("beta"))
     with pytest.raises(ValueError, match=r"\(N, 2\)"):
         pf.batch(pf.scenario.coefficient_vector())
+
+
+@pytest.mark.parametrize(
+    "name, evaluate",
+    [
+        ("gauss", eval_period),
+        ("quadratic_root", eval_root),
+        ("gl_quadratic", eval_gl_residue),
+        ("gauss", integrate_cycle),
+        ("gauss", lambda spec, a: integrate_term(spec.cycle.terms[0], spec, a)),
+        ("gauss", lambda spec, a: resolve_path(spec.cycle.terms[0].paths[0], spec, a)),
+    ],
+    ids=["eval_period", "eval_root", "eval_gl_residue", "integrate_cycle",
+         "integrate_term", "resolve_path"],
+)
+def test_rows_only_entries_reject_a_single_vector(name, evaluate):
+    spec = builtin(name)
+    n = spec.n_columns()
+    with pytest.raises(ValueError, match=rf"\(N, {n}\) coefficient array"):
+        evaluate(spec, spec.coefficient_vector())

@@ -16,6 +16,7 @@ from gkzperiods import (
     LineSegment,
     Path1D,
     PathSingularityError,
+    PeriodFunction,
     RaySegment,
     RootAnchor,
     ScenarioError,
@@ -80,7 +81,7 @@ def period_spec(name, factors, beta, cycle, m=1, **settings):
 def test_residue_of_inverse_coordinate():
     # builtin: (2x)^(-1) around the unit circle, exactly pi i
     spec = builtin("residue_circle")
-    val = eval_period(spec, spec.coefficient_vector())
+    val = PeriodFunction(spec)(spec.coefficient_vector())
     assert abs(val - 1j * math.pi) < 1e-12
 
 
@@ -90,32 +91,32 @@ def test_entire_integrand_integrates_to_zero_on_loops():
                         coefficients=(0.0, 1.0), lam=2.0)
     spec = period_spec("loop_zero", (fac,), (1.0,),
                        CycleSpec((CycleTerm(1.0, (unit_circle(),)),)))
-    val = eval_period(spec, spec.coefficient_vector())
+    val = PeriodFunction(spec)(spec.coefficient_vector())
     assert abs(val) < 1e-12
 
 
 def test_beta_integral_closed_form():
     spec = builtin("beta")
-    val = eval_period(spec, spec.coefficient_vector())
+    val = PeriodFunction(spec)(spec.coefficient_vector())
     assert abs(val - 1.0 / 6.0) < 1e-12
 
 
 def test_gauss_segment_against_frozen_reference():
     spec = builtin("gauss")
-    val = eval_period(spec, spec.coefficient_vector())
+    val = PeriodFunction(spec)(spec.coefficient_vector())
     assert abs(val - GAUSS_SEGMENT_VALUE) < 1e-9
 
 
 def test_airy_contour_value():
     spec = builtin("airy")
-    val = eval_period(spec, spec.coefficient_vector())
+    val = PeriodFunction(spec)(spec.coefficient_vector())
     assert abs(val - TWO_PI * 1j * airy_ai0()) < 1e-8
 
 
 def test_pochhammer_cycle_value():
     # double contour: (1 - mu0)(1 - mu1) B(3/2, 3/2) with mu = exp(2 pi i /2)
     spec = builtin("pochhammer")
-    val = eval_period(spec, spec.coefficient_vector())
+    val = PeriodFunction(spec)(spec.coefficient_vector())
     b_32_32 = math.gamma(1.5) ** 2 / math.gamma(3.0)
     assert abs(val - 4.0 * b_32_32) < 1e-10
     assert abs(val - 0.5 * math.pi) < 1e-10
@@ -127,7 +128,7 @@ def test_torus_residue_in_two_variables():
                         coefficients=(1.0,), lam=-1.0)
     cycle = CycleSpec((CycleTerm(1.0, (unit_circle(), unit_circle())),))
     spec = period_spec("torus", (fac,), (1.0, 1.0), cycle, m=2)
-    val = eval_period(spec, spec.coefficient_vector())
+    val = PeriodFunction(spec)(spec.coefficient_vector())
     assert abs(val - (2j * math.pi) ** 2) < 1e-10 * abs(val)
 
 
@@ -145,7 +146,7 @@ def bilinear_spec(a):
 def comb_logs(spec):
     """Transported logs of factor 1 on a 65 x 49 grid over the torus."""
     a = spec.coefficient_vector()
-    rpaths = [resolve_path(p, spec, a)[0] for p in spec.cycle.terms[0].paths]
+    rpaths = [resolve_path(p, spec, a[None])[0] for p in spec.cycle.terms[0].paths]
     axes_ts = [np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 49)]
     axes_pts = [rp.point(ts) for rp, ts in zip(rpaths, axes_ts)]
     factor_logs, _, errors = branch_logs(
@@ -192,16 +193,16 @@ def test_divergent_endpoint_exponents_stay_honest():
                                 anchor_t=0.5),)),)
     )
     spec = period_spec("halfpole", (fac,), (0.5,), cycle)
-    res = integrate_cycle(spec, a=spec.coefficient_vector())
+    res = integrate_cycle(spec, spec.coefficient_vector()[None])
     assert abs(res.value - math.pi) < 5e-7
     if not res.converged:
         with pytest.raises(UnconvergedQuadratureError):
-            eval_period(spec, spec.coefficient_vector())
+            PeriodFunction(spec)(spec.coefficient_vector())
     # relaxing the tolerance to the honest floor converges cleanly
     loose = dataclasses.replace(
         spec, settings=dataclasses.replace(spec.settings, tol=1e-6)
     )
-    val = eval_period(loose, loose.coefficient_vector())
+    val = PeriodFunction(loose)(loose.coefficient_vector())
     assert abs(val - math.pi) < 1e-6
 
 
@@ -217,7 +218,7 @@ def test_clipped_tail_enters_the_error_estimate():
                                 anchor_t=0.5),)),)
     )
     spec = period_spec("halfzero", (fac,), (0.5,), cycle, tol=1e-9)
-    res = integrate_cycle(spec, a=spec.coefficient_vector())
+    res = integrate_cycle(spec, spec.coefficient_vector()[None])
     true_err = abs(res.value - 0.5 * math.pi)
     assert not res.converged
     assert res.error_estimate >= true_err
@@ -225,7 +226,7 @@ def test_clipped_tail_enters_the_error_estimate():
     loose = dataclasses.replace(
         spec, settings=dataclasses.replace(spec.settings, tol=1e-6)
     )
-    res2 = integrate_cycle(loose, a=loose.coefficient_vector())
+    res2 = integrate_cycle(loose, loose.coefficient_vector()[None])
     assert res2.converged
     assert abs(res2.value - 0.5 * math.pi) <= res2.error_estimate < 1.6e-6
 
@@ -234,15 +235,16 @@ def test_term_multiplicity_scales_value():
     spec = builtin("beta")
     term = spec.cycle.terms[0]
     doubled = CycleTerm(multiplicity=-2.0, paths=term.paths)
-    r1 = integrate_term(term, spec)
-    r2 = integrate_term(doubled, spec)
+    a = spec.coefficient_vector()[None]
+    r1 = integrate_term(term, spec, a)
+    r2 = integrate_term(doubled, spec, a)
     assert abs(r2.value + 2.0 * r1.value) < 1e-12
     assert r1.converged and r2.converged
 
 
 def test_error_estimate_covers_true_error():
     spec = builtin("gauss")
-    res = integrate_cycle(spec, a=spec.coefficient_vector())
+    res = integrate_cycle(spec, spec.coefficient_vector()[None])
     assert res.converged
     true_err = abs(res.value - GAUSS_SEGMENT_VALUE)
     assert true_err < 10.0 * max(res.error_estimate, 1e-12)
@@ -253,7 +255,7 @@ def test_level_refinement_converges_geometrically():
     a = spec.coefficient_vector()
     term = spec.cycle.terms[0]
     tracked_factors, tracked_coords = tracked_requirements(spec)
-    rpaths = [resolve_path(p, spec, a)[0] for p in term.paths]
+    rpaths = [resolve_path(p, spec, a[None])[0] for p in term.paths]
     rules = [tuple(_path_rules(rp, spec, a[None], tracked_factors, tracked_coords)[0])
              for rp in rpaths]
     vals = []
@@ -271,7 +273,7 @@ def test_level_refinement_converges_geometrically():
 def test_split_segment_matches_single_segment():
     # same contour, different parameterization: split at an interior point
     spec = builtin("beta")
-    single = eval_period(spec, spec.coefficient_vector())
+    single = PeriodFunction(spec)(spec.coefficient_vector())
     split_path = Path1D(
         segments=(LineSegment(0.0, 0.3), LineSegment(0.3, 1.0)),
         anchor_t=1.0,
@@ -279,18 +281,18 @@ def test_split_segment_matches_single_segment():
     split = dataclasses.replace(
         spec, cycle=CycleSpec((CycleTerm(1.0, (split_path,)),))
     )
-    val = eval_period(split, split.coefficient_vector())
+    val = PeriodFunction(split)(split.coefficient_vector())
     assert abs(val - single) < 1e-10
 
 
 def test_orientation_reversal_flips_sign():
     spec = builtin("beta")
-    forward = eval_period(spec, spec.coefficient_vector())
+    forward = PeriodFunction(spec)(spec.coefficient_vector())
     back_path = Path1D(segments=(LineSegment(1.0, 0.0),), anchor_t=0.5)
     back = dataclasses.replace(
         spec, cycle=CycleSpec((CycleTerm(1.0, (back_path,)),))
     )
-    val = eval_period(back, back.coefficient_vector())
+    val = PeriodFunction(back)(back.coefficient_vector())
     assert abs(val + forward) < 1e-12
 
 
@@ -314,9 +316,9 @@ def with_ray_length(spec, length):
 def test_ray_truncation_is_long_enough():
     # lengthening the airy rays by a third moves nothing at this tolerance
     spec = builtin("airy")
-    short = eval_period(spec, spec.coefficient_vector())
+    short = PeriodFunction(spec)(spec.coefficient_vector())
     long = with_ray_length(spec, 12.0)
-    val = eval_period(long, long.coefficient_vector())
+    val = PeriodFunction(long)(long.coefficient_vector())
     assert abs(val - short) < 1e-10
 
 
@@ -345,7 +347,7 @@ def test_level_cap_failure_raises():
         spec, settings=dataclasses.replace(spec.settings, tol=1e-300)
     )
     with pytest.raises(UnconvergedQuadratureError, match="level cap 14"):
-        eval_period(starved, starved.coefficient_vector())
+        PeriodFunction(starved)(starved.coefficient_vector())
 
 
 def test_moved_coefficients_move_the_value():
@@ -353,8 +355,8 @@ def test_moved_coefficients_move_the_value():
     # pair (coefficient, value) must stay proportional
     spec = builtin("residue_circle")
     a = spec.coefficient_vector()
-    val0 = eval_period(spec, a)
-    val1 = eval_period(spec, 2.0 * a)
+    val0 = PeriodFunction(spec)(a)
+    val1 = PeriodFunction(spec)(2.0 * a)
     assert abs(val1 - 0.5 * val0) < 1e-12
 
 
@@ -386,7 +388,7 @@ def test_batch_rows_keep_their_own_diagnostics(name):
     rows = np.array(verification_points(spec.coefficient_vector(), 3, seed=7))
     batch = integrate_cycle(spec, rows)
     for k, row in enumerate(rows):
-        alone = integrate_cycle(spec, row)
+        alone = integrate_cycle(spec, row[None])
         assert batch.value[k] == alone.value[0]
         assert batch.error_estimate[k] == alone.error_estimate[0]
         for term_batch, term_alone in zip(
@@ -398,7 +400,7 @@ def test_batch_rows_keep_their_own_diagnostics(name):
                 row_level_values(term_batch, k), term_alone["levels"]
             )
     assert batch.nodes_used == sum(
-        integrate_cycle(spec, row).nodes_used for row in rows
+        integrate_cycle(spec, row[None]).nodes_used for row in rows
     )
 
 
@@ -424,7 +426,7 @@ def test_batch_rows_do_not_depend_on_the_batch_size(monkeypatch):
     batch = eval_period(spec, rows)
     # level 6 is the 64 x 64 grid
     assert (len(rows), 6) in calls
-    assert batch == [eval_period(spec, row) for row in rows]
+    assert batch == [eval_period(spec, row[None])[0] for row in rows]
     levels = integrate_cycle(spec, rows).diagnostics["terms"][0]["row_levels"]
     assert quadrature.LEVEL_START + max(levels) - 1 >= 6
 
