@@ -96,9 +96,10 @@ def _closed_form_roots(monic: np.ndarray) -> np.ndarray:
     d = monic.shape[1] - 1
     if d == 1:
         return -monic[:, :1]
-    k = np.arange(d)
+    # int32 exponents, as frexp gives _polish: np.ldexp casts int64 slowly
+    k = np.arange(d, dtype=np.int32)
     e = np.rint(np.max(np.log2(np.abs(monic[:, :d])) / (d - k), axis=1))
-    e = np.where(np.isfinite(e), e, 0.0).astype(int)
+    e = np.where(np.isfinite(e), e, 0.0).astype(np.int32)
     m = _ldexp(monic[:, :d], e[:, None] * (k - d))
     if d == 2:
         b, c = m[:, 1], m[:, 0]

@@ -234,6 +234,12 @@ def _anchor_points(
     """
     if spec.m != 1:
         raise ScenarioError("cycle", "root-anchored endpoints need m = 1")
+    if not 1 <= anchor.factor <= len(spec.factors):
+        raise ScenarioError(
+            "cycle",
+            f"root anchor names factor {anchor.factor}, scenario has "
+            f"{len(spec.factors)}",
+        )
     fac = spec.factors[anchor.factor - 1]
     if fac.kind != "power":
         raise ScenarioError("cycle", "root anchor must point at a power factor")
@@ -301,6 +307,8 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
             )
         elif isinstance(seg, RaySegment):
             d = complex(seg.direction)
+            if d == 0:
+                raise ScenarioError("cycle", "ray direction is zero")
             if abs(abs(d) - 1.0) > 1e-9:
                 d = d / abs(d)
             segs.append(

@@ -52,10 +52,6 @@ class GkzSystem:
     boxes: tuple[BoxOperator, ...]
     warnings: tuple[str, ...]
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.matrix.column_labels)
-
 
 def _euler_eigenvalue(spec: ScenarioSpec, label: RowLabel) -> complex:
     kind_label, idx = label

@@ -28,7 +28,7 @@ from .analytic_paths import (
     resolve_path,
     tracked_requirements,
 )
-from .scenario import ScenarioSpec
+from .scenario import ScenarioError, ScenarioSpec
 
 __all__ = ["IntegralResult", "branch_logs", "integrate_term", "integrate_cycle"]
 
@@ -361,8 +361,9 @@ def integrate_term(
     """
     a = spec.coefficient_rows(a)
     if len(term.paths) != spec.m:
-        raise ValueError(
-            f"cycle term has {len(term.paths)} path factors, scenario has m = {spec.m}"
+        raise ScenarioError(
+            "cycle",
+            f"term has {len(term.paths)} path factors, scenario has m = {spec.m}",
         )
     n_rows = a.shape[0]
     tracked_factors, tracked_coords = tracked_requirements(spec)

@@ -35,8 +35,6 @@ __all__ = [
     "DerivativeCache",
     "DerivResult",
     "differentiate",
-    "OperatorApplication",
-    "apply_operator",
     "ResidualCell",
     "ResidualReport",
     "verification_points",
@@ -173,80 +171,6 @@ def _derive(phi, a: np.ndarray, multis: list, settings: EvalSettings,
 
 
 # ---------------------------------------------------------------------------
-# operators
-
-
-@dataclass(frozen=True)
-class OperatorApplication:
-    raw: complex
-    normalization: float
-    relative: float
-    diagnostic: float
-    degenerate: bool
-    warnings: tuple = ()
-
-
-def apply_operator(
-    op,
-    phi,
-    a: np.ndarray,
-    settings: EvalSettings,
-    cache: DerivativeCache | None = None,
-) -> OperatorApplication:
-    """Apply one annihilator to phi at a and normalize the residual.
-
-    Euler: sum_v w_v a_v d_v(phi) - kappa phi, normalized by the sum of the
-    term magnitudes.  Box: d^(u+) phi - d^(u-) phi, normalized by the two
-    magnitudes.  If the normalization is numerically zero relative to |phi|
-    the cell is flagged degenerate instead of dividing by noise.  The
-    derivatives it needs and phi(a) come from one ``_derive``, so their
-    samples go to phi in one batch.
-    """
-    if cache is None:
-        cache = DerivativeCache()
-    a = np.asarray(a, dtype=complex)
-    _derive(phi, a, _derivatives(op, a.size), settings, cache)
-    return _residual(op, phi, a, cache.value(phi, a), settings, cache)
-
-
-def _residual(
-    op, phi, a: np.ndarray, phi0: complex, settings: EvalSettings,
-    cache: DerivativeCache,
-) -> OperatorApplication:
-    """apply_operator at a point whose value phi0 is already looked up."""
-    multis = _derivatives(op, a.size)
-    ds = [differentiate(phi, a, m, settings, cache) for m in multis]
-    if isinstance(op, EulerOperator):
-        raw = -complex(op.eigenvalue) * phi0
-        norm = abs(complex(op.eigenvalue) * phi0)
-        for multi, d in zip(multis, ds):
-            v = multi.index(1)
-            term = op.weights[v] * a[v] * d.value
-            raw += term
-            norm += abs(term)
-    else:
-        plus, minus = ds
-        raw = plus.value - minus.value
-        norm = abs(plus.value) + abs(minus.value)
-    diag = max([d.diagnostic for d in ds], default=0.0)
-    warnings = [w for d in ds for w in d.warnings]
-    raw = complex(raw)
-    norm = float(norm)
-    diag = float(diag)
-    scale = abs(phi0) if phi0 != 0 else 1.0
-    degenerate = bool(norm < _DEGENERATE_FRACTION * scale)
-    relative = 0.0 if degenerate else abs(raw) / norm
-    return OperatorApplication(
-        raw=raw,
-        normalization=norm,
-        relative=relative,
-        diagnostic=diag,
-        degenerate=degenerate,
-        warnings=tuple(warnings),
-    )
-
-
-# ---------------------------------------------------------------------------
 # verification
 
 
@@ -314,6 +238,54 @@ def _operator_label(op) -> str:
     return f"box {tuple(p - m for p, m in zip(op.u_plus, op.u_minus))}"
 
 
+def _residual(
+    op, phi, a: np.ndarray, phi0: complex, settings: EvalSettings,
+    cache: DerivativeCache, k: int,
+) -> ResidualCell:
+    """The cell of one operator at point k, where phi(a) is phi0.
+
+    Euler: sum_v w_v a_v d_v(phi) - kappa phi, normalized by the sum of the
+    term magnitudes.  Box: d^(u+) phi - d^(u-) phi, normalized by the two
+    magnitudes.  If the normalization is numerically zero relative to |phi|
+    the cell is flagged degenerate instead of dividing by noise; a failing
+    derivative makes it an error cell.
+    """
+    label = _operator_label(op)
+    multis = _derivatives(op, a.size)
+    try:
+        ds = [differentiate(phi, a, m, settings, cache) for m in multis]
+    except EvaluationError as exc:
+        return ResidualCell(
+            operator=label, point_index=k, error=f"{type(exc).__name__}: {exc}"
+        )
+    if isinstance(op, EulerOperator):
+        raw = -complex(op.eigenvalue) * phi0
+        norm = abs(complex(op.eigenvalue) * phi0)
+        for multi, d in zip(multis, ds):
+            v = multi.index(1)
+            term = op.weights[v] * a[v] * d.value
+            raw += term
+            norm += abs(term)
+    else:
+        plus, minus = ds
+        raw = plus.value - minus.value
+        norm = abs(plus.value) + abs(minus.value)
+    raw = complex(raw)
+    norm = float(norm)
+    scale = abs(phi0) if phi0 != 0 else 1.0
+    degenerate = bool(norm < _DEGENERATE_FRACTION * scale)
+    return ResidualCell(
+        operator=label,
+        point_index=k,
+        raw=raw,
+        normalization=norm,
+        relative=0.0 if degenerate else abs(raw) / norm,
+        diagnostic=float(max([d.diagnostic for d in ds], default=0.0)),
+        degenerate=degenerate,
+        warnings=tuple(w for d in ds for w in d.warnings),
+    )
+
+
 def verify(
     system: GkzSystem,
     phi,
@@ -357,35 +329,12 @@ def verify(
             phi_err = f"{type(exc).__name__}: {exc}"
         phi_values.append(phi0)
         for op in operators:
-            label = _operator_label(op)
-            if phi_err is not None:
-                cells.append(
-                    ResidualCell(operator=label, point_index=k, error=phi_err)
-                )
-                continue
-            try:
-                app = _residual(op, phi, pt, phi0, settings, cache)
-            except EvaluationError as exc:
-                cells.append(
-                    ResidualCell(
-                        operator=label,
-                        point_index=k,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            cells.append(
-                ResidualCell(
-                    operator=label,
-                    point_index=k,
-                    raw=app.raw,
-                    normalization=app.normalization,
-                    relative=app.relative,
-                    diagnostic=app.diagnostic,
-                    degenerate=app.degenerate,
-                    warnings=app.warnings,
-                )
-            )
+            if phi_err is None:
+                cells.append(_residual(op, phi, pt, phi0, settings, cache, k))
+            else:
+                cells.append(ResidualCell(
+                    operator=_operator_label(op), point_index=k, error=phi_err
+                ))
 
     usable = [
         c.relative for c in cells if c.error is None and not c.degenerate

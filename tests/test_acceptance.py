@@ -13,17 +13,10 @@ import time
 
 import numpy as np
 
-from gkzperiods import (
-    CycleSpec,
-    CycleTerm,
-    LineSegment,
-    Path1D,
-    PeriodFunction,
-    build_exponent_matrix,
-    build_system,
-    integer_kernel_basis,
-)
-from gkzperiods.gkz_system import corrupt_eigenvalue
+from gkzperiods.analytic_paths import CycleSpec, CycleTerm, LineSegment, Path1D
+from gkzperiods.gkz_system import build_system, corrupt_eigenvalue
+from gkzperiods.period_functions import PeriodFunction
+from gkzperiods.support_lattice import build_exponent_matrix, integer_kernel_basis
 from gkzperiods.verifier import (
     DerivativeCache,
     differentiate,

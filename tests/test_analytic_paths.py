@@ -6,21 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from gkzperiods import (
+from gkzperiods.analytic_paths import (
     ArcSegment,
     LineSegment,
     Path1D,
     PathSingularityError,
     RootAnchor,
-    ScenarioError,
-)
-from gkzperiods.analytic_paths import (
     continued_logs,
     integrand_values,
     resolve_path,
     tracked_requirements,
 )
 from gkzperiods.quadrature import branch_logs
+from gkzperiods.scenario import ScenarioError
 
 from test_scenario import builtin
 

@@ -233,6 +233,41 @@ def test_period_overflow_prints_no_warnings(name, point, error):
     assert len(lines) == 1 and lines[0].startswith(f"error: {error}:"), res.stderr
 
 
+def term_paths(doc):
+    """The paths of a scenario document's first cycle term."""
+    return doc["function"]["cycle"]["terms"][0]["paths"]
+
+
+@pytest.mark.parametrize("command", ["period", "verify"])
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("gauss",
+         lambda doc: term_paths(doc)[0]["segments"][0]["start"].update(root_of_factor=7),
+         "root anchor names factor 7, scenario has 2"),
+        ("gauss",
+         lambda doc: term_paths(doc).append(term_paths(doc)[0]),
+         "term has 2 path factors, scenario has m = 1"),
+        ("airy",
+         lambda doc: term_paths(doc)[0]["segments"][0].update(direction=[0, 0]),
+         "ray direction is zero"),
+    ],
+    ids=["anchor_factor_7", "second_path_for_m_1", "zero_ray_direction"],
+)
+def test_malformed_cycle_is_input_error(tmp_path, command, name, edit, message):
+    # system never reads the cycle, so it accepts the file; evaluation rejects it
+    doc = json.loads((SRC / "gkzperiods" / "scenarios" / f"{name}.json").read_text())
+    edit(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("system", str(path)).returncode == 0
+    res = run_cli(command, str(path), cwd=tmp_path)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert lines == [f"error: cycle: {message}"], res.stderr
+
+
 def test_emit_normalized_round_trip(tmp_path):
     out1 = tmp_path / "norm1.json"
     res = run_cli("system", "quadratic_root", "--emit-normalized",

@@ -4,14 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from gkzperiods import (
-    ScenarioError,
+from gkzperiods.gkz_system import (
     BoxOperator,
     EulerOperator,
     build_system,
     corrupt_eigenvalue,
     render_system,
 )
+from gkzperiods.scenario import ScenarioError
 
 from test_scenario import builtin
 

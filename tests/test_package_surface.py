@@ -1,5 +1,6 @@
 """Static checks of the package surface: no unused imports, no stale exports,
-no idle settings.
+no idle settings, and no top-level name that no caller outside the package
+takes.
 
 Only the stdlib ``ast`` and ``json`` modules are used, so the checks run
 without a linter and without importing the package.
@@ -10,6 +11,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from test_readme import library_block
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "gkzperiods"
 MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
@@ -147,3 +150,44 @@ def test_phi_batch_is_looked_up_in_one_place():
         for _ in batch_lookups(unit)
     ]
     assert places == [("_stencils.py", "batch_of")]
+
+
+PERFBENCH = PKG.parents[1] / "perfbench"
+# the version the CLI prints, and the two error bases a caller catches
+SURFACE_EXTRAS = {"__version__", "EvaluationError", "ScenarioError"}
+
+
+def names_taken_from_package(tree):
+    """Names that code takes from the top-level ``gkzperiods`` package: by
+    ``from gkzperiods import``, as ``gkzperiods.name``, or as a string
+    beside ``gkzperiods`` in a call such as ``setattr(gkzperiods, "name",
+    ...)``.  Submodules and module dunders are not names of the surface."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gkzperiods":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            if getattr(node.value, "id", None) == "gkzperiods":
+                names.add(node.attr)
+        elif isinstance(node, ast.Call) and len(node.args) > 1:
+            owner, attr = node.args[:2]
+            if getattr(owner, "id", None) == "gkzperiods" and isinstance(
+                attr, ast.Constant
+            ):
+                names.add(attr.value)
+    submodules = {p.stem for p in PKG.glob("*.py")}
+    return {n for n in names if n not in submodules and not n.startswith("__")}
+
+
+def test_package_surface_is_what_callers_take():
+    # README's library block and the benchmark are the callers outside the
+    # package; a name none of them takes belongs to its module, and a name
+    # one of them takes must stay on the surface
+    taken = names_taken_from_package(ast.parse(library_block()))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        taken |= names_taken_from_package(parse(path))
+    exported = set(dunder_all(parse(PKG / "__init__.py")))
+    wanted = taken | SURFACE_EXTRAS
+    unused, missing = sorted(exported - wanted), sorted(wanted - exported)
+    assert not unused, f"exported but taken by no caller: {unused}"
+    assert not missing, f"taken but not exported: {missing}"

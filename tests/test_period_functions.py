@@ -8,27 +8,30 @@ import math
 import numpy as np
 import pytest
 
-from gkzperiods import (
-    BranchAmbiguityError,
-    EvalSettings,
+from gkzperiods._roots import univariate_roots
+from gkzperiods.analytic_paths import (
     EvaluationError,
-    FactorSupport,
+    PathSingularityError,
+    resolve_path,
+)
+from gkzperiods.gkz_system import build_system
+from gkzperiods.period_functions import (
+    BranchAmbiguityError,
     MultipleRootError,
     NearDiscriminantError,
-    PathSingularityError,
     PeriodFunction,
     RootEscapeError,
-    ScenarioSpec,
-    build_system,
     eval_gl_residue,
     eval_period,
     eval_root,
-    integrate_cycle,
-    integrate_term,
+)
+from gkzperiods.quadrature import integrate_cycle, integrate_term
+from gkzperiods.scenario import (
+    EvalSettings,
+    FactorSupport,
+    ScenarioSpec,
     validate_scenario,
 )
-from gkzperiods._roots import univariate_roots
-from gkzperiods.analytic_paths import resolve_path
 from gkzperiods.verifier import verification_points
 
 from oracles import direction_circles, quadratic_formula_root, track_root

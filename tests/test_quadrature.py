@@ -6,41 +6,43 @@ import math
 import numpy as np
 import pytest
 
-from gkzperiods import (
+from gkzperiods import quadrature
+from gkzperiods.analytic_paths import (
     ArcSegment,
     CycleSpec,
     CycleTerm,
-    EvalSettings,
     EvaluationError,
-    FactorSupport,
     LineSegment,
     Path1D,
     PathSingularityError,
-    PeriodFunction,
     RaySegment,
     RootAnchor,
-    ScenarioError,
-    ScenarioSpec,
+    resolve_path,
+    tracked_requirements,
+)
+from gkzperiods.period_functions import (
+    PeriodFunction,
     UnconvergedQuadratureError,
     eval_period,
-    integrate_cycle,
-    integrate_term,
-    validate_scenario,
 )
-from gkzperiods import quadrature
 from gkzperiods.quadrature import (
     _axis_nodes,
     _path_rules,
     _segment_nodes,
     _term_level_value,
     branch_logs,
+    integrate_cycle,
+    integrate_term,
+)
+from gkzperiods.scenario import (
+    EvalSettings,
+    FactorSupport,
+    ScenarioError,
+    ScenarioSpec,
+    validate_scenario,
 )
 from gkzperiods.scenario_io import builtin_scenario_names
 from gkzperiods.verifier import verification_points
-from gkzperiods.analytic_paths import (
-    resolve_path,
-    tracked_requirements,
-)
 
 from oracles import (
     GAUSS_SEGMENT_VALUE,

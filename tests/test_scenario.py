@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gkzperiods import (
+from gkzperiods.scenario import (
     EvalSettings,
     FactorSupport,
     ScenarioError,

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from gkzperiods import (
-    FactorSupport,
-    ScenarioSpec,
+from gkzperiods.scenario import FactorSupport, ScenarioSpec
+from gkzperiods.support_lattice import (
     build_exponent_matrix,
     enumerate_box_vectors,
     integer_kernel_basis,

@@ -8,24 +8,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gkzperiods import (
+from gkzperiods._stencils import SampleTable
+from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
+from gkzperiods.gkz_system import (
     BoxOperator,
-    DerivativeCache,
     EulerOperator,
-    EvalSettings,
-    PeriodFunction,
-    apply_operator,
     build_system,
     corrupt_eigenvalue,
+)
+from gkzperiods.period_functions import PeriodFunction
+from gkzperiods.scenario import EvalSettings
+from gkzperiods.scenario_io import builtin_scenario_names, load_scenario
+from gkzperiods.verifier import (
+    DerivativeCache,
+    _derivatives,
+    _derive,
     differentiate,
-    load_scenario,
     verification_points,
     verify,
 )
-from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
-from gkzperiods.scenario_io import builtin_scenario_names
-from gkzperiods._stencils import SampleTable
-from gkzperiods.verifier import _derivatives, _derive
 
 from oracles import (
     cauchy_tensor,
@@ -426,16 +427,28 @@ def test_quadratic_root_derivatives_match_implicit_formula():
             assert abs(d.value - expect) < 1e-7 * max(1.0, abs(expect))
 
 
+def apply_alone(op, phi, a, settings, cache=None):
+    """The cell of verify on a system holding op alone, at the one point a,
+    with the given settings on its scenario; an error cell fails the test."""
+    spec = builtin("quadratic_root")
+    base = build_system(replace(spec, settings=settings))
+    euler = isinstance(op, EulerOperator)
+    system = replace(base, eulers=(op,) if euler else (), boxes=() if euler else (op,))
+    (cell,) = verify(system, phi, points=[a], cache=cache).cells
+    assert cell.error is None, cell.error
+    return cell
+
+
 def test_euler_operator_application():
     # phi = a0 a1 satisfies (a0 d0 + a1 d1 - 2) phi = 0
     phi = lambda a: a[0] * a[1]
     a = np.array([0.8 - 0.1j, 1.3 + 0.4j])
     good = EulerOperator(weights=(1, 1), eigenvalue=2.0, label=("exponent", 1))
-    app = apply_operator(good, phi, a, DIFF)
+    app = apply_alone(good, phi, a, DIFF)
     assert app.relative < 1e-12
     assert not app.degenerate
     bad = EulerOperator(weights=(1, 1), eigenvalue=1.0, label=("exponent", 1))
-    app2 = apply_operator(bad, phi, a, DIFF)
+    app2 = apply_alone(bad, phi, a, DIFF)
     assert app2.relative > 0.2
 
 
@@ -444,9 +457,9 @@ def test_box_operator_application():
     # so the residual vanishes exactly on the a0 a2 = a1^2 locus
     phi = lambda a: np.exp(a[0] * a[2] + 0.5 * a[1] ** 2)
     box = BoxOperator(u_plus=(1, 0, 1), u_minus=(0, 2, 0))
-    off = apply_operator(box, phi, np.array([0.3, 0.4, 0.2], dtype=complex), DIFF)
+    off = apply_alone(box, phi, np.array([0.3, 0.4, 0.2], dtype=complex), DIFF)
     assert off.relative > 1e-3
-    on = apply_operator(
+    on = apply_alone(
         box, phi, np.array([0.3, math.sqrt(0.06), 0.2], dtype=complex), DIFF
     )
     assert on.relative < 1e-10
@@ -463,7 +476,7 @@ def test_apply_operator_sends_one_batch():
     for op in (box, euler):
         phi = BatchOnly(fn)
         cache = DerivativeCache()
-        app = apply_operator(op, phi, a, DIFF, cache)
+        app = apply_alone(op, phi, a, DIFF, cache)
         assert (phi.calls, phi.rows) == (1, cache.misses)
         one_at_a_time = DerivativeCache()
         ds = [differentiate(fn, a, m, DIFF, one_at_a_time) for m in _derivatives(op, 3)]
@@ -473,7 +486,7 @@ def test_apply_operator_sends_one_batch():
             phi0 = fn(a)
             assert app.raw == -1.5 * phi0 + a[0] * ds[0].value + 2 * a[2] * ds[1].value
         # a repeated application evaluates nothing
-        assert apply_operator(op, phi, a, DIFF, cache) == app
+        assert apply_alone(op, phi, a, DIFF, cache) == app
         assert phi.calls == 1
 
 
@@ -481,7 +494,7 @@ def test_degenerate_operator_flagged():
     # box of order 2 on a linear function: both sides vanish identically
     phi = lambda a: 2.0 * a[0] + a[1]
     box = BoxOperator(u_plus=(2, 0), u_minus=(0, 2))
-    app = apply_operator(box, phi, np.array([0.4, 0.7], dtype=complex), DIFF)
+    app = apply_alone(box, phi, np.array([0.4, 0.7], dtype=complex), DIFF)
     assert app.degenerate
     assert app.relative == 0.0
 
@@ -523,7 +536,7 @@ def test_verify_fails_after_corruption():
 def test_verify_reports_order_above_cap_as_error_cell():
     spec = builtin("gl_quadratic")
     base = build_system(spec)
-    n = base.n_columns
+    n = len(base.matrix.column_labels)
     too_high = BoxOperator(u_plus=(7,) + (0,) * (n - 1), u_minus=(0,) * n)
     system = replace(base, eulers=(), boxes=(too_high,))
     report = verify(system, lambda a: complex(a[0]), points=[np.ones(n)])
