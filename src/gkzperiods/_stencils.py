@@ -57,9 +57,10 @@ class DerivativeCache:
     or the EvaluationError it raised, so a failing point (an unconverged
     period is the costliest evaluation there is) is evaluated once and its
     error is raised again on every later lookup.  ``misses`` counts the
-    rows phi was evaluated at; ``hits`` counts the requests answered
-    without evaluating phi: a derivative found in ``derivs`` or a value
-    found in ``values``.  One cache serves one function only.
+    rows phi was evaluated at and ``batches`` the calls they went in;
+    ``hits`` counts the requests answered without evaluating phi: a
+    derivative found in ``derivs`` or a value found in ``values``.  One
+    cache serves one function only.
     """
 
     def __init__(self):
@@ -67,6 +68,7 @@ class DerivativeCache:
         self.derivs: dict = {}
         self.hits = 0
         self.misses = 0
+        self.batches = 0
 
     def evaluate(self, phi, rows: np.ndarray) -> list:
         """phi's entry at each row of an (N, n) array, from one
@@ -77,6 +79,7 @@ class DerivativeCache:
                 f"phi.batch returned {len(got)} entries for {len(rows)} rows"
             )
         self.misses += len(rows)
+        self.batches += 1
         return got
 
     def value(self, phi, point: np.ndarray) -> complex:

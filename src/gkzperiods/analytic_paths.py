@@ -232,17 +232,6 @@ def _anchor_points(
     share one call.  Returns the points and a dict mapping each row whose
     factor has no finite root to its PathSingularityError.
     """
-    if spec.m != 1:
-        raise ScenarioError("cycle", "root-anchored endpoints need m = 1")
-    if not 1 <= anchor.factor <= len(spec.factors):
-        raise ScenarioError(
-            "cycle",
-            f"root anchor names factor {anchor.factor}, scenario has "
-            f"{len(spec.factors)}",
-        )
-    fac = spec.factors[anchor.factor - 1]
-    if fac.kind != "power":
-        raise ScenarioError("cycle", "root anchor must point at a power factor")
     if anchor.factor not in roots:
         roots[anchor.factor] = univariate_roots(spec.dense_univariate(a, anchor.factor))
     found, deg = roots[anchor.factor]
@@ -305,10 +294,8 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
                     angle_end=float(seg.angle_end),
                 )
             )
-        elif isinstance(seg, RaySegment):
+        else:
             d = complex(seg.direction)
-            if d == 0:
-                raise ScenarioError("cycle", "ray direction is zero")
             if abs(abs(d) - 1.0) > 1e-9:
                 d = d / abs(d)
             segs.append(
@@ -317,10 +304,6 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
                     length=float(seg.length),
                 )
             )
-        else:
-            raise ScenarioError("cycle", f"unknown segment type {type(seg).__name__}")
-    if not segs:
-        raise ScenarioError("cycle", "path has no segments")
     anchor_t = float(path.anchor_t)
     rpath = ResolvedPath(
         segments=tuple(segs), closed=path.closed, anchor_t=anchor_t, rows=len(rows)
@@ -329,7 +312,7 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
     with np.errstate(invalid="ignore"):
         broken = _abs(ends[:-1, 1] - ends[1:, 0]) > 1e-9 * scale
         unclosed = path.closed & (_abs(ends[-1, 1] - ends[0, 0]) > 1e-9 * scale)
-    bad = broken.any(axis=0) | unclosed | (not 0.0 <= anchor_t <= len(segs))
+    bad = broken.any(axis=0) | unclosed
     bad[list(errors)] = False
     if bad.any():
         # the first such row's first failing check, as it would fail alone
@@ -341,9 +324,7 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
                 f"consecutive segments do not chain: {complex(ends[k, 1, r])} vs "
                 f"{complex(ends[k + 1, 0, r])}",
             )
-        if unclosed[r]:
-            raise ScenarioError("cycle", "closed path does not return to its start")
-        raise ScenarioError("cycle", f"anchor_t {anchor_t} outside [0, {len(segs)}]")
+        raise ScenarioError("cycle", "closed path does not return to its start")
     return rpath, errors
 
 

@@ -32,7 +32,7 @@ from .scenario_io import (
     loads_scenario,
     resolve_scenario_source,
 )
-from .verifier import ResidualReport, verify
+from .verifier import DerivativeCache, ResidualReport, verify
 
 __all__ = ["main"]
 
@@ -195,9 +195,10 @@ def _cmd_verify(args) -> int:
     if args.corrupt_eigenvalue is not None:
         system = corrupt_eigenvalue(system, args.corrupt_eigenvalue)
     phi = PeriodFunction(spec)
+    cache = DerivativeCache()
 
     t0 = time.perf_counter()
-    rep = verify(system, phi)
+    rep = verify(system, phi, cache=cache)
     elapsed = time.perf_counter() - t0
 
     source = str(path) if path is not None else f"builtin:{spec.name}"
@@ -233,7 +234,9 @@ def _cmd_verify(args) -> int:
     for w in doc["warnings"]:
         print(f"warning: {w}")
     print(f"max relative residual = {rep.max_relative:.3e}")
-    print(f"{'PASS' if rep.passed else 'FAIL'} ({elapsed:.2f}s)")
+    batches = f"{cache.batches} batch{'es' if cache.batches != 1 else ''}"
+    print(f"{'PASS' if rep.passed else 'FAIL'} ({elapsed:.2f}s, {cache.misses} phi "
+          f"evals in {batches}, {cache.hits} cache hits)")
     print(f"report written to {report_path}")
     if rep.has_errors:
         return 2

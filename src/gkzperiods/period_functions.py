@@ -24,7 +24,7 @@ import numpy as np
 from ._roots import eval_with_derivative, univariate_roots
 from .analytic_paths import EvaluationError
 from .quadrature import LEVEL_CAP, IntegralResult, integrate_cycle
-from .scenario import ScenarioSpec, is_real_integer
+from .scenario import ScenarioSpec, is_real_integer, validate_scenario
 
 __all__ = [
     "PeriodEvaluationError",
@@ -329,9 +329,13 @@ def period_values(spec: ScenarioSpec, res: IntegralResult) -> list:
 
 @dataclass
 class PeriodFunction:
-    """Black-box holomorphic function of the coefficient vector."""
+    """Black-box holomorphic function of the coefficient vector; the
+    scenario is validated once, here, as loading does."""
 
     scenario: ScenarioSpec
+
+    def __post_init__(self):
+        validate_scenario(self.scenario)
 
     @property
     def dimension(self) -> int:

@@ -28,7 +28,7 @@ from .analytic_paths import (
     resolve_path,
     tracked_requirements,
 )
-from .scenario import ScenarioError, ScenarioSpec
+from .scenario import ScenarioSpec
 
 __all__ = ["IntegralResult", "branch_logs", "integrate_term", "integrate_cycle"]
 
@@ -360,11 +360,6 @@ def integrate_term(
     agreement cannot see the mass cut off past the tips.
     """
     a = spec.coefficient_rows(a)
-    if len(term.paths) != spec.m:
-        raise ScenarioError(
-            "cycle",
-            f"term has {len(term.paths)} path factors, scenario has m = {spec.m}",
-        )
     n_rows = a.shape[0]
     tracked_factors, tracked_coords = tracked_requirements(spec)
     errors: list = [None] * n_rows

@@ -278,11 +278,46 @@ def _validate_factor(fac: FactorSupport, m: int, function_kind: str) -> None:
             )
 
 
+def _validate_cycle(spec: ScenarioSpec) -> None:
+    """The cycle rules that hold whatever the coefficients: m paths per
+    term, non-empty paths of known segments, nonzero ray directions,
+    root anchors only at m = 1 and on a power factor, anchor_t in range."""
+    # the path types import this module
+    from .analytic_paths import ArcSegment, LineSegment, RaySegment, RootAnchor
+
+    def fail(message: str):
+        raise ScenarioError("cycle", message)
+
+    for term in spec.cycle.terms:
+        if len(term.paths) != spec.m:
+            fail(f"term has {len(term.paths)} path factors, scenario has m = {spec.m}")
+        for path in term.paths:
+            if not path.segments:
+                fail("path has no segments")
+            for seg in path.segments:
+                if isinstance(seg, RaySegment) and complex(seg.direction) == 0:
+                    fail("ray direction is zero")
+                if not isinstance(seg, (LineSegment, ArcSegment, RaySegment)):
+                    fail(f"unknown segment type {type(seg).__name__}")
+                ends = (seg.start, seg.end) if isinstance(seg, LineSegment) else ()
+                for anchor in (e for e in ends if isinstance(e, RootAnchor)):
+                    if spec.m != 1:
+                        fail("root-anchored endpoints need m = 1")
+                    if not 1 <= anchor.factor <= len(spec.factors):
+                        fail(f"root anchor names factor {anchor.factor}, "
+                             f"scenario has {len(spec.factors)}")
+                    if spec.factors[anchor.factor - 1].kind != "power":
+                        fail("root anchor must point at a power factor")
+            if not 0.0 <= float(path.anchor_t) <= len(path.segments):
+                fail(f"anchor_t {float(path.anchor_t)} outside [0, {len(path.segments)}]")
+
+
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Check every structural rule; raises ScenarioError with a document path.
 
-    Cycle geometry is validated separately by the path layer, which knows how
-    to resolve root-anchored endpoints against the base coefficients.
+    The cycle rules that need the coefficients, chaining and closure at
+    root-anchored endpoints, are checked by the path layer as it resolves
+    them.
     """
     if not isinstance(spec.m, int) or spec.m < 1:
         raise ScenarioError("m", "m must be a positive integer")
@@ -307,6 +342,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
             raise ScenarioError(
                 "function", "base_root/frozen are only for root scenarios"
             )
+        _validate_cycle(spec)
     elif spec.function_kind == "root":
         if len(spec.factors) != 1:
             raise ScenarioError("factors", "root scenarios use exactly one factor")

@@ -9,13 +9,14 @@ operator's term magnitudes so they stay meaningful where the function is
 small.
 
 Every derivative is made by ``_derive``: one sample table
-(``_stencils.SampleTable``) holds the point and both radii's stencils of
-all the derivatives asked for, its rows (less the point, if phi is
-already known there) go to phi in one batch call, and each derivative,
-or the error of a sample it needs, is stored in the cache with phi at the
-point.  ``_derivatives`` names the derivatives an operator applies;
-verify asks for all of them at a point at once, so it sends one batch
-per point, and the residuals then read them from the cache.
+(``_stencils.SampleTable``) per point holds the point and both radii's
+stencils of all the derivatives asked for there, the rows of every table
+(less each point at which phi is already known) go to phi in one batch
+call, and each derivative, or the error of a sample it needs, is stored
+in the cache with phi at its point.  ``_derivatives`` names the
+derivatives an operator applies; verify asks for all of them at all its
+points at once, so it sends one batch per run, and the residuals then
+read them from the cache.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ def differentiate(
     agreement diagnostic, with a warning when it exceeds _AGREEMENT_TOL.
     Coordinate v of a direction has modulus settings.radius_factor *
     max(1, |a_v|), the only setting read here, and each circle has 16
-    nodes.  A derivative not in the cache is made by ``_derive``, whose
-    one batch holds both radii's samples and a, unless phi(a) is cached;
-    a failing sample's error is cached and raised again.  Orders above _MAX_ORDER raise
-    DerivativeOrderError, which verify() reports as an error cell.
+    nodes.  A derivative not in the cache is made by ``_derive`` at the
+    one point a, whose batch holds both radii's samples and a, unless
+    phi(a) is cached; a failing sample's error is cached and raised again.
+    Orders above _MAX_ORDER raise DerivativeOrderError, which verify()
+    reports as an error cell.
     """
     if cache is None:
         cache = DerivativeCache()
@@ -102,72 +104,83 @@ def differentiate(
     if key in cache.derivs:
         cache.hits += 1
     else:
-        _derive(phi, a, [multi], settings, cache)
+        _derive(phi, [a], [multi], settings, cache)
     result = cache.derivs[key]
     if isinstance(result, EvaluationError):
         raise result.with_traceback(None)
     return result
 
 
-def _derive(phi, a: np.ndarray, multis: list, settings: EvalSettings,
+def _derive(phi, points: list, multis: list, settings: EvalSettings,
             cache: DerivativeCache) -> None:
-    """Store d^multi phi at a in cache.derivs for every multi, and phi(a)
-    in cache.values, from one sample table whose rows go to one
-    cache.evaluate call.
+    """Store d^multi phi at each point for every multi in cache.derivs, and
+    phi at each point in cache.values, from one cache.evaluate call.
 
-    Multis of order 0 or above _MAX_ORDER, repeated or already finished
-    are skipped, and phi(a) is not evaluated again if it is cached.  A
-    derivative whose samples and point all have values gets its
+    Each distinct point gets one sample table of the multis it still needs
+    (those of order 0 or above _MAX_ORDER, repeated or already finished are
+    skipped); the rows of all tables, less each point whose phi is cached,
+    go to phi in one batch, and each table finishes on its share of the
+    values.  A derivative whose samples and point all have values gets its
     DerivResult; else its entry is the error of its first failing sample
-    in summation order (full radius first), or else the error at a.
+    in summation order (full radius first), or else the error at its point.
     """
-    point, radius = a.tobytes(), settings.radius_factor
-    multis = [
-        multi for multi in dict.fromkeys(multis)
-        if 0 < sum(multi) <= _MAX_ORDER and (point, multi, radius) not in cache.derivs
-    ]
-    if not multis:
+    radius = settings.radius_factor
+    multis = [m for m in dict.fromkeys(multis) if 0 < sum(m) <= _MAX_ORDER]
+    jobs, batch = [], []
+    for a in {p.tobytes(): p for p in points}.values():
+        point = a.tobytes()
+        todo = [m for m in multis if (point, m, radius) not in cache.derivs]
+        known = point in cache.values
+        if todo or not known:
+            table = SampleTable(a, todo, settings) if todo else None
+            rows = table.rows if todo else a[None]
+            jobs.append((point, todo, table, known))
+            batch.append(rows[1:] if known else rows)
+    if not jobs:
         return
-    table = SampleTable(a, multis, settings)
-    if point in cache.values:
-        got = [cache.values[point], *cache.evaluate(phi, table.rows[1:])]
-    else:
-        got = cache.evaluate(phi, table.rows)
-    errors = {u: v for u, v in enumerate(got) if isinstance(v, EvaluationError)}
-    for u in errors:
-        got[u] = 0j
-    values = np.array(got, dtype=complex)
-    phi0 = complex(values[0])
-    cache.values[point] = errors.get(0, phi0)
-    sums = table.circle_sums(values)
-    for j, multi in enumerate(multis):
-        key = (point, multi, radius)
-        if errors:
-            order = table.index[2 * j:2 * j + 2, :table.lengths[2 * j]]
-            first = [u for u in order.ravel().tolist() + [0] if u in errors]
-            if first:
-                cache.derivs[key] = errors[first[0]]
-                continue
-        val, half = sums[2 * j:2 * j + 2]
-        # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
-        # (the direction average is unitary and adds no amplification)
-        amp = 1.0
-        for v, q in enumerate(multi):
-            if q > 0:
-                amp *= math.factorial(q) / (table.radii[v] / 2.0) ** q
-        # a derivative whose both estimates sit at the noise floor is zero, not
-        # disagreeing; measure agreement against value, halved value, and floor
-        # (floor = 1e-10 * amplified rounding scale, >= 1e4 x the eps-level noise
-        # so vanishing derivatives stay comfortably below _AGREEMENT_TOL)
-        floor = amp * max(abs(phi0), 1e-300) * 1e-10
-        diag = float(abs(val - half) / max(abs(val), abs(half), floor))
-        warnings = ()
-        if diag > _AGREEMENT_TOL:
-            warnings = (
-                f"derivative d^{multi} agreement {diag:.2e} above "
-                f"{_AGREEMENT_TOL:g}; value may be unreliable",
-            )
-        cache.derivs[key] = DerivResult(value=val, diagnostic=diag, warnings=warnings)
+    got = cache.evaluate(phi, np.concatenate(batch))
+    end = 0
+    for (point, todo, table, known), rows in zip(jobs, batch):
+        start, end = end, end + len(rows)
+        part = ([cache.values[point]] if known else []) + got[start:end]
+        errors = {u: v for u, v in enumerate(part) if isinstance(v, EvaluationError)}
+        for u in errors:
+            part[u] = 0j
+        values = np.array(part, dtype=complex)
+        phi0 = complex(values[0])
+        cache.values[point] = errors.get(0, phi0)
+        if table is None:
+            continue
+        sums = table.circle_sums(values)
+        for j, multi in enumerate(todo):
+            key = (point, multi, radius)
+            if errors:
+                order = table.index[2 * j:2 * j + 2, :table.lengths[2 * j]]
+                first = [u for u in order.ravel().tolist() + [0] if u in errors]
+                if first:
+                    cache.derivs[key] = errors[first[0]]
+                    continue
+            val, half = sums[2 * j:2 * j + 2]
+            # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
+            # (the direction average is unitary and adds no amplification)
+            amp = 1.0
+            for v, q in enumerate(multi):
+                if q > 0:
+                    amp *= math.factorial(q) / (table.radii[v] / 2.0) ** q
+            # a derivative whose both estimates sit at the noise floor is zero, not
+            # disagreeing; measure agreement against value, halved value, and floor
+            # (floor = 1e-10 * amplified rounding scale, >= 1e4 x the eps-level noise
+            # so vanishing derivatives stay comfortably below _AGREEMENT_TOL)
+            floor = amp * max(abs(phi0), 1e-300) * 1e-10
+            diag = float(abs(val - half) / max(abs(val), abs(half), floor))
+            warnings = ()
+            if diag > _AGREEMENT_TOL:
+                warnings = (
+                    f"derivative d^{multi} agreement {diag:.2e} above "
+                    f"{_AGREEMENT_TOL:g}; value may be unreliable",
+                )
+            cache.derivs[key] = DerivResult(
+                value=val, diagnostic=diag, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +328,12 @@ def verify(
     if cache is None:
         cache = DerivativeCache()
 
+    # every point and every stencil its operators need, in one batch
+    multis = [m for op in operators for m in _derivatives(op, points[0].size)]
+    _derive(phi, points, multis, settings, cache)
     cells: list[ResidualCell] = []
     phi_values: list = []
     for k, pt in enumerate(points):
-        # the point and every stencil its operators need, in one batch
-        multis = [m for op in operators for m in _derivatives(op, pt.size)]
-        _derive(phi, pt, multis, settings, cache)
         try:
             phi0 = cache.value(phi, pt)
             phi_err = None

@@ -376,11 +376,8 @@ def resolve_row(path, anchors: dict, r: int):
             )
     if path.closed and abs(end_point(segs[-1]) - start_point(segs[0])) > 1e-9 * scale:
         raise ScenarioError("cycle", "closed path does not return to its start")
-    anchor_t = float(path.anchor_t)
-    if not 0.0 <= anchor_t <= len(segs):
-        raise ScenarioError("cycle", f"anchor_t {anchor_t} outside [0, {len(segs)}]")
-    return ResolvedPath(segments=tuple(segs), closed=path.closed, anchor_t=anchor_t,
-                        rows=1)
+    return ResolvedPath(segments=tuple(segs), closed=path.closed,
+                        anchor_t=float(path.anchor_t), rows=1)
 
 
 def start_point(seg) -> complex:

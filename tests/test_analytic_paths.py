@@ -2,12 +2,15 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gkzperiods.analytic_paths import (
     ArcSegment,
+    CycleSpec,
+    CycleTerm,
     LineSegment,
     Path1D,
     PathSingularityError,
@@ -18,7 +21,7 @@ from gkzperiods.analytic_paths import (
     tracked_requirements,
 )
 from gkzperiods.quadrature import branch_logs
-from gkzperiods.scenario import ScenarioError
+from gkzperiods.scenario import ScenarioError, validate_scenario
 
 from test_scenario import builtin
 
@@ -241,15 +244,17 @@ def test_branch_is_principal_at_anchor():
 
 
 def test_anchor_out_of_range_rejected():
-    spec = builtin("residue_circle")
+    # the rule does not need the coefficients, so the scenario check holds it
+    spec = builtin("beta")
     path = Path1D(
         segments=(ArcSegment(center=0.0, radius=1.0, angle_start=0.0,
                              angle_end=2.0 * math.pi),),
         closed=True,
         anchor_t=5.0,
     )
-    with pytest.raises(ScenarioError, match="anchor_t"):
-        resolve_path(path, spec, spec.coefficient_vector()[None])
+    broken = replace(spec, cycle=CycleSpec(terms=(CycleTerm(1.0, (path,)),)))
+    with pytest.raises(ScenarioError, match=r"^cycle: anchor_t 5.0 outside \[0, 1\]$"):
+        validate_scenario(broken)
 
 
 def test_bisection_runs_per_row_and_keeps_rows_apart():

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -238,7 +239,10 @@ def term_paths(doc):
     return doc["function"]["cycle"]["terms"][0]["paths"]
 
 
-@pytest.mark.parametrize("command", ["period", "verify"])
+@pytest.mark.parametrize(
+    "command", [("period",), ("verify",), ("system",), ("system", "--emit-normalized")],
+    ids=["period", "verify", "system", "emit-normalized"],
+)
 @pytest.mark.parametrize(
     "name, edit, message",
     [
@@ -255,13 +259,12 @@ def term_paths(doc):
     ids=["anchor_factor_7", "second_path_for_m_1", "zero_ray_direction"],
 )
 def test_malformed_cycle_is_input_error(tmp_path, command, name, edit, message):
-    # system never reads the cycle, so it accepts the file; evaluation rejects it
+    # loading rejects the cycle, so every command does, with the same line
     doc = json.loads((SRC / "gkzperiods" / "scenarios" / f"{name}.json").read_text())
     edit(doc)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
-    assert run_cli("system", str(path)).returncode == 0
-    res = run_cli(command, str(path), cwd=tmp_path)
+    res = run_cli(*command, str(path), cwd=tmp_path)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
@@ -308,6 +311,23 @@ def test_verify_passes_and_writes_report(tmp_path):
     labels = {r["operator"] for r in doc["residuals"]}
     assert any(lbl.startswith("euler") for lbl in labels)
     assert any(lbl.startswith("box") for lbl in labels)
+
+
+def test_verify_prints_its_phi_evals_and_cache_hits(tmp_path):
+    res = run_cli("verify", "gauss", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr + res.stdout
+    status = [line for line in res.stdout.splitlines() if line.startswith("PASS")]
+    assert len(status) == 1
+    assert re.fullmatch(
+        r"PASS \(\d+\.\d\ds, 771 phi evals in 1 batch, 27 cache hits\)", status[0]
+    ), status
+    # the counts are printed only: the report keeps its fields
+    doc = json.loads((tmp_path / "gauss.report.json").read_text())
+    assert set(doc) == {
+        "schema", "tool_version", "scenario", "system", "threshold", "seed",
+        "points", "phi_values", "residuals", "max_relative", "passed",
+        "warnings", "timing_seconds",
+    }
 
 
 def test_verify_is_deterministic(tmp_path):

@@ -1,10 +1,20 @@
 """Scenario model validation and JSON round trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gkzperiods.analytic_paths import (
+    CycleSpec,
+    CycleTerm,
+    LineSegment,
+    Path1D,
+    RaySegment,
+    RootAnchor,
+)
+from gkzperiods.period_functions import PeriodFunction
 from gkzperiods.scenario import (
     EvalSettings,
     FactorSupport,
@@ -231,6 +241,37 @@ def test_power_period_factor_requires_lambda():
     )
     with pytest.raises(ScenarioError, match="needs an exponent"):
         validate_scenario(broken)
+
+
+ANCHOR = RootAnchor(factor=1, near=0.0)
+
+
+@pytest.mark.parametrize(
+    "name, path, paths, message",
+    [
+        ("hesse_cubic", Path1D((LineSegment(ANCHOR, 1.0),)), 2,
+         "root-anchored endpoints need m = 1"),
+        ("gauss", Path1D((LineSegment(RootAnchor(3, 0.0), 1.0),)), 1,
+         "root anchor names factor 3, scenario has 2"),
+        ("airy", Path1D((LineSegment(0.0, ANCHOR),)), 1,
+         "root anchor must point at a power factor"),
+        ("beta", Path1D((LineSegment(0.0, 1.0),)), 2,
+         "term has 2 path factors, scenario has m = 1"),
+        ("airy", Path1D((RaySegment(0.0, 0.0, 1.0),)), 1, "ray direction is zero"),
+        ("beta", Path1D(()), 1, "path has no segments"),
+        ("beta", Path1D((LineSegment(0.0, 1.0),), anchor_t=-0.5), 1,
+         "anchor_t -0.5 outside [0, 1]"),
+        ("beta", Path1D(("arc",)), 1, "unknown segment type str"),
+    ],
+)
+def test_cycle_rules_without_coefficients_rejected(name, path, paths, message):
+    spec = builtin(name)
+    broken = replace(spec, cycle=CycleSpec(terms=(CycleTerm(1.0, (path,) * paths),)))
+    # a function built from an unloaded spec is held to the same rules
+    for check in (validate_scenario, PeriodFunction):
+        with pytest.raises(ScenarioError) as exc:
+            check(broken)
+        assert str(exc.value) == f"cycle: {message}"
 
 
 def test_settings_defaults():

@@ -125,7 +125,7 @@ def test_circle_evaluations_are_shared_between_orders():
     def evaluations(*multis):
         cache = DerivativeCache()
         before = calls["n"]
-        _derive(phi, a, list(multis), DIFF, cache)
+        _derive(phi, [a], list(multis), DIFF, cache)
         return calls["n"] - before, cache
 
     # (1,2) and (2,2) both use the 4 directions (rho0, rho1 i^j), and a single
@@ -280,7 +280,7 @@ def test_sample_table_matches_scalar_stencils_bit_for_bit(name):
     # as the sample-by-sample loop does
     scalar.value(_smooth, a)
     cache = DerivativeCache()
-    _derive(BatchOnly(_smooth), a, multis, settings, cache)
+    _derive(BatchOnly(_smooth), [a], multis, settings, cache)
     assert cache.misses == scalar.misses == len(table.rows)
 
 
@@ -372,7 +372,7 @@ def test_mixed_partials_exact_on_polynomials():
         if sum(u) <= 6 and sum(q > 0 for q in u) >= 2
     ]
     # one table for all of them, as verify derives a point's derivatives
-    _derive(phi, a, mixed, DIFF, cache)
+    _derive(phi, [a], mixed, DIFF, cache)
     for u in mixed:
         expect = 0.0j
         for e, c in zip(exps, coeffs):
@@ -584,18 +584,73 @@ def test_verify_shared_cache_reuses_values():
     assert calls["n"] == first
 
 
-def test_verify_sends_one_batch_per_point():
+def test_verify_sends_one_batch_per_run():
     spec = builtin("gl_quadratic")
     system = build_system(spec)
     phi = BatchOnly(lambda a: cmath.exp(a[0]) / a[2] + a[1] ** 3)
     points = verification_points(spec.coefficient_vector(), 2, seed=4)
     cache = DerivativeCache()
     verify(system, phi, points=points, cache=cache)
-    assert phi.calls == 2
+    assert phi.calls == 1
     assert phi.rows == cache.misses
     # every derivative is finished: a rerun evaluates nothing
     verify(system, phi, points=points, cache=cache)
-    assert phi.calls == 2
+    assert phi.calls == 1
+
+
+# cheap shipped scenarios of each function kind
+CROSS_POINT_SCENARIOS = ["quadratic_root", "gl_quadratic", "residue_circle", "beta"]
+
+
+@pytest.mark.parametrize("name", CROSS_POINT_SCENARIOS)
+def test_cells_do_not_depend_on_the_other_points(name):
+    spec = builtin(name)
+    system = build_system(spec)
+    phi = PeriodFunction(scenario=spec)
+    points = verification_points(spec.coefficient_vector(), 3, seed=11)
+    report = verify(system, phi, points=points)
+    for k, pt in enumerate(points):
+        alone = verify(system, phi, points=[pt])
+        assert alone.phi_values == report.phi_values[k:k + 1]
+        cells = [replace(c, point_index=0) for c in report.cells if c.point_index == k]
+        # repr tells every float apart by its bits, -0.0 from 0.0 too
+        assert repr(cells) == repr(list(alone.cells))
+
+
+def test_repeated_point_is_evaluated_once():
+    spec = builtin("gl_quadratic")
+    system = build_system(spec)
+    point = verification_points(spec.coefficient_vector(), 1, seed=3)[0]
+    runs = []
+    for points in ([point], [point, point.copy()]):
+        phi = BatchOnly(lambda a: cmath.exp(a[0]) / a[2] + a[1] ** 3)
+        cache = DerivativeCache()
+        report = verify(system, phi, points=points, cache=cache)
+        runs.append((phi, cache, report))
+    (one, one_cache, single), (two, two_cache, double) = runs
+    assert (one.calls, one.rows) == (two.calls, two.rows) == (1, one_cache.misses)
+    assert two_cache.misses == one_cache.misses
+    # the copy's value lookup and every derivative its cells read are hits
+    assert two_cache.hits == 2 * one_cache.hits
+    assert double.cells == single.cells + tuple(
+        replace(c, point_index=1) for c in single.cells)
+
+
+def test_failing_point_errors_only_its_own_cells():
+    spec = builtin("gl_quadratic")
+    system = build_system(spec)
+    points = verification_points(spec.coefficient_vector(), 3, seed=5)
+    clean = verify(system, PeriodFunction(scenario=spec), points=points)
+    phi = FailingBatchPhi(spec, [points[1]])
+    report = verify(system, phi, points=points)
+    assert phi.calls == 1
+    assert report.phi_values == (clean.phi_values[0], None, clean.phi_values[2])
+    for got, want in zip(report.cells, clean.cells):
+        if got.point_index == 1:
+            assert got.error == "PathSingularityError: synthetic row failure"
+        else:
+            assert repr(got) == repr(want)
+    assert report.has_errors and not report.passed
 
 
 def test_verified_points_keep_their_derivatives_not_their_rows():
@@ -675,7 +730,8 @@ def test_failing_rows_mark_only_the_cells_that_use_them(name):
     batching, cache = FailingBatchPhi(spec, [points[0], bad]), DerivativeCache()
     report = verify(system, batching, points=points, cache=cache)
     assert report == plain
-    assert batching.calls == 2
+    # both points' rows, the failing ones too, go to phi in one batch
+    assert batching.calls == 1
     # misses count every evaluation, the rows beside a failing point too
     assert plain_phi.points == plain_cache.misses
     assert batching.points == cache.misses
@@ -741,4 +797,4 @@ def test_shipped_scenarios_keep_their_eval_counts():
         assert report.passed, name
         assert phi.points == cache.misses == count, name
         assert cache.hits == hits, name
-        assert phi.batches == spec.settings.points, name
+        assert phi.batches == 1, name
