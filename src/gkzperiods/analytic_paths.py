@@ -492,10 +492,10 @@ def integrand_values(
     ``a`` holds one coefficient vector per row and ``grids`` one array per
     coordinate whose leading axis runs over the same rows; tracked logs
     broadcast against them.  Power factors with tracked logs use
-    exp(lam * L); untracked power factors must have integer lam and are
-    evaluated by direct powers.  Exp factors contribute exp(f(x));
-    coordinate twists exp((beta-1) log x_p) use tracked logs when present,
-    integer powers otherwise.
+    exp(lam * L); the others have integer lam (tracked_requirements tracks
+    every non-integer one) and are evaluated by direct powers.  Exp factors
+    contribute exp(f(x)); coordinate twists exp((beta-1) log x_p) use
+    tracked logs when present, integer powers otherwise.
 
     Returns the values and a dict mapping each row whose integrand
     overflows or is not finite to its EvaluationError; such rows hold 0.
@@ -517,27 +517,17 @@ def integrand_values(
             lam = complex(fac.lam)
             if fac.index in factor_logs:
                 w = w + lam * factor_logs[fac.index]
-            elif is_real_integer(lam):
-                vals = fac.values(coeffs, tuple(grids))
-                direct *= vals ** int(lam.real)
-            else:
-                raise ScenarioError(
-                    "cycle",
-                    f"factor {fac.index} has non-integer exponent but no "
-                    f"tracked branch",
-                )
+                continue
+            # x ** 1 is x bit for bit, but numpy runs a full power loop for it
+            vals = fac.values(coeffs, tuple(grids))
+            k = int(lam.real)
+            direct *= vals if k == 1 else vals ** k
         for p in range(1, spec.m + 1):
             beta = complex(spec.twist_beta[p - 1])
             if p in coord_logs:
                 w = w + (beta - 1.0) * coord_logs[p]
-            elif not is_real_integer(beta):
-                raise ScenarioError(
-                    "cycle",
-                    f"coordinate {p} has non-integer twist but no tracked "
-                    f"branch",
-                )
-            elif int(beta.real) != 1:
-                direct *= grids[p - 1] ** (int(beta.real) - 1)
+            elif k := int(beta.real) - 1:
+                direct *= grids[p - 1] if k == 1 else grids[p - 1] ** k
         wr = np.real(w)
         vals = np.exp(w) * direct
     errors: dict = {}

@@ -4,7 +4,10 @@ Rule selection is per path segment: periodic trapezoid for a closed
 single-arc full turn with a single-valued integrand, tanh-sinh where an
 endpoint sits on a zero of a branched factor (or coordinate), plain
 composite Gauss-Legendre otherwise, including truncated rays.  Levels
-refine until successive values agree to the requested tolerance.  All of
+refine until successive values agree to the requested tolerance.  The
+trapezoid and tanh-sinh rules nest (each level's nodes are every other
+node of the next), so a group of those rules starts on its second level's
+grid and takes the first level's value from that grid's sub-grid.  All of
 it runs on batches of coefficient vectors: rows with the same rules share
 nodes, branch transport and integrand evaluation, and keep their own
 convergence and errors.  Each row's levels, level values and ray-tip
@@ -48,6 +51,8 @@ LEVEL_CAP = 14
 _NODE_BUDGET = 4096
 
 _GL16 = np.polynomial.legendre.leggauss(16)
+# rules whose level L - 1 nodes are level L nodes with twice the weight
+_NESTED = ("trapezoid", "tanh-sinh")
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,9 @@ class IntegralResult:
     ``value``, ``error_estimate`` (level differencing plus clipped tails)
     and ``row_converged`` have one entry per row.  A row whose evaluation
     failed has its EvaluationError in ``errors`` (None elsewhere), nan
-    value and no nodes.  ``nodes_used`` counts the nodes of all rows.
+    value and no nodes.  ``nodes_used`` counts the integrand nodes
+    evaluated for all rows; a level read off the next level's grid adds
+    none.
     """
 
     value: np.ndarray
@@ -175,6 +182,38 @@ def _axis_nodes(
     )
 
 
+@cache
+def _coarse_index(rules: tuple, level: int) -> tuple[np.ndarray, ...] | None:
+    """Per axis, where the level - 1 nodes sit among the level nodes.
+
+    None unless every rule nests: each segment's level - 1 nodes are every
+    other one of its level nodes, bit for bit, with exactly twice their
+    weight.  Then the level - 1 integral is 2**m times the level grid's
+    contributions summed over that sub-grid, exactly.  (Matched by
+    position, not by value: near a tanh-sinh endpoint several nodes round
+    to one s.)
+    """
+    if any(rule not in _NESTED for axis in rules for rule in axis):
+        return None
+    index = []
+    for axis in rules:
+        parts, start = [], 0
+        for rule in axis:
+            s, w, _ = _segment_nodes(rule, level)
+            coarse_s, coarse_w, _ = _segment_nodes(rule, level - 1)
+            offsets = [
+                o for o in (0, 1)
+                if s[o::2].tobytes() == coarse_s.tobytes()
+                and (2.0 * w[o::2]).tobytes() == coarse_w.tobytes()
+            ]
+            if not offsets:
+                return None
+            parts.append(start + np.arange(offsets[0], s.size, 2))
+            start += s.size
+        index.append(np.concatenate(parts))
+    return _frozen(*index)
+
+
 def branch_logs(
     spec: ScenarioSpec,
     a: np.ndarray,
@@ -263,18 +302,23 @@ def _term_level_value(
     level: int,
     tracked_factors,
     tracked_coords,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, dict, np.ndarray | None]:
     """One refinement level of a term at every row of ``a``.
 
     ``rpaths`` holds the term's paths resolved at the same rows.  All rows
     share ``rules`` (one rule tuple per path), hence the nodes.
     Returns per-row values and clipped-tail estimates, the node count of
-    one row, the integrand grid (rows first), and a dict mapping failed
-    rows to their EvaluationError; failed rows hold value 0.
+    one row, the integrand grid (rows first), a dict mapping failed rows to
+    their EvaluationError (failed rows hold value 0), and, at level
+    LEVEL_START + 1 of nesting rules, the per-row values of level
+    LEVEL_START read off this grid (None otherwise).  Those equal the
+    level's own values bit for bit where no branch is tracked; tracked logs
+    are transported on the finer grid and may differ by rounding.
     """
     n_rows = a.shape[0]
     m = len(rules)
-    axes = [_axis_nodes(tuple(r), level) for r in rules]
+    rules = tuple(map(tuple, rules))
+    axes = [_axis_nodes(r, level) for r in rules]
     axes_ts = [ax[0] for ax in axes]
     axes_pts = [rp.point(ts) for rp, ts in zip(rpaths, axes_ts)]
     axes_dz = [rp.derivative(ts) for rp, ts in zip(rpaths, axes_ts)]
@@ -301,6 +345,18 @@ def _term_level_value(
     # np.multiply keeps the operand order; see integrand_values
     contributions = np.multiply(vals, reduce(np.multiply, wd))
     value = contributions.reshape(n_rows, -1).sum(axis=1)
+    coarse = None
+    index = _coarse_index(rules, level) if level == LEVEL_START + 1 else None
+    if index is not None:
+        # the sub-grid's contributions, C-ordered to be summed in the same
+        # order as on their own grid, times 2**m: scaling the real and
+        # imaginary parts apart is exact, signed zeros included
+        sub = contributions
+        for d, k in enumerate(index):
+            sub = np.take(sub, k, axis=d + 1)
+        sub.real *= 2.0**m
+        sub.imag *= 2.0**m
+        coarse = sub.reshape(n_rows, -1).sum(axis=1)
     tail_est = np.zeros(n_rows)
     for d, ax in enumerate(axes):
         tf = ax[2]
@@ -309,7 +365,7 @@ def _term_level_value(
                 (np.abs(contributions) * on_axis(tf, d)).reshape(n_rows, -1).sum(axis=1)
             )
     nodes = int(np.prod([ts.size for ts in axes_ts]))
-    return value, nodes, tail_est, vals, errors
+    return value, nodes, tail_est, vals, errors, coarse
 
 
 def _tip_ratios(rules: tuple, level: int, grid: np.ndarray) -> np.ndarray:
@@ -343,13 +399,15 @@ def integrate_term(
     resolved once for the batch, and rows are grouped by their
     per-segment rules.  Each group refines its levels together,
     LEVEL_START..LEVEL_CAP, a row leaving when successive values agree to
-    ``spec.settings.tol``.  A level runs on slices of the active rows, each
-    at least one row and otherwise holding rows x nodes per row under
-    _NODE_BUDGET, so memory stays bounded however large the batch; rows are
-    independent, so slicing changes no result.  Values include the term
-    multiplicity.  A row that reaches the level cap without agreement, or
-    whose rays are cut too short (``short_rays``), is flagged unconverged
-    but still returned.
+    ``spec.settings.tol``; a group whose rules all nest (trapezoid,
+    tanh-sinh) evaluates its first grid at LEVEL_START + 1 and reads level
+    LEVEL_START off its sub-grid.  A level runs on slices of the active
+    rows, each at least one row and otherwise holding rows x nodes per row
+    under _NODE_BUDGET, so memory stays bounded however large the batch;
+    rows are independent, so slicing changes no result.  Values include the
+    term multiplicity.  A row that reaches the level cap without agreement,
+    or whose rays are cut too short (``short_rays``), is flagged
+    unconverged but still returned.
 
     ``diagnostics`` holds arrays: ``row_levels``, the levels each row
     completed (0 where it failed); ``levels``, the values (without the
@@ -394,13 +452,14 @@ def integrate_term(
     tip_ratio = np.zeros(n_rows)
     for active in groups:
         rules = tuple(tuple(r[active[0]].tolist()) for r in path_rules)
-        for level in range(LEVEL_START, LEVEL_CAP + 1):
+        first = LEVEL_START + (_coarse_index(rules, LEVEL_START + 1) is not None)
+        for level in range(first, LEVEL_CAP + 1):
             row_nodes = math.prod(_axis_nodes(r, level)[0].size for r in rules)
             step = max(1, _NODE_BUDGET // row_nodes)
             still = []
             for start in range(0, len(active), step):
                 part = active[start:start + step]
-                vals, nodes, tails, grid, errs = _term_level_value(
+                vals, nodes, tails, grid, errs, coarse = _term_level_value(
                     spec, a[part], [rp.take(part) for rp in rpaths], rules, level,
                     tracked_factors, tracked_coords,
                 )
@@ -411,6 +470,10 @@ def integrate_term(
                 failed[part[~ok]] = True
                 done, v, t = part[ok], vals[ok], tails[ok]
                 nodes_used[done] += nodes
+                if coarse is not None:
+                    # this first grid of nesting rules also gives LEVEL_START
+                    level_values[done, 0] = value[done] = coarse[ok]
+                    levels_done[done] += 1
                 level_values[done, level - LEVEL_START] = v
                 levels_done[done] += 1
                 if level > LEVEL_START:

@@ -88,8 +88,10 @@ class FactorSupport:
                     # np.multiply, not *: numpy may reuse a large temporary
                     # right operand of * in place, swapping the factors, and
                     # its complex product is not bitwise commutative, so a
-                    # batch row's value would depend on the batch size
-                    term = np.multiply(term, coords[p] ** e)
+                    # batch row's value would depend on the batch size.
+                    # x ** 1 is x bit for bit, but numpy runs a full power
+                    # loop for it
+                    term = np.multiply(term, coords[p] if e == 1 else coords[p] ** e)
             total = total + term
         return total
 

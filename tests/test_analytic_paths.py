@@ -21,7 +21,13 @@ from gkzperiods.analytic_paths import (
     tracked_requirements,
 )
 from gkzperiods.quadrature import branch_logs
-from gkzperiods.scenario import ScenarioError, validate_scenario
+from gkzperiods.scenario import (
+    FactorSupport,
+    ScenarioError,
+    ScenarioSpec,
+    validate_scenario,
+)
+from gkzperiods.scenario_io import builtin_scenario_names
 
 from test_scenario import builtin
 
@@ -197,6 +203,91 @@ def test_tracked_requirements_by_kind():
     assert tracked_requirements(builtin("airy")) == ((), ())
     assert tracked_requirements(builtin("pochhammer")) == ((1, 2), ())
     assert tracked_requirements(builtin("quadratic_root")) == ((), ())
+
+
+def non_integer(z):
+    z = complex(z)
+    return z.imag != 0.0 or z.real != math.floor(z.real)
+
+
+def tracked_by_definition(spec):
+    """Power factors with non-integer lam, coordinates with non-integer beta."""
+    return (
+        tuple(f.index for f in spec.factors
+              if f.kind == "power" and f.lam is not None and non_integer(f.lam)),
+        tuple(p + 1 for p, b in enumerate(spec.twist_beta) if non_integer(b)),
+    )
+
+
+def random_structure(rng, m):
+    """A spec of random factor kinds, exponents and twists (unvalidated)."""
+    choices = [-2, -1, 0, 1, 2, 3, 0.5, -1.5, 1 / 3, 1 + 1j, 2j, 2.0000001]
+    factors = tuple(
+        FactorSupport(index=i + 1, kind=kind, monomials=((0,) * m,),
+                      coefficients=(1.0,),
+                      lam=None if kind == "exp" else complex(rng.choice(choices)))
+        for i, kind in enumerate(rng.choice(["power", "power", "exp"], size=3))
+    )
+    beta = tuple(complex(rng.choice(choices)) for _ in range(m))
+    return ScenarioSpec(name="random", m=m, factors=factors, twist_beta=beta,
+                        function_kind="period")
+
+
+def test_tracked_requirements_track_every_non_integer_exponent():
+    # integrand_values powers every untracked exponent directly, so the
+    # tracked set must hold every power factor with non-integer lam and every
+    # coordinate with non-integer beta
+    specs = [builtin(name) for name in builtin_scenario_names()]
+    rng = np.random.default_rng(22)
+    specs += [random_structure(rng, m) for m in (1, 2, 3) for _ in range(100)]
+    for spec in specs:
+        assert tracked_requirements(spec) == tracked_by_definition(spec), spec.name
+
+
+def spread(rng, shape):
+    """Complex normal values scaled by 10**U(-30, 30) each."""
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return z * 10.0 ** rng.uniform(-30, 30, size=shape)
+
+
+def powered_values(fac, coeffs, coords):
+    """FactorSupport.values with every exponent applied as a power, 1 too."""
+    total = 0.0 + 0.0j
+    for mono, c in zip(fac.monomials, coeffs):
+        term = c
+        for p, e in enumerate(mono):
+            if e:
+                term = np.multiply(term, coords[p] ** e)
+        total = total + term
+    return total
+
+
+def test_exponent_one_is_no_power():
+    rng = np.random.default_rng(7)
+    monos = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (3, 0))
+    fac = FactorSupport(index=1, kind="power", monomials=monos,
+                        coefficients=(1.0,) * len(monos), lam=-1.0)
+    for rows in (1, 5, 64):
+        coeffs = spread(rng, (len(monos), rows, 1, 1))
+        coords = (spread(rng, (rows, 40, 1)), spread(rng, (rows, 1, 30)))
+        got = fac.values(coeffs, coords)
+        assert got.tobytes() == powered_values(fac, coeffs, coords).tobytes()
+
+    # beta's integrand x^(2-1) (1 - x)^1 on a spread grid, against the powers
+    spec = builtin("beta")
+    fac, = spec.factors
+    assert complex(fac.lam) == 1 and spec.twist_beta == (2,)
+    for rows in (1, 7, 50):
+        a = spread(rng, (rows, spec.n_columns()))
+        grid = spread(rng, (rows, 257))
+        vals, errors = integrand_values(spec, a, [grid], {}, {})
+        assert not errors
+        coeffs = spec.coefficients_for(a, 1).T.reshape(-1, rows, 1)
+        direct = np.ones(grid.shape, dtype=complex)
+        direct *= powered_values(fac, coeffs, (grid,)) ** 1
+        direct *= grid ** 1
+        expected = np.exp(np.zeros(grid.shape, dtype=complex)) * direct
+        assert vals.tobytes() == expected.tobytes()
 
 
 def test_integrand_values_airy_at_origin_is_one():

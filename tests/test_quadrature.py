@@ -27,6 +27,7 @@ from gkzperiods.period_functions import (
 )
 from gkzperiods.quadrature import (
     _axis_nodes,
+    _coarse_index,
     _path_rules,
     _segment_nodes,
     _term_level_value,
@@ -377,6 +378,80 @@ def test_quadrature_nodes_are_built_once_and_read_only():
             x[0] = 0.5
 
 
+NESTED_RULES = (
+    (("trapezoid",),),
+    (("tanh-sinh",),),
+    (("tanh-sinh", "tanh-sinh"),),
+    (("trapezoid",), ("trapezoid",)),
+    (("tanh-sinh",), ("trapezoid",)),
+)
+
+
+@pytest.mark.parametrize("level", range(6, quadrature.LEVEL_CAP + 1))
+def test_nested_rules_keep_every_coarser_node_with_twice_its_weight(level):
+    for rules in NESTED_RULES:
+        index = _coarse_index(rules, level)
+        assert index is not None and len(index) == len(rules)
+        for axis, k in zip(rules, index):
+            ts, ws, _ = _axis_nodes(axis, level)
+            coarse_ts, coarse_ws, _ = _axis_nodes(axis, level - 1)
+            # every coarse node is a distinct fine node, bit for bit, with
+            # exactly twice its weight
+            assert np.all(np.diff(k) > 0) and 0 <= k[0] and k[-1] < ts.size
+            assert ts[k].tobytes() == coarse_ts.tobytes()
+            assert (2.0 * ws[k]).tobytes() == coarse_ws.tobytes()
+
+
+def test_gauss_and_ray_groups_never_read_a_level_off_a_finer_grid(monkeypatch):
+    for rules in ((("gauss",),), (("ray",),), (("tanh-sinh", "gauss"),),
+                  (("trapezoid",), ("ray",)), (("ray", "ray"),)):
+        for level in range(6, quadrature.LEVEL_CAP + 1):
+            assert _coarse_index(rules, level) is None, rules
+    calls = []
+
+    def counted(spec, a, rpaths, rules, level, *args):
+        out = _term_level_value(spec, a, rpaths, rules, level, *args)
+        calls.append((rules, level, out[-1] is not None))
+        return out
+
+    monkeypatch.setattr(quadrature, "_term_level_value", counted)
+    # airy's rays and beta's Gauss-Legendre segment start at level 5;
+    # residue_circle's trapezoid and gauss's tanh-sinh ends at level 6
+    for name, first in (("airy", 5), ("beta", 5), ("residue_circle", 6), ("gauss", 6)):
+        spec = builtin(name)
+        calls.clear()
+        integrate_cycle(spec, np.array(verification_points(spec.coefficient_vector(), 3, seed=5)))
+        assert min(level for _, level, _ in calls) == first, name
+        for rules, level, coarse in calls:
+            nested = all(r in ("trapezoid", "tanh-sinh") for axis in rules for r in axis)
+            assert coarse == (nested and level == quadrature.LEVEL_START + 1), name
+
+
+@pytest.mark.parametrize("name", ["residue_circle", "hesse_cubic", "gauss"])
+def test_level_below_read_off_the_finer_grid(name):
+    # untracked integrands give level 5 bit for bit; gauss's tracked logs are
+    # transported on the finer grid, so its value moves at rounding level
+    spec = builtin(name)
+    a = np.array(verification_points(spec.coefficient_vector(), 4, seed=11))
+    tracked_factors, tracked_coords = tracked_requirements(spec)
+    for term in spec.cycle.terms:
+        rpaths = [resolve_path(p, spec, a)[0] for p in term.paths]
+        rules = tuple(
+            tuple(_path_rules(rp, spec, a, tracked_factors, tracked_coords)[0])
+            for rp in rpaths
+        )
+        level = quadrature.LEVEL_START
+        fine = _term_level_value(spec, a, rpaths, rules, level + 1,
+                                 tracked_factors, tracked_coords)
+        alone = _term_level_value(spec, a, rpaths, rules, level,
+                                  tracked_factors, tracked_coords)
+        assert not fine[4] and not alone[4] and alone[-1] is None
+        if tracked_factors or tracked_coords:
+            assert np.all(np.abs(fine[-1] - alone[0]) <= 1e-15 * np.abs(alone[0]))
+        else:
+            assert fine[-1].tobytes() == alone[0].tobytes()
+
+
 def row_level_values(diag, k):
     """Row k's level values, cut out of the rows' concatenated ones."""
     start = int(diag["row_levels"][:k].sum())
@@ -560,10 +635,10 @@ def test_path_that_stops_chaining_at_one_row_raises_the_oracle_message():
 SHIPPED_QUADRATURE_WORK = {
     "airy": (1344, (9, 9)),
     "beta": (288, (6,)),
-    "gauss": (282, (6,)),
-    "hesse_cubic": (15360, (6,)),
+    "gauss": (189, (6,)),
+    "hesse_cubic": (12288, (6,)),
     "pochhammer": (1152, (6, 6, 6, 6)),
-    "residue_circle": (288, (6,)),
+    "residue_circle": (192, (6,)),
     "torus_coefficient": (15360, (6,)),
 }
 
