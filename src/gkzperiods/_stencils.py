@@ -1,15 +1,21 @@
-"""Cauchy-circle stencils of one point as one sample table, and the cache
-of the derivatives made from them.
+"""Cauchy-circle stencils of a run's points as one stacked sample table,
+and the cache of the derivatives made from them.
 
 Every derivative a point needs is a full- and a half-radius stencil of
-direction circles (see ``_directions``).  A SampleTable builds all of
-them as blocks of rows of one array after the point itself, merges rows
-equal in bits, and takes every circle sum on the rows' values with the
-products and left-to-right additions of a sample-by-sample loop, so each
-sum is bit-identical to that loop.  The table is the one place rows are
-deduplicated: ``DerivativeCache.evaluate`` sends the rows it is given to
-phi in one batch call and keeps none of them, and ``batch_of`` makes a
-plain callable a row loop that returns each row's error as its entry.
+direction circles (see ``_directions``).  Which coordinates each sample
+moves, by which radius, unit step and circle node, which samples merge
+into one row, and each stencil's row index and phases do not depend on
+the point: ``_template`` builds them once per tuple of multi-indices,
+with one lexsort, and caches them.  A SampleTable writes the rows of P
+points on that template with one scatter and takes every circle sum of
+every point with the products and left-to-right additions of a
+sample-by-sample loop, so each sum is bit-identical to that loop.
+Samples merge by structure, never by the bits of their rows, so no
+value depends on which other samples a table holds.  The table is the
+one place rows are deduplicated: ``DerivativeCache.evaluate`` sends the
+rows it is given to phi in one batch call and keeps none of them, and
+``batch_of`` makes a plain callable a row loop that returns each row's
+error as its entry.
 """
 
 from __future__ import annotations
@@ -99,8 +105,9 @@ class DerivativeCache:
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x * y on complex arrays, rounded as a scalar complex product is
     (numpy's vector loop may fuse the products and round differently)."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
+    real = x.real * y.real - x.imag * y.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
     out.imag = x.real * y.imag + x.imag * y.real
     return out
 
@@ -158,77 +165,147 @@ def _directions(multi: tuple):
     return support, sizes, *arrays
 
 
-class SampleTable:
-    """Every circle sample of some derivatives at one point, as arrays.
+class _Template:
+    """The part of a sample table that does not depend on the point.
 
     Derivative j of ``multis`` owns stencils 2j (full radius) and 2j + 1
-    (half radius), consecutive blocks of sample rows after the point
-    itself.  Rows equal in bits are merged into ``rows``, first occurrences
-    first, so the point is row 0; ``index[t, k]`` is the row of stencil t's
-    sample k, padded with row 0 past ``lengths[t]``.
+    (half radius), the same samples at two radii.  A sample's key is its
+    circle node, by which every coordinate it moves turns, and each
+    coordinate's unit step (0 where it does not move).  Samples with
+    equal keys and radius give bit-equal rows
+    at any point, so they are merged, and samples at different radii
+    never are.  A coincidental bit equality between different keys only
+    costs one more evaluation.  Rows come in order of first occurrence
+    over the stencils, after the point's own row 0: derivative j's new
+    samples at full radius, then the same at half radius.
+
+    ``index[t, k]`` is the row of stencil t's sample k, padded with row 0
+    past ``lengths[t]``, and ``phases`` its phase.  The merged rows are
+    written by scattering ``point[col] + radius[slot] * unit * node`` to
+    ``pos`` in a point's flattened block of ``block`` rows, where ``slot``
+    picks a radius from the point's full radii followed by its half radii.
+    ``prefactors`` holds what each stencil's prefactor takes of it.
     """
 
-    def __init__(self, a: np.ndarray, multis: list, settings: EvalSettings):
-        n = a.size
-        self.radii = [settings.radius_factor * max(1.0, abs(x)) for x in a]
-        halved = [r / 2.0 for r in self.radii]
-        dirs = [_directions(multi) for multi in multis for _ in range(2)]
-        prefs = []
-        for t, (support, sizes, *_) in enumerate(dirs):
-            multi, radii = multis[t // 2], (self.radii, halved)[t % 2]
-            pref = 1.0 + 0.0j
-            for v, m in zip(support, sizes):
-                pref *= math.factorial(multi[v]) / (m * radii[v] ** multi[v])
-            prefs.append(pref)
-        self.prefs = np.array(prefs)
-        self.lengths = np.array([len(d[2]) for d in dirs])
-        starts = 1 + np.cumsum(self.lengths) - self.lengths
-
+    def __init__(self, multis: tuple):
+        n, count = len(multis[0]), len(multis)
+        dirs = [_directions(multi) for multi in multis]
+        sizes = np.array([len(d[2]) for d in dirs])
+        starts = sizes.cumsum() - sizes
         phase, sample, column, unit, node = map(
             np.concatenate, zip(*(d[2:] for d in dirs)))
-        entries = [len(d[3]) for d in dirs]
-        sample = sample + np.repeat(starts, entries)
-        halves = np.repeat(np.arange(len(dirs)) % 2, entries)
-        radius = np.array(self.radii + halved, dtype=complex)[column + n * halves]
-        flat = np.empty((1 + self.lengths.sum(), n), dtype=complex)
-        flat[:] = a
-        step = _mul(_mul(radius, unit), node)
-        flat.reshape(-1)[sample * n + column] = a[column] + step
-        self.rows, sample_rows = _merge_rows(flat)
+        sample = sample + starts.repeat([len(d[3]) for d in dirs])
 
-        width = self.lengths.max()
-        into = np.arange(1, len(flat)) + np.repeat(
-            np.arange(len(dirs)) * width - starts, self.lengths)
-        self.index = np.zeros(len(dirs) * width, dtype=np.intp)
-        self.index[into] = sample_rows[1:]
+        total = sizes.sum()
+        units = np.zeros((total, n), dtype=complex)
+        units[sample, column] = unit
+        keys = np.empty((total, 2 + 2 * n), dtype=np.uint64)
+        keys[sample, :2] = node.view(np.uint64).reshape(-1, 2)
+        keys[:, 2:] = units.view(np.uint64)
+        first, inverse = _first_occurrences(keys)
+        # each merged sample's rows at full and half radius: after the
+        # rows of the derivatives before the one it first occurs in
+        owner = np.arange(count).repeat(sizes)[first]
+        new = np.bincount(owner, minlength=count)
+        full = 1 + np.arange(len(owner)) + (new.cumsum() - new)[owner]
+        rows_at = (full, full + new[owner])
+        self.block = 1 + 2 * len(owner)
+
+        self.lengths = sizes.repeat(2)
+        width = sizes.max()
+        into = np.arange(total) + (2 * width * np.arange(count) - starts).repeat(sizes)
+        self.index = np.zeros(2 * count * width, dtype=np.intp)
+        self.phases = np.zeros(2 * count * width, dtype=complex)
+        for half, rows in enumerate(rows_at):
+            self.index[into + half * width] = rows[inverse]
+            self.phases[into + half * width] = phase
         self.index = self.index.reshape(-1, width)
-        self.phases = np.zeros(len(dirs) * width, dtype=complex)
-        self.phases[into] = phase
         self.phases = self.phases.reshape(-1, width)
 
-    def circle_sums(self, values: np.ndarray) -> list:
-        """Each stencil's pref * sum of value * phase, added left to right,
-        from the value of every row."""
-        terms = np.zeros((len(self.lengths), self.index.shape[1] + 1), dtype=complex)
-        terms[:, 1:] = _mul(values[self.index], self.phases)
-        # the running sum from 0 of a sample-by-sample loop, not np.sum's pairs
-        sums = np.cumsum(terms, axis=1)[np.arange(len(self.lengths)), self.lengths]
-        return _mul(self.prefs, sums).tolist()
+        keep = first[sample]
+        col, merged = column[keep], inverse[sample[keep]]
+        self.col = np.concatenate([col, col])
+        self.slot = np.concatenate([col, col + n])
+        self.pos = np.concatenate([rows[merged] for rows in rows_at]) * n + self.col
+        self.unit = np.concatenate([unit[keep]] * 2)
+        self.node = np.concatenate([node[keep]] * 2)
+
+        # each stencil's multi, support, circle counts and radius offset
+        self.prefactors = [(multi, d[0], d[1], half)
+                           for multi, d in zip(multis, dirs) for half in (0, n)]
+        # every table of these multis shares them
+        for arr in (self.index, self.phases, self.lengths):
+            arr.setflags(write=False)
 
 
-def _merge_rows(flat: np.ndarray):
-    """The distinct rows (in bits) in order of first occurrence, and each
-    row's position among them.  One lexsort and no np.unique, which
-    imports numpy.ma, nor a second sort, whose SIMD code adds to RSS."""
-    bits = flat.view(np.uint64)
-    order = np.lexsort(bits.T)
-    ordered = bits[order]
-    starts = np.ones(len(flat), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    # lexsort is stable: each run of equal rows starts at its first occurrence
-    first = np.zeros(len(flat), dtype=bool)
+_template = cache(_Template)
+
+
+class SampleTable:
+    """Every circle sample of some derivatives at P points, as arrays.
+
+    ``rows`` is (P, R, n): each point's block is the point (row 0) and its
+    merged sample rows, in the order of the cached ``_template(multis)``,
+    whose ``index``, ``phases`` and ``lengths`` the table shares; they are
+    the same at every point.  ``prefs`` (P, stencils) is each stencil's
+    prefactor and ``amps`` (P, multis) each derivative's prod q!/rho^q at
+    half radius.  The radii and their powers are taken one coordinate at
+    a time, as C's hypot and pow give them: numpy's vector abs and power
+    round differently.
+    """
+
+    def __init__(self, points: np.ndarray, multis, settings: EvalSettings):
+        tpl = _template(tuple(multis))
+        self.index, self.phases, self.lengths = tpl.index, tpl.phases, tpl.lengths
+        self.prefs = np.empty((len(points), len(tpl.prefactors)), dtype=complex)
+        self.amps = np.empty((len(points), len(multis)))
+        with np.errstate(all="ignore"):
+            mags = np.array([[abs(x) for x in a] for a in points])
+            radii = settings.radius_factor * np.maximum(1.0, mags)
+            radii = np.concatenate([radii, radii / 2.0], axis=1)
+            for p, rho in enumerate(radii):
+                for t, (multi, support, counts, half) in enumerate(tpl.prefactors):
+                    pref, amp = 1.0 + 0.0j, 1.0
+                    for v, m in zip(support, counts):
+                        power = rho[v + half] ** multi[v]
+                        pref *= math.factorial(multi[v]) / (m * power)
+                        amp *= math.factorial(multi[v]) / power
+                    self.prefs[p, t] = pref
+                    # the half-radius stencil comes second: its amp stays
+                    self.amps[p, t // 2] = amp
+            self.rows = np.empty((len(points), tpl.block, points.shape[1]),
+                                 dtype=complex)
+            self.rows[:] = points[:, None]
+            step = _mul(_mul(radii[:, tpl.slot].astype(complex), tpl.unit),
+                        tpl.node)
+            self.rows.reshape(len(points), -1)[:, tpl.pos] = (
+                points[:, tpl.col] + step)
+
+    def circle_sums(self, values: np.ndarray) -> np.ndarray:
+        """(P, stencils): each stencil's pref * sum of value * phase, added
+        left to right, from the (P, R) values of every row."""
+        count, width = self.index.shape
+        terms = np.zeros((len(values), count, width + 1), dtype=complex)
+        with np.errstate(all="ignore"):
+            terms[:, :, 1:] = _mul(values[:, self.index], self.phases)
+            # the running sum from 0 of a sample-by-sample loop, not np.sum's pairs
+            sums = np.cumsum(terms, axis=2)[:, np.arange(count), self.lengths]
+            return _mul(self.prefs, sums)
+
+
+def _first_occurrences(keys: np.ndarray):
+    """Which rows of a uint64 key matrix come first among their equals,
+    and each row's rank among those first rows in order.  One lexsort and
+    no np.unique, which imports numpy.ma, nor a second sort, whose SIMD
+    code adds to RSS."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    (ordered[1:] != ordered[:-1]).any(axis=1, out=starts[1:])
+    # lexsort is stable: each run of equal keys starts at its first occurrence
+    first = np.zeros(len(keys), dtype=bool)
     first[order[starts]] = True
-    rank = np.cumsum(first) - 1
-    inverse = np.empty(len(flat), dtype=np.intp)
-    inverse[order] = rank[order[starts]][np.cumsum(starts) - 1]
-    return flat[first], inverse
+    rank = first.cumsum() - 1
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = rank[order[starts]][starts.cumsum() - 1]
+    return first, inverse

@@ -8,19 +8,22 @@ is the built-in diagnostic.  Residuals are normalized by the sum of the
 operator's term magnitudes so they stay meaningful where the function is
 small.
 
-Every derivative is made by ``_derive``: one sample table
-(``_stencils.SampleTable``) per point holds the point and both radii's
-stencils of all the derivatives asked for there, the rows of every table
-(less each point at which phi is already known) go to phi in one batch
-call, and each derivative, or the error of a sample it needs, is stored
-in the cache with phi at its point.  ``_derivatives`` names the
-derivatives an operator applies; verify asks for all of them at all its
-points at once, so it sends one batch per run, and the residuals then
-read them from the cache.
+Every derivative is made by ``_derive``: the points that still need
+the same derivatives form a group, one stacked sample table
+(``_stencils.SampleTable``) per group holds its points and both radii's
+stencils of those derivatives at each, the rows of every table (less
+each point at which phi is already known) go to phi in one batch call,
+and each derivative, or the error of a sample it needs, is stored in the
+cache with phi at its point.  A derivative whose circle sums are not
+finite is stored as a NonFiniteDerivativeError.  ``_derivatives`` names
+the derivatives an operator applies; verify asks for all of them at all
+its points at once, so it sends one batch per run, and the residuals
+then read them from the cache.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,6 +39,7 @@ __all__ = [
     "DerivativeCache",
     "DerivResult",
     "differentiate",
+    "NonFiniteDerivativeError",
     "ResidualCell",
     "ResidualReport",
     "verification_points",
@@ -51,6 +55,12 @@ _AGREEMENT_TOL = 1e-4
 
 class DerivativeOrderError(EvaluationError, ValueError):
     """A derivative above the supported total order was requested."""
+
+
+class NonFiniteDerivativeError(EvaluationError, ArithmeticError):
+    """A derivative's full- or half-radius circle sum is not finite, or a
+    radius power overflows: the radii are too small or too large for
+    floating point."""
 
 
 @dataclass(frozen=True)
@@ -79,9 +89,10 @@ def differentiate(
     max(1, |a_v|), the only setting read here, and each circle has 16
     nodes.  A derivative not in the cache is made by ``_derive`` at the
     one point a, whose batch holds both radii's samples and a, unless
-    phi(a) is cached; a failing sample's error is cached and raised again.
-    Orders above _MAX_ORDER raise DerivativeOrderError, which verify()
-    reports as an error cell.
+    phi(a) is cached; a failing sample's error is cached and raised again,
+    and so is a NonFiniteDerivativeError for circle sums that are not
+    finite.  Orders above _MAX_ORDER raise DerivativeOrderError, which
+    verify() reports as an error cell.
     """
     if cache is None:
         cache = DerivativeCache()
@@ -116,71 +127,103 @@ def _derive(phi, points: list, multis: list, settings: EvalSettings,
     """Store d^multi phi at each point for every multi in cache.derivs, and
     phi at each point in cache.values, from one cache.evaluate call.
 
-    Each distinct point gets one sample table of the multis it still needs
-    (those of order 0 or above _MAX_ORDER, repeated or already finished are
-    skipped); the rows of all tables, less each point whose phi is cached,
-    go to phi in one batch, and each table finishes on its share of the
-    values.  A derivative whose samples and point all have values gets its
-    DerivResult; else its entry is the error of its first failing sample
-    in summation order (full radius first), or else the error at its point.
+    The distinct points are grouped by the multis they still need (those
+    of order 0 or above _MAX_ORDER, repeated or already finished are
+    skipped), and each group gets one stacked sample table.  The rows of
+    all tables, less each point whose phi is cached, go to phi in one
+    batch, and each table finishes on its share of the values.  A
+    derivative whose samples and point all have values gets its
+    DerivResult, or a NonFiniteDerivativeError if a circle sum is not
+    finite; else its entry is the error of its first failing sample in
+    summation order (full radius first), or else the error at its point.
     """
     radius = settings.radius_factor
     multis = [m for m in dict.fromkeys(multis) if 0 < sum(m) <= _MAX_ORDER]
-    jobs, batch = [], []
-    for a in {p.tobytes(): p for p in points}.values():
-        point = a.tobytes()
-        todo = [m for m in multis if (point, m, radius) not in cache.derivs]
-        known = point in cache.values
-        if todo or not known:
-            table = SampleTable(a, todo, settings) if todo else None
-            rows = table.rows if todo else a[None]
-            jobs.append((point, todo, table, known))
-            batch.append(rows[1:] if known else rows)
-    if not jobs:
+    groups: dict = {}
+    for point, a in {p.tobytes(): p for p in points}.items():
+        todo = tuple(m for m in multis if (point, m, radius) not in cache.derivs)
+        if todo or point not in cache.values:
+            groups.setdefault(todo, []).append((point, a))
+    if not groups:
         return
+    jobs, batch = [], []
+    for todo, members in groups.items():
+        keys = [point for point, _ in members]
+        stacked = np.array([a for _, a in members])
+        table = SampleTable(stacked, todo, settings) if todo else None
+        rows = stacked[:, None] if table is None else table.rows
+        send = np.ones(rows.shape[:2], dtype=bool)
+        send[:, 0] = [point not in cache.values for point in keys]
+        jobs.append((todo, keys, table, send))
+        batch.append(rows[send])
     got = cache.evaluate(phi, np.concatenate(batch))
+    try:
+        flat, failed = np.array(got, dtype=complex), {}
+    except TypeError:  # an entry is an error: its value is 0
+        failed = {u: v for u, v in enumerate(got) if isinstance(v, EvaluationError)}
+        flat = np.array([0j if u in failed else v for u, v in enumerate(got)],
+                        dtype=complex)
     end = 0
-    for (point, todo, table, known), rows in zip(jobs, batch):
-        start, end = end, end + len(rows)
-        part = ([cache.values[point]] if known else []) + got[start:end]
-        errors = {u: v for u, v in enumerate(part) if isinstance(v, EvaluationError)}
-        for u in errors:
-            part[u] = 0j
-        values = np.array(part, dtype=complex)
-        phi0 = complex(values[0])
-        cache.values[point] = errors.get(0, phi0)
+    for todo, keys, table, send in jobs:
+        start, end = end, end + np.count_nonzero(send)
+        values = np.zeros(send.shape, dtype=complex)
+        values[send] = flat[start:end]
+        errors = [{} for _ in keys]
+        slots = np.flatnonzero(send)
+        for u, exc in failed.items():
+            if start <= u < end:
+                p, r = divmod(int(slots[u - start]), send.shape[1])
+                errors[p][r] = exc
+        for p, point in enumerate(keys):
+            if not send[p, 0]:
+                known = cache.values[point]
+                if isinstance(known, EvaluationError):
+                    errors[p][0] = known
+                else:
+                    values[p, 0] = known
+            cache.values[point] = errors[p].get(0, complex(values[p, 0]))
         if table is None:
             continue
-        sums = table.circle_sums(values)
-        for j, multi in enumerate(todo):
-            key = (point, multi, radius)
-            if errors:
-                order = table.index[2 * j:2 * j + 2, :table.lengths[2 * j]]
-                first = [u for u in order.ravel().tolist() + [0] if u in errors]
-                if first:
-                    cache.derivs[key] = errors[first[0]]
-                    continue
-            val, half = sums[2 * j:2 * j + 2]
-            # rounding noise scale at the smaller radius: prod q!/rho^q * eps * |phi|
-            # (the direction average is unitary and adds no amplification)
-            amp = 1.0
-            for v, q in enumerate(multi):
-                if q > 0:
-                    amp *= math.factorial(q) / (table.radii[v] / 2.0) ** q
-            # a derivative whose both estimates sit at the noise floor is zero, not
-            # disagreeing; measure agreement against value, halved value, and floor
-            # (floor = 1e-10 * amplified rounding scale, >= 1e4 x the eps-level noise
-            # so vanishing derivatives stay comfortably below _AGREEMENT_TOL)
-            floor = amp * max(abs(phi0), 1e-300) * 1e-10
-            diag = float(abs(val - half) / max(abs(val), abs(half), floor))
-            warnings = ()
-            if diag > _AGREEMENT_TOL:
-                warnings = (
-                    f"derivative d^{multi} agreement {diag:.2e} above "
-                    f"{_AGREEMENT_TOL:g}; value may be unreliable",
-                )
-            cache.derivs[key] = DerivResult(
-                value=val, diagnostic=diag, warnings=warnings)
+        sums = table.circle_sums(values).tolist()
+        for point, bad, phi0, row_sums, amps in zip(
+                keys, errors, values[:, 0].tolist(), sums, table.amps.tolist()):
+            for j, multi in enumerate(todo):
+                cache.derivs[point, multi, radius] = _finish(
+                    multi, table, j, bad, phi0, row_sums, amps[j])
+
+
+def _finish(multi, table, j: int, errors: dict, phi0: complex, sums: list,
+            amp: float):
+    """Derivative j of a table at one point from its circle sums, or the
+    error that stands for it."""
+    if errors:
+        order = table.index[2 * j:2 * j + 2, :table.lengths[2 * j]]
+        first = [u for u in order.ravel().tolist() + [0] if u in errors]
+        if first:
+            return errors[first[0]]
+    val, half = sums[2 * j:2 * j + 2]
+    if not (cmath.isfinite(val) and cmath.isfinite(half) and 0.0 < amp < math.inf):
+        return NonFiniteDerivativeError(
+            f"derivative d^{multi} is {val} at full radius and {half} at "
+            f"half, with prod q!/rho^q = {amp:g} at half radius")
+    # rounding noise scale at the smaller radius: amp * eps * |phi|, amp =
+    # prod q!/rho^q (the direction average is unitary and adds no
+    # amplification); a derivative whose both estimates sit at the noise
+    # floor is zero, not disagreeing; measure agreement against value,
+    # halved value, and floor (floor = 1e-10 * amplified rounding scale,
+    # >= 1e4 x the eps-level noise so vanishing derivatives stay
+    # comfortably below _AGREEMENT_TOL)
+    floor = amp * max(abs(phi0), 1e-300) * 1e-10
+    scale = max(abs(val), abs(half), floor)
+    # a floor that underflows leaves two exact zeros, which agree
+    diag = float(abs(val - half) / scale) if scale else 0.0
+    warnings = ()
+    if diag > _AGREEMENT_TOL:
+        warnings = (
+            f"derivative d^{multi} agreement {diag:.2e} above "
+            f"{_AGREEMENT_TOL:g}; value may be unreliable",
+        )
+    return DerivResult(value=val, diagnostic=diag, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from gkzperiods._stencils import _directions, _mul
 from gkzperiods.analytic_paths import (
     ArcSegment,
     LineSegment,
@@ -304,6 +305,77 @@ def circle_sum(value, stencil) -> complex:
     for point, phase in zip(points, phases):
         acc += value(point) * phase
     return pref * acc
+
+
+# ---------------------------------------------------------------------------
+# the sample table of one point, merged by the bits of its rows
+
+
+class PointSampleTable:
+    """Every circle sample of some derivatives at one point, as arrays.
+
+    Derivative j of ``multis`` owns stencils 2j (full radius) and 2j + 1
+    (half radius), consecutive blocks of sample rows after the point
+    itself.  Rows equal in bits are merged into ``rows``, first occurrences
+    first, so the point is row 0; ``index[t, k]`` is the row of stencil t's
+    sample k, padded with row 0 past ``lengths[t]``.  Radii and prefactors
+    are scalar Python arithmetic, one coordinate at a time.
+    """
+
+    def __init__(self, a: np.ndarray, multis: list, settings):
+        n = a.size
+        self.radii = [settings.radius_factor * max(1.0, abs(x)) for x in a]
+        halved = [r / 2.0 for r in self.radii]
+        dirs = [_directions(multi) for multi in multis for _ in range(2)]
+        prefs = []
+        for t, (support, sizes, *_) in enumerate(dirs):
+            multi, radii = multis[t // 2], (self.radii, halved)[t % 2]
+            pref = 1.0 + 0.0j
+            for v, m in zip(support, sizes):
+                pref *= math.factorial(multi[v]) / (m * radii[v] ** multi[v])
+            prefs.append(pref)
+        self.prefs = np.array(prefs)
+        self.lengths = np.array([len(d[2]) for d in dirs])
+        starts = 1 + np.cumsum(self.lengths) - self.lengths
+
+        phase, sample, column, unit, node = map(
+            np.concatenate, zip(*(d[2:] for d in dirs)))
+        entries = [len(d[3]) for d in dirs]
+        sample = sample + np.repeat(starts, entries)
+        halves = np.repeat(np.arange(len(dirs)) % 2, entries)
+        radius = np.array(self.radii + halved, dtype=complex)[column + n * halves]
+        flat = np.empty((1 + self.lengths.sum(), n), dtype=complex)
+        flat[:] = a
+        step = _mul(_mul(radius, unit), node)
+        flat.reshape(-1)[sample * n + column] = a[column] + step
+        self.rows, sample_rows = merge_rows(flat)
+
+        width = self.lengths.max()
+        into = np.arange(1, len(flat)) + np.repeat(
+            np.arange(len(dirs)) * width - starts, self.lengths)
+        self.index = np.zeros(len(dirs) * width, dtype=np.intp)
+        self.index[into] = sample_rows[1:]
+        self.index = self.index.reshape(-1, width)
+        self.phases = np.zeros(len(dirs) * width, dtype=complex)
+        self.phases[into] = phase
+        self.phases = self.phases.reshape(-1, width)
+
+
+def merge_rows(flat: np.ndarray):
+    """The distinct rows (in bits) in order of first occurrence, and each
+    row's position among them."""
+    bits = flat.view(np.uint64)
+    order = np.lexsort(bits.T)
+    ordered = bits[order]
+    starts = np.ones(len(flat), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    # lexsort is stable: each run of equal rows starts at its first occurrence
+    first = np.zeros(len(flat), dtype=bool)
+    first[order[starts]] = True
+    rank = np.cumsum(first) - 1
+    inverse = np.empty(len(flat), dtype=np.intp)
+    inverse[order] = rank[order[starts]][np.cumsum(starts) - 1]
+    return flat[first], inverse
 
 
 # ---------------------------------------------------------------------------

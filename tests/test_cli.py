@@ -439,6 +439,21 @@ def test_verify_derivative_order_above_cap_is_error_cell(tmp_path):
     assert "DerivativeOrderError" in res.stdout
 
 
+def test_verify_non_finite_derivative_exits_2(tmp_path):
+    # a radius factor EvalSettings accepts, whose powers underflow
+    doc = json.loads((SRC / "gkzperiods" / "scenarios" / "gl_quadratic.json").read_text())
+    doc["settings"] = {"radius_factor": 1e-300}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("verify", str(path), cwd=tmp_path)
+    assert res.returncode == 2
+    assert "Warning" not in res.stderr + res.stdout
+    assert "NonFiniteDerivativeError" in res.stdout
+    # no residual reads nan: in the table, or as a number in the report
+    assert not [line for line in res.stdout.splitlines() if line.endswith(" nan")]
+    assert "NaN" not in (tmp_path / "tiny.report.json").read_text()
+
+
 def test_verify_file_scenario_writes_report_beside_it(tmp_path):
     res0 = run_cli("system", "gl_quadratic", "--emit-normalized",
                    "--out", str(tmp_path / "local.json"))

@@ -3,12 +3,14 @@
 import cmath
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gkzperiods._stencils import SampleTable
+import gkzperiods.verifier
+from gkzperiods._stencils import SampleTable, _template
 from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
 from gkzperiods.gkz_system import (
     BoxOperator,
@@ -29,6 +31,7 @@ from gkzperiods.verifier import (
 )
 
 from oracles import (
+    PointSampleTable,
     cauchy_tensor,
     circle_sum,
     direction_stencils,
@@ -250,30 +253,37 @@ def _smooth(a):
     return complex(cmath.exp(0.3 * complex(sum(a))) / (3.0 + a[0]))
 
 
+def _shipped_multis(spec) -> list:
+    """Every derivative a shipped system's operators take, once, in order."""
+    system = build_system(spec)
+    n = spec.coefficient_vector().size
+    return list(dict.fromkeys(
+        m for op in list(system.eulers) + list(system.boxes)
+        for m in _derivatives(op, n) if 0 < sum(m) <= 6
+    ))
+
+
 @pytest.mark.parametrize("name", builtin_scenario_names())
 def test_sample_table_matches_scalar_stencils_bit_for_bit(name):
     spec = load_scenario(name)
     settings = spec.settings
-    system = build_system(spec)
     a = verification_points(
         spec.coefficient_vector(), 1, settings.seed, settings.point_rel
     )[0]
-    n = a.size
-    multis = list(dict.fromkeys(
-        m for op in list(system.eulers) + list(system.boxes)
-        for m in _derivatives(op, n) if 0 < sum(m) <= 6
-    ))
-    table = SampleTable(a, multis, settings)
-    assert _bits(table.rows[0]).tolist() == _bits(a).tolist()
-    sums = table.circle_sums(np.array(DerivativeCache().evaluate(_smooth, table.rows)))
+    multis = _shipped_multis(spec)
+    table = SampleTable(a[None], multis, settings)
+    rows = table.rows[0]
+    assert _bits(rows[0]).tolist() == _bits(a).tolist()
+    values = np.array(DerivativeCache().evaluate(_smooth, rows))
+    sums = table.circle_sums(values[None])[0]
     scalar = DerivativeCache()
     for j, multi in enumerate(multis):
         _, *stencils = direction_stencils(a, multi, settings)
         for t, (points, phases, pref) in zip((2 * j, 2 * j + 1), stencils):
             k = table.lengths[t]
-            assert np.array_equal(_bits(table.rows[table.index[t, :k]]), _bits(points))
+            assert np.array_equal(_bits(rows[table.index[t, :k]]), _bits(points))
             assert np.array_equal(_bits(table.phases[t, :k]), _bits(phases))
-            assert np.array_equal(_bits(table.prefs[t]), _bits(pref)), multi
+            assert np.array_equal(_bits(table.prefs[0, t]), _bits(pref)), multi
             want = circle_sum(lambda p: scalar.value(_smooth, p), (points, phases, pref))
             assert np.array_equal(_bits(sums[t]), _bits(want)), multi
     # all derivatives at once evaluate a and every distinct sample once,
@@ -281,7 +291,44 @@ def test_sample_table_matches_scalar_stencils_bit_for_bit(name):
     scalar.value(_smooth, a)
     cache = DerivativeCache()
     _derive(BatchOnly(_smooth), [a], multis, settings, cache)
-    assert cache.misses == scalar.misses == len(table.rows)
+    assert cache.misses == scalar.misses == len(rows)
+
+
+def _oracle_points(n: int, rng) -> np.ndarray:
+    """100 points: unit scale, magnitudes spread by 10^+-3, and Gaussian
+    integers of one magnitude per point (equal radii in every coordinate)."""
+    def phases(count):
+        return np.exp(2j * np.pi * rng.uniform(size=(count, n)))
+
+    unit = rng.uniform(0.5, 1.5, (34, n)) * phases(34)
+    spread = 10.0 ** rng.uniform(-3.0, 3.0, (33, n)) * phases(33)
+    axes = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, (33, n))]
+    equal = rng.integers(1, 5, (33, 1)) * axes
+    return np.concatenate([unit, spread, equal])
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_stacked_table_matches_one_table_per_point_bit_for_bit(name):
+    spec = load_scenario(name)
+    settings = spec.settings
+    multis = _shipped_multis(spec)
+    points = _oracle_points(spec.coefficient_vector().size, np.random.default_rng(23))
+    table = SampleTable(points, multis, settings)
+    for a, rows, prefs, amps in zip(points, table.rows, table.prefs, table.amps):
+        want = PointSampleTable(a, multis, settings)
+        # structural merge gives the bit merge's rows, none more or fewer
+        assert rows.shape == want.rows.shape
+        assert np.array_equal(_bits(rows), _bits(want.rows))
+        assert np.array_equal(table.index, want.index)
+        assert np.array_equal(_bits(table.phases), _bits(want.phases))
+        assert np.array_equal(_bits(prefs), _bits(want.prefs))
+        # the noise floor's prod q!/rho^q at half radius, as a scalar loop
+        for j, multi in enumerate(multis):
+            amp = 1.0
+            for v, q in enumerate(multi):
+                if q > 0:
+                    amp *= math.factorial(q) / (want.radii[v] / 2.0) ** q
+            assert _bits(amps[j]).tolist() == _bits(amp).tolist(), multi
 
 
 @pytest.mark.parametrize("batching", [False, True])
@@ -673,8 +720,8 @@ def test_verified_points_keep_their_derivatives_not_their_rows():
     multi = next(m for m in itertools.product(range(3), repeat=n)
                  if sum(m) == 2 and m not in needed)
     differentiate(phi, points[1], multi, settings, cache)
-    table = SampleTable(points[1], [multi], settings)
-    assert phi.rows - rows == len(table.rows) - 1
+    table = SampleTable(points[1][None], [multi], settings)
+    assert phi.rows - rows == table.rows.shape[1] - 1
 
 
 class FailingPhi:
@@ -749,6 +796,113 @@ def test_failing_rows_mark_only_the_cells_that_use_them(name):
     assert [c.error for c in at_one] == [
         message if i in failed else None for i in range(len(operators))
     ]
+
+
+def _derivs_repr(cache) -> dict:
+    """Each cached derivative by repr, or its error by type and message."""
+    return {
+        key: (type(d).__name__, str(d)) if isinstance(d, EvaluationError) else repr(d)
+        for key, d in cache.derivs.items()
+    }
+
+
+def test_mixed_cache_states_derive_as_one_call_per_point():
+    spec = builtin("gl_quadratic")
+    settings = spec.settings
+    system = build_system(spec)
+    multis = _shipped_multis(spec)
+    points = verification_points(spec.coefficient_vector(), 3, seed=6)
+    # at point 2, the first sample of the first derivative and the last
+    # halved-circle sample of the highest one
+    top = max(multis, key=lambda m: (sum(m), m))
+    bad = [direction_stencils(points[2], multis[0], settings)[1][0][0],
+           direction_stencils(points[2], top, settings)[2][0][-1]]
+    # point 1 again, as a copy
+    run = points + [points[1].copy()]
+
+    def prepared():
+        phi, cache = FailingBatchPhi(spec, bad), DerivativeCache()
+        # phi known at point 0, two derivatives finished at point 1
+        cache.value(phi, points[0])
+        _derive(phi, [points[1]], multis[:2], settings, cache)
+        return phi, cache
+
+    phi, cache = prepared()
+    stacked = verify(system, phi, points=run, cache=cache)
+    # points 0 and 2 need every derivative: one stacked group beside point 1's
+    assert phi.calls == 2 + 1
+    one_phi, one_cache = prepared()
+    for p in run:
+        _derive(one_phi, [p], multis, settings, one_cache)
+    single = verify(system, one_phi, points=run, cache=one_cache)
+    assert one_phi.calls == 2 + 3
+    assert repr(stacked.cells) == repr(single.cells)
+    assert (cache.hits, cache.misses) == (one_cache.hits, one_cache.misses)
+    assert _derivs_repr(cache) == _derivs_repr(one_cache)
+    # the failing rows err some derivatives at point 2 and none elsewhere
+    errs = {k[0] for k, d in cache.derivs.items() if isinstance(d, EvaluationError)}
+    assert errs == {points[2].tobytes()}
+    assert stacked.phi_values[2] is not None
+
+
+def test_warm_template_builds_one_table_per_group_without_sorting(monkeypatch):
+    spec = builtin("gl_quadratic")
+    system = build_system(spec)
+    points = verification_points(spec.coefficient_vector(), 3, seed=9)
+
+    def phi():
+        return BatchOnly(lambda a: cmath.exp(a[0]) / a[2] + a[1] ** 3)
+
+    verify(system, phi(), points=points)
+    tables, sorts = [], []
+
+    class CountedTable(SampleTable):
+        def __init__(self, points, *args):
+            tables.append(len(points))
+            super().__init__(points, *args)
+
+    lexsort = np.lexsort
+
+    def counted_lexsort(*args, **kwargs):
+        sorts.append(1)
+        return lexsort(*args, **kwargs)
+
+    monkeypatch.setattr(gkzperiods.verifier, "SampleTable", CountedTable)
+    monkeypatch.setattr(np, "lexsort", counted_lexsort)
+    before = _template.cache_info()
+    verify(system, phi(), points=points)
+    assert (tables, sorts) == ([3], [])
+    # quadratic_root's operators take the same derivatives
+    other = builtin("quadratic_root")
+    assert _shipped_multis(other) == _shipped_multis(spec)
+    verify(build_system(other), phi(), points=points)
+    after = _template.cache_info()
+    assert (tables, sorts) == ([3, 3], [])
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
+@pytest.mark.parametrize("radius_factor", [1e-300, 1e300])
+def test_non_finite_derivative_is_an_error_cell(radius_factor):
+    # powers of the radii underflow (1e-300) or overflow (1e300)
+    spec = builtin("gl_quadratic")
+    spec = replace(spec, settings=replace(spec.settings, radius_factor=radius_factor))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(build_system(spec), PeriodFunction(scenario=spec))
+    assert report.has_errors and not report.passed
+    assert any(c.error and c.error.startswith("NonFiniteDerivativeError: ")
+               for c in report.cells)
+    for c in report.cells:
+        assert all(math.isfinite(x) for x in (
+            c.raw.real, c.raw.imag, c.normalization, c.relative, c.diagnostic))
+    assert math.isfinite(report.max_relative)
+
+
+def test_zero_function_at_a_huge_radius_agrees():
+    # the noise floor underflows to 0, and two exact zeros agree
+    d = differentiate(lambda a: 0.0, np.array([5.0 + 0j]), (1,),
+                      EvalSettings(radius_factor=1e20))
+    assert (d.value, d.diagnostic, d.warnings) == (0, 0.0, ())
 
 
 class CountingPhi:
