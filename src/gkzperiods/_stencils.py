@@ -2,16 +2,20 @@
 and the cache of the derivatives made from them.
 
 Every derivative a point needs is a full- and a half-radius stencil of
-direction circles (see ``_directions``).  Which coordinates each sample
-moves, by which radius, unit step and circle node, which samples merge
-into one row, and each stencil's row index and phases do not depend on
-the point: ``_template`` builds them once per tuple of multi-indices,
-with one lexsort, and caches them.  A SampleTable writes the rows of P
-points on that template with one scatter and takes every circle sum of
-every point with the products and left-to-right additions of a
-sample-by-sample loop, so each sum is bit-identical to that loop.
-Samples merge by structure, never by the bits of their rows, so no
-value depends on which other samples a table holds.  The table is the
+direction circles (see ``_directions``) on a direction set that isolates
+it: its own, or for a first derivative the set of a mixed derivative
+asked for with it (``_direction_sets``), so a derivative's samples, and
+its value to rounding, depend on the derivatives asked for with it.
+Which coordinates each sample moves, by which radius, unit step and
+circle node, which samples merge into one row, and each stencil's row
+index and phases do not depend on the point: ``_template`` builds them
+once per tuple of multi-indices, with one lexsort, and caches them.  A
+SampleTable writes the rows of P points on that template with one
+scatter and takes every circle sum of every point with the products and
+left-to-right additions of a sample-by-sample loop, so each sum is
+bit-identical to that loop.  Samples merge by structure, never by the
+bits of their rows, so given its direction set no value depends on which
+other samples a table holds.  The table is the
 one place rows are deduplicated: ``DerivativeCache.evaluate`` sends the
 rows it is given to phi in one batch call and keeps none of them, and
 ``batch_of`` makes a plain callable a row loop that returns each row's
@@ -112,32 +116,64 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _own_set(multi: tuple) -> tuple:
+    """The support of multi and its direction set's circle counts: 16 for
+    the first support coordinate s0, and for every other one i the
+    smallest power of two m_i above max(u_i, q - u_i)."""
+    order = sum(multi)
+    support = tuple(v for v, q in enumerate(multi) if q > 0)
+    return support, (_DIFF_NODES,) + tuple(
+        1 << max(multi[i], order - multi[i]).bit_length() for i in support[1:]
+    )
+
+
+def _direction_sets(multis: tuple) -> dict:
+    """The direction set (support, circle counts) each of multis is read
+    off.  Each keeps its own, except a first-order d_v whose coordinate
+    circle no higher pure power of v samples: it reads the mixed set over
+    v that has the fewest samples (ties by support, then by counts).  A
+    set over v isolates d_v: its counts are at least 2 > max(u_i, 1 - u_i)
+    (see _directions)."""
+    own = {multi: _own_set(multi) for multi in multis}
+    mixed = sorted({s for s in own.values() if len(s[0]) > 1},
+                   key=lambda s: (math.prod(s[1]), s))
+    sets = {}
+    for multi, (support, sizes) in own.items():
+        if sum(multi) == 1 and not any(
+                s[0] == support for m, s in own.items() if m != multi):
+            sets[multi] = next((s for s in mixed if support[0] in s[0]),
+                               (support, sizes))
+        else:
+            sets[multi] = support, sizes
+    return sets
+
+
 @cache
-def _directions(multi: tuple):
-    """The part of the circles for d^multi that does not depend on a.
+def _directions(multi: tuple, support: tuple, sizes: tuple):
+    """The part of the circles for d^multi that does not depend on a, on
+    the direction set over ``support`` with circle counts ``sizes``.
 
     The derivative is pref * sum_k phase[k] * phi(a + step_k), summed in
     sample order.  The first support coordinate s0 moves by its radius;
     every other support coordinate i moves by its radius times an m_i-th
-    root of unity, m_i the smallest power of two above max(u_i, q - u_i).
-    On each direction h the trapezoid circle gives the q-th derivative of
-    t -> phi(a + t h), a sum of (q!/alpha!) h^alpha d^alpha phi over
-    |alpha| = q; the discrete Fourier average over the directions keeps
-    alpha = multi alone.  That average is unitary, so it amplifies rounding
-    no more than a tensor grid does.  Powers of two make a lower order's
-    directions a subset of a higher order's, so their samples are shared
-    in one sample table.  With a single coordinate there is one direction:
-    the plain coordinate circle.
+    root of unity.  On each direction h the trapezoid circle gives the
+    q-th derivative of t -> phi(a + t h), a sum of (q!/alpha!) h^alpha
+    d^alpha phi over |alpha| = q; the discrete Fourier average over the
+    directions keeps the alpha with alpha_i = u_i mod m_i for every i but
+    s0, that is alpha = multi alone when the support holds multi's and
+    m_i > max(u_i, q - u_i) (u_i = 0 off multi's support).  Its own set,
+    ``_own_set(multi)``, is the smallest such; a set sampled for another
+    derivative serves as well (see ``_direction_sets``).  That average is
+    unitary, so it amplifies rounding no more than a tensor grid does.
+    Powers of two make a lower order's directions a subset of a higher
+    order's, so their samples are shared in one sample table.  With a
+    single coordinate there is one direction: the plain coordinate circle.
 
-    Returns the support, the m_v (circle nodes for s0), every sample's
-    phase, and per sample and support coordinate, sample-major: the
-    sample, the coordinate, the unit step (1 for s0) and the circle node.
+    Returns the support, the m_i (16 for s0), every sample's phase, and
+    per sample and support coordinate, sample-major: the sample, the
+    coordinate, the unit step (1 for s0) and the circle node.
     """
     order = sum(multi)
-    support = tuple(v for v, q in enumerate(multi) if q > 0)
-    sizes = (_DIFF_NODES,) + tuple(
-        1 << max(multi[i], order - multi[i]).bit_length() for i in support[1:]
-    )
     theta = 2.0 * math.pi * np.arange(_DIFF_NODES) / _DIFF_NODES
     rot = np.exp(1j * theta)
     node_phases = np.array([np.exp(-1j * order * t) for t in theta])
@@ -185,11 +221,18 @@ class _Template:
     ``pos`` in a point's flattened block of ``block`` rows, where ``slot``
     picks a radius from the point's full radii followed by its half radii.
     ``prefactors`` holds what each stencil's prefactor takes of it.
+    ``probe`` holds, per coordinate and radius, the 16 positions that
+    ``SampleTable.frozen`` reads, and ``probe_of`` which of them each
+    derivative's stencils sample.  Each derivative reads the samples of
+    the direction set ``_direction_sets(among)`` gives it, so its samples
+    depend on the derivatives ``among`` holds, but not on which of them
+    ``multis`` holds: a warm cache does not move a derivative.
     """
 
-    def __init__(self, multis: tuple):
+    def __init__(self, multis: tuple, among: tuple):
         n, count = len(multis[0]), len(multis)
-        dirs = [_directions(multi) for multi in multis]
+        sets = _direction_sets(among)
+        dirs = [_directions(multi, *sets[multi]) for multi in multis]
         sizes = np.array([len(d[2]) for d in dirs])
         starts = sizes.cumsum() - sizes
         phase, sample, column, unit, node = map(
@@ -233,6 +276,16 @@ class _Template:
         # each stencil's multi, support, circle counts and radius offset
         self.prefactors = [(multi, d[0], d[1], half)
                            for multi, d in zip(multis, dirs) for half in (0, n)]
+        # in a point's flattened block, each sampled coordinate at each
+        # radius in the rows of a first direction that moves it: every
+        # stencil moving the coordinate gives it the same 16 values there
+        probes = {}
+        for t in range(2 * count):
+            for v in dirs[t // 2][0]:
+                probes.setdefault((v, t % 2), self.index[t, :_DIFF_NODES] * n + v)
+        self.probe = np.array(list(probes.values()))
+        self.probe_col = np.array([v for v, _ in probes])
+        self.probe_of = np.array([[v in d[0] for v, _ in probes] for d in dirs])
         # every table of these multis shares them
         for arr in (self.index, self.phases, self.lengths):
             arr.setflags(write=False)
@@ -245,7 +298,8 @@ class SampleTable:
     """Every circle sample of some derivatives at P points, as arrays.
 
     ``rows`` is (P, R, n): each point's block is the point (row 0) and its
-    merged sample rows, in the order of the cached ``_template(multis)``,
+    merged sample rows, in the order of the cached ``_template(multis,
+    among)`` (``among`` is the run's derivatives, multis by default),
     whose ``index``, ``phases`` and ``lengths`` the table shares; they are
     the same at every point.  ``prefs`` (P, stencils) is each stencil's
     prefactor and ``amps`` (P, multis) each derivative's prod q!/rho^q at
@@ -254,9 +308,11 @@ class SampleTable:
     round differently.
     """
 
-    def __init__(self, points: np.ndarray, multis, settings: EvalSettings):
-        tpl = _template(tuple(multis))
+    def __init__(self, points: np.ndarray, multis, settings: EvalSettings,
+                 among=None):
+        tpl = _template(tuple(multis), tuple(multis if among is None else among))
         self.index, self.phases, self.lengths = tpl.index, tpl.phases, tpl.lengths
+        self.tpl = tpl
         self.prefs = np.empty((len(points), len(tpl.prefactors)), dtype=complex)
         self.amps = np.empty((len(points), len(multis)))
         with np.errstate(all="ignore"):
@@ -291,6 +347,22 @@ class SampleTable:
             # the running sum from 0 of a sample-by-sample loop, not np.sum's pairs
             sums = np.cumsum(terms, axis=2)[:, np.arange(count), self.lengths]
             return _mul(self.prefs, sums)
+
+    def frozen(self) -> np.ndarray:
+        """(P, multis): whether a stencil of the derivative leaves the real
+        or imaginary part of a coordinate it samples where the point has
+        it, in all the rows of its first direction, as a radius below the
+        part's ulp does; the stencil then samples no circle.  Those rows
+        move each coordinate of the direction set by its radius times
+        every 16th root of unity, steps of +-rho in both parts; a part
+        they leave in place stays there under every other step of the
+        stencil, whose parts are no longer."""
+        tpl = self.tpl
+        flat = self.rows.reshape(len(self.rows), -1)
+        rows, at = flat[:, tpl.probe], self.rows[:, 0, tpl.probe_col, None]
+        moved = ((rows.real != at.real).any(axis=2)
+                 & (rows.imag != at.imag).any(axis=2))
+        return (tpl.probe_of & ~moved[:, None]).any(axis=2)
 
 
 def _first_occurrences(keys: np.ndarray):

@@ -14,11 +14,17 @@ the same derivatives form a group, one stacked sample table
 stencils of those derivatives at each, the rows of every table (less
 each point at which phi is already known) go to phi in one batch call,
 and each derivative, or the error of a sample it needs, is stored in the
-cache with phi at its point.  A derivative whose circle sums are not
-finite is stored as a NonFiniteDerivativeError.  ``_derivatives`` names
-the derivatives an operator applies; verify asks for all of them at all
-its points at once, so it sends one batch per run, and the residuals
-then read them from the cache.
+cache with phi at its point.  Which samples a derivative reads depends
+on the derivatives asked for with it: a first derivative reads the
+circles of a mixed one of the same call where one isolates it, so its
+value moves by rounding with the operator set, though never with the
+points or with what the cache already holds.  A derivative whose circle
+sums are not finite is stored as a NonFiniteDerivativeError, and one
+whose stencil samples no circle, as a radius below a coordinate's ulp
+makes it, as a FrozenStencilError.  ``_derivatives`` names the
+derivatives an operator applies; verify asks for all of them at all its
+points at once, so it sends one batch per run, and the residuals then
+read them straight from the cache.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "DerivativeCache",
     "DerivResult",
     "differentiate",
+    "FrozenStencilError",
     "NonFiniteDerivativeError",
     "ResidualCell",
     "ResidualReport",
@@ -63,6 +70,13 @@ class NonFiniteDerivativeError(EvaluationError, ArithmeticError):
     floating point."""
 
 
+class FrozenStencilError(EvaluationError, ArithmeticError):
+    """A derivative's full- or half-radius stencil leaves the real or
+    imaginary part of a coordinate it samples at the point in every row:
+    the radius is below that part's ulp, so the stencil samples no circle
+    and its sum is rounding noise."""
+
+
 @dataclass(frozen=True)
 class DerivResult:
     value: complex
@@ -82,7 +96,9 @@ def differentiate(
     One-dimensional Cauchy circles along root-of-unity directions give
     the derivative (see _stencils._directions): one coordinate circle for a
     single-coordinate derivative, prod m_i direction circles for a mixed
-    one.  It is exact for polynomials of total degree below the node
+    one.  (Inside verify, a first derivative may read a mixed one's
+    circles instead, see _stencils._direction_sets; a derivative cached
+    there keeps that value.)  It is exact for polynomials of total degree below the node
     count; the same derivative recomputed at half radius is returned as an
     agreement diagnostic, with a warning when it exceeds _AGREEMENT_TOL.
     Coordinate v of a direction has modulus settings.radius_factor *
@@ -129,13 +145,16 @@ def _derive(phi, points: list, multis: list, settings: EvalSettings,
 
     The distinct points are grouped by the multis they still need (those
     of order 0 or above _MAX_ORDER, repeated or already finished are
-    skipped), and each group gets one stacked sample table.  The rows of
-    all tables, less each point whose phi is cached, go to phi in one
-    batch, and each table finishes on its share of the values.  A
-    derivative whose samples and point all have values gets its
-    DerivResult, or a NonFiniteDerivativeError if a circle sum is not
-    finite; else its entry is the error of its first failing sample in
-    summation order (full radius first), or else the error at its point.
+    skipped), and each group gets one stacked sample table, on which
+    every derivative reads the direction set that all of multis give it,
+    whatever its group still needs.  The rows of all tables, less each
+    point whose phi is cached, go to phi in one batch, and each table
+    finishes on its share of the values.  A derivative whose samples and
+    point all have values gets its DerivResult, or a
+    NonFiniteDerivativeError if a circle sum is not finite, or a
+    FrozenStencilError if a stencil samples no circle; else its entry is
+    the error of its first failing sample in summation order (full radius
+    first), or else the error at its point.
     """
     radius = settings.radius_factor
     multis = [m for m in dict.fromkeys(multis) if 0 < sum(m) <= _MAX_ORDER]
@@ -150,7 +169,7 @@ def _derive(phi, points: list, multis: list, settings: EvalSettings,
     for todo, members in groups.items():
         keys = [point for point, _ in members]
         stacked = np.array([a for _, a in members])
-        table = SampleTable(stacked, todo, settings) if todo else None
+        table = SampleTable(stacked, todo, settings, multis) if todo else None
         rows = stacked[:, None] if table is None else table.rows
         send = np.ones(rows.shape[:2], dtype=bool)
         send[:, 0] = [point not in cache.values for point in keys]
@@ -185,15 +204,16 @@ def _derive(phi, points: list, multis: list, settings: EvalSettings,
         if table is None:
             continue
         sums = table.circle_sums(values).tolist()
-        for point, bad, phi0, row_sums, amps in zip(
-                keys, errors, values[:, 0].tolist(), sums, table.amps.tolist()):
+        for point, bad, phi0, row_sums, amps, frozen in zip(
+                keys, errors, values[:, 0].tolist(), sums, table.amps.tolist(),
+                table.frozen().tolist()):
             for j, multi in enumerate(todo):
                 cache.derivs[point, multi, radius] = _finish(
-                    multi, table, j, bad, phi0, row_sums, amps[j])
+                    multi, table, j, bad, phi0, row_sums, amps[j], frozen[j])
 
 
 def _finish(multi, table, j: int, errors: dict, phi0: complex, sums: list,
-            amp: float):
+            amp: float, frozen: bool):
     """Derivative j of a table at one point from its circle sums, or the
     error that stands for it."""
     if errors:
@@ -206,6 +226,11 @@ def _finish(multi, table, j: int, errors: dict, phi0: complex, sums: list,
         return NonFiniteDerivativeError(
             f"derivative d^{multi} is {val} at full radius and {half} at "
             f"half, with prod q!/rho^q = {amp:g} at half radius")
+    if frozen:
+        return FrozenStencilError(
+            f"derivative d^{multi} has a stencil that leaves a part of a "
+            f"coordinate at the point in every row: the radius is below "
+            f"its ulp")
     # rounding noise scale at the smaller radius: amp * eps * |phi|, amp =
     # prod q!/rho^q (the direction average is unitary and adds no
     # amplification); a derivative whose both estimates sit at the noise
@@ -308,12 +333,22 @@ def _residual(
     """
     label = _operator_label(op)
     multis = _derivatives(op, a.size)
-    try:
-        ds = [differentiate(phi, a, m, settings, cache) for m in multis]
-    except EvaluationError as exc:
-        return ResidualCell(
-            operator=label, point_index=k, error=f"{type(exc).__name__}: {exc}"
-        )
+    point, ds = a.tobytes(), []
+    for multi in multis:
+        # a finished derivative is read straight off the cache, as a hit
+        d = cache.derivs.get((point, multi, settings.radius_factor))
+        if d is None:
+            try:
+                d = differentiate(phi, a, multi, settings, cache)
+            except EvaluationError as exc:
+                d = exc
+        else:
+            cache.hits += 1
+        if isinstance(d, EvaluationError):
+            return ResidualCell(
+                operator=label, point_index=k, error=f"{type(d).__name__}: {d}"
+            )
+        ds.append(d)
     if isinstance(op, EulerOperator):
         raw = -complex(op.eigenvalue) * phi0
         norm = abs(complex(op.eigenvalue) * phi0)

@@ -250,18 +250,46 @@ def tensor_grid(a, multi, radius_factor: float, nodes: int):
 # direction-circle stencils, one sample at a time
 
 
-def direction_circles(a: np.ndarray, multi: tuple, radii: dict):
+def own_direction_set(multi: tuple) -> tuple:
+    """The support of d^multi and its circle counts: 16 for the first
+    support coordinate, and for each other one i the smallest power of two
+    above max(u_i, q - u_i)."""
+    order = sum(multi)
+    support = tuple(v for v, q in enumerate(multi) if q > 0)
+    sizes = (16,) + tuple(
+        1 << max(multi[i], order - multi[i]).bit_length() for i in support[1:]
+    )
+    return support, sizes
+
+
+def direction_set(multi: tuple, among=()) -> tuple:
+    """The direction set d^multi is read off when derived with the
+    derivatives ``among``: its own, except for a first-order d_v whose
+    coordinate circle no other pure power of v in ``among`` samples.  That
+    one reads the direction set of a mixed derivative of ``among`` over v
+    with the fewest samples, ties broken by support and then by counts."""
+    own = own_direction_set(multi)
+    if sum(multi) != 1:
+        return own
+    v = multi.index(1)
+    if any(m != multi and own_direction_set(m)[0] == (v,) for m in among):
+        return own
+    hosts = [s for s in map(own_direction_set, among) if len(s[0]) > 1 and v in s[0]]
+    return min(hosts, key=lambda s: (math.prod(s[1]), s), default=own)
+
+
+def direction_circles(a: np.ndarray, multi: tuple, radii: dict, host=None):
     """Sample points, phases and prefactor for d^multi phi(a) by 1-D circles.
 
     The derivative is pref * sum_k phases[k] * phi(points[k]), summed in
-    order (see ``circle_sum``).  Each sample point is built by scalar
-    arithmetic; the package's sample table must reproduce them bit for bit.
+    order (see ``circle_sum``).  The samples are those of the direction set
+    ``host`` (support, circle counts), d^multi's own by default; ``radii``
+    holds the radius of every coordinate of its support.  Each sample
+    point is built by scalar arithmetic; the package's sample table must
+    reproduce them bit for bit.
     """
     order = sum(multi)
-    support = [v for v, q in enumerate(multi) if q > 0]
-    sizes = [16] + [
-        1 << max(multi[i], order - multi[i]).bit_length() for i in support[1:]
-    ]
+    support, sizes = own_direction_set(multi) if host is None else host
     theta = 2.0 * math.pi * np.arange(16) / 16
     rot = np.exp(1j * theta)
     node_phases = [np.exp(-1j * order * t) for t in theta]
@@ -285,15 +313,14 @@ def direction_circles(a: np.ndarray, multi: tuple, radii: dict):
     return points, phases, pref
 
 
-def direction_stencils(a, multi, settings):
-    """Radii and the full- and half-radius direction circles of d^multi at a."""
-    radii = {
-        v: settings.radius_factor * max(1.0, abs(a[v]))
-        for v, q in enumerate(multi)
-        if q > 0
-    }
-    full = direction_circles(a, multi, radii)
-    halved = direction_circles(a, multi, {v: r / 2.0 for v, r in radii.items()})
+def direction_stencils(a, multi, settings, among=()):
+    """Radii and the full- and half-radius direction circles of d^multi at
+    a, derived with the derivatives ``among`` (see ``direction_set``)."""
+    host = direction_set(multi, among)
+    radii = {v: settings.radius_factor * max(1.0, abs(a[v])) for v in host[0]}
+    full = direction_circles(a, multi, radii, host)
+    halved = direction_circles(
+        a, multi, {v: r / 2.0 for v, r in radii.items()}, host)
     return radii, full, halved
 
 
@@ -312,7 +339,9 @@ def circle_sum(value, stencil) -> complex:
 
 
 class PointSampleTable:
-    """Every circle sample of some derivatives at one point, as arrays.
+    """Every circle sample of some derivatives at one point, as arrays,
+    each derivative on the direction set it takes among ``among`` (multis
+    by default).
 
     Derivative j of ``multis`` owns stencils 2j (full radius) and 2j + 1
     (half radius), consecutive blocks of sample rows after the point
@@ -322,11 +351,13 @@ class PointSampleTable:
     are scalar Python arithmetic, one coordinate at a time.
     """
 
-    def __init__(self, a: np.ndarray, multis: list, settings):
+    def __init__(self, a: np.ndarray, multis: list, settings, among=None):
         n = a.size
         self.radii = [settings.radius_factor * max(1.0, abs(x)) for x in a]
         halved = [r / 2.0 for r in self.radii]
-        dirs = [_directions(multi) for multi in multis for _ in range(2)]
+        among = multis if among is None else among
+        dirs = [_directions(multi, *direction_set(multi, among))
+                for multi in multis for _ in range(2)]
         prefs = []
         for t, (support, sizes, *_) in enumerate(dirs):
             multi, radii = multis[t // 2], (self.radii, halved)[t % 2]

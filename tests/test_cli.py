@@ -319,7 +319,7 @@ def test_verify_prints_its_phi_evals_and_cache_hits(tmp_path):
     status = [line for line in res.stdout.splitlines() if line.startswith("PASS")]
     assert len(status) == 1
     assert re.fullmatch(
-        r"PASS \(\d+\.\d\ds, 771 phi evals in 1 batch, 27 cache hits\)", status[0]
+        r"PASS \(\d+\.\d\ds, 387 phi evals in 1 batch, 27 cache hits\)", status[0]
     ), status
     # the counts are printed only: the report keeps its fields
     doc = json.loads((tmp_path / "gauss.report.json").read_text())
@@ -452,6 +452,19 @@ def test_verify_non_finite_derivative_exits_2(tmp_path):
     # no residual reads nan: in the table, or as a number in the report
     assert not [line for line in res.stdout.splitlines() if line.endswith(" nan")]
     assert "NaN" not in (tmp_path / "tiny.report.json").read_text()
+
+
+def test_verify_radius_below_the_ulp_exits_2(tmp_path):
+    # residue_circle's rows all round to their points: no circle is sampled
+    doc = json.loads((SRC / "gkzperiods" / "scenarios" / "residue_circle.json").read_text())
+    doc["settings"] = {"radius_factor": 1e-300}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("verify", str(path), cwd=tmp_path)
+    assert res.returncode == 2
+    eulers = [line for line in res.stdout.splitlines() if line.startswith("  euler")]
+    assert len(eulers) == 2
+    assert all("evaluation error: FrozenStencilError: " in line for line in eulers)
 
 
 def test_verify_file_scenario_writes_report_beside_it(tmp_path):

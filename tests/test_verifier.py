@@ -1,6 +1,7 @@
 """Numerical differentiation and operator residual checks."""
 
 import cmath
+import functools
 import itertools
 import math
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import gkzperiods.verifier
-from gkzperiods._stencils import SampleTable, _template
+from gkzperiods._stencils import SampleTable, _direction_sets, _template
 from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
 from gkzperiods.gkz_system import (
     BoxOperator,
@@ -23,6 +24,7 @@ from gkzperiods.scenario import EvalSettings
 from gkzperiods.scenario_io import builtin_scenario_names, load_scenario
 from gkzperiods.verifier import (
     DerivativeCache,
+    FrozenStencilError,
     _derivatives,
     _derive,
     differentiate,
@@ -34,7 +36,9 @@ from oracles import (
     PointSampleTable,
     cauchy_tensor,
     circle_sum,
+    direction_set,
     direction_stencils,
+    own_direction_set,
     quadratic_formula_root,
     quadratic_root_derivative,
     quadratic_root_second_mixed,
@@ -278,7 +282,7 @@ def test_sample_table_matches_scalar_stencils_bit_for_bit(name):
     sums = table.circle_sums(values[None])[0]
     scalar = DerivativeCache()
     for j, multi in enumerate(multis):
-        _, *stencils = direction_stencils(a, multi, settings)
+        _, *stencils = direction_stencils(a, multi, settings, multis)
         for t, (points, phases, pref) in zip((2 * j, 2 * j + 1), stencils):
             k = table.lengths[t]
             assert np.array_equal(_bits(rows[table.index[t, :k]]), _bits(points))
@@ -430,6 +434,112 @@ def test_mixed_partials_exact_on_polynomials():
                 expect += term
         d = differentiate(phi, a, u, DIFF, cache)
         assert abs(d.value - expect) < 1e-10 * abs(expect), u
+
+
+def _exact_direction_sum(u, alpha, sizes) -> list:
+    """sum over the directions of a set with circle counts ``sizes`` of
+    prod_i zeta_i^(j_i (alpha_i - u_i)), i past the first coordinate, in
+    exact cyclotomic arithmetic: its integer coordinates on the basis
+    1, w, ..., w^(M/2 - 1) of Z[w], w = exp(2 pi i / M), M the largest
+    count (a power of two, so w^(M/2) = -1)."""
+    big = max(sizes[1:], default=1)
+    counts = [0] * big
+    for turns in itertools.product(*(range(m) for m in sizes[1:])):
+        e = sum(j * (big // m) * (a - q)
+                for j, m, a, q in zip(turns, sizes[1:], alpha[1:], u[1:]))
+        counts[e % big] += 1
+    if big == 1:
+        return counts
+    return [counts[e] - counts[e + big // 2] for e in range(big // 2)]
+
+
+def test_direction_sets_isolate_each_derivative_exactly():
+    # every alpha of |alpha| = q over the set's support: the direction
+    # average of d^u's phases keeps alpha = u alone, exactly
+    hosted = 0
+    for name in builtin_scenario_names():
+        multis = _shipped_multis(load_scenario(name))
+        sets = _direction_sets(tuple(multis))
+        for u in multis:
+            support, sizes = sets[u]
+            assert (support, sizes) == direction_set(u, multis), (name, u)
+            hosted += (support, sizes) != own_direction_set(u)
+            q = sum(u)
+            on = tuple(u[v] for v in support)
+            assert sum(on) == q, (name, u, support)
+            directions = math.prod(sizes[1:])
+            for alpha in itertools.product(range(q + 1), repeat=len(support)):
+                if sum(alpha) != q:
+                    continue
+                got = _exact_direction_sum(on, alpha, sizes)
+                want = [directions if alpha == on else 0] + [0] * (len(got) - 1)
+                assert got == want, (name, u, support, sizes, alpha)
+    # gauss, pochhammer, torus_coefficient and cubic_root_parametric 4
+    # each, hesse_cubic 3, quadratic_root, gl_quadratic and gl_cubic 2
+    # each, none elsewhere
+    assert hosted == 4 * 4 + 3 + 2 * 3
+
+
+def test_hosted_first_derivatives_are_exact_on_polynomials():
+    # total degree 15: the 16-node circles alias no term of order 1
+    rng = np.random.default_rng(15)
+    exps = [e for e in itertools.product(range(16), repeat=3) if sum(e) <= 15]
+    coeffs = rng.standard_normal(len(exps)) + 1j * rng.standard_normal(len(exps))
+    powers = np.array(exps)
+
+    def phi(a):
+        return complex(np.prod(a ** powers, axis=1) @ coeffs)
+
+    a = np.array([0.3 - 0.2j, -0.4 + 0.1j, 0.2 + 0.5j])
+    firsts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    multis = firsts + [(1, 0, 1), (0, 2, 1)]
+    # d_0 and d_2 read (1, 0, 1)'s 32 samples, d_1 the 64 of (0, 2, 1)
+    assert [direction_set(u, multis) for u in firsts] == [
+        ((0, 2), (16, 2)), ((1, 2), (16, 4)), ((0, 2), (16, 2))]
+    cache = DerivativeCache()
+    _derive(phi, [a], multis, DIFF, cache)
+    for v, u in enumerate(firsts):
+        expect = sum(c * e[v] * np.prod(a ** (np.array(e) - np.array(u)))
+                     for e, c in zip(exps, coeffs) if e[v])
+        got = cache.derivs[a.tobytes(), u, DIFF.radius_factor].value
+        assert abs(got - expect) < 1e-10 * abs(expect), u
+
+
+def test_frozen_part_is_an_error_in_every_stencil_that_samples_it():
+    # a radius of 1e-20 moves a0 = 1e-30 and the imaginary part of a1 = 1,
+    # but not its real part: every row of the stencils below differs from
+    # a, yet none samples a circle in a1
+    settings = EvalSettings(radius_factor=1e-20)
+    a = np.array([1e-30, 1.0], dtype=complex)
+    fn = lambda p: p[0] * cmath.exp(p[1])
+    multis = [(1, 0), (0, 1), (1, 1), (2, 0)]
+    cache = DerivativeCache()
+    _derive(fn, [a], multis, settings, cache)
+    # d_1 reads the samples of (1, 1); d_0 and d_0^2 read a0's own circle
+    assert direction_set((0, 1), multis) == ((0, 1), (16, 2))
+    for u in ((0, 1), (1, 1)):
+        d = cache.derivs[a.tobytes(), u, 1e-20]
+        assert isinstance(d, FrozenStencilError), u
+        assert str(d).startswith(f"derivative d^{u} has a stencil")
+    # (1, 0)'s circle moves a0 alone: exact up to rounding
+    d = cache.derivs[a.tobytes(), (1, 0), 1e-20]
+    assert abs(d.value - math.e) < 1e-12 * math.e
+    # d_0 beside (1, 1) alone reads its samples, which do not move a1
+    # along a circle
+    alone = DerivativeCache()
+    _derive(fn, [a], [(1, 0), (1, 1)], settings, alone)
+    assert isinstance(alone.derivs[a.tobytes(), (1, 0), 1e-20], FrozenStencilError)
+
+
+@pytest.mark.parametrize("name", ["residue_circle", "gl_quadratic"])
+def test_radius_below_the_ulp_is_an_error_cell(name):
+    # every row of every first-derivative stencil rounds to its point
+    spec = builtin(name)
+    spec = replace(spec, settings=replace(spec.settings, radius_factor=1e-300))
+    report = verify(build_system(spec), PeriodFunction(scenario=spec))
+    assert report.has_errors and not report.passed
+    eulers = [c for c in report.cells if c.operator.startswith("euler")]
+    assert eulers and all(c.error.startswith("FrozenStencilError: ") for c in eulers)
 
 
 def test_vanishing_mixed_partial_stays_quiet():
@@ -765,11 +875,12 @@ def test_failing_rows_mark_only_the_cells_that_use_them(name):
     multi = max(
         (m for op in operators for m in _derivatives(op, n)), key=lambda m: (sum(m), m)
     )
-    bad = direction_stencils(points[1], multi, settings)[2][0][-1]
+    run = _shipped_multis(spec)
+    bad = direction_stencils(points[1], multi, settings, run)[2][0][-1]
     using = {
         m for op in operators for m in _derivatives(op, n)
         if any(np.array_equal(p, bad)
-               for st in direction_stencils(points[1], m, settings)[1:]
+               for st in direction_stencils(points[1], m, settings, run)[1:]
                for p in st[0])
     }
     plain_phi, plain_cache = FailingPhi(spec, [points[0], bad]), DerivativeCache()
@@ -815,16 +926,19 @@ def test_mixed_cache_states_derive_as_one_call_per_point():
     # at point 2, the first sample of the first derivative and the last
     # halved-circle sample of the highest one
     top = max(multis, key=lambda m: (sum(m), m))
-    bad = [direction_stencils(points[2], multis[0], settings)[1][0][0],
-           direction_stencils(points[2], top, settings)[2][0][-1]]
+    bad = [direction_stencils(points[2], multis[0], settings, multis)[1][0][0],
+           direction_stencils(points[2], top, settings, multis)[2][0][-1]]
     # point 1 again, as a copy
     run = points + [points[1].copy()]
 
     def prepared():
         phi, cache = FailingBatchPhi(spec, bad), DerivativeCache()
-        # phi known at point 0, two derivatives finished at point 1
+        # phi known at point 0, two derivatives finished at point 1 by a
+        # run of the same operators
         cache.value(phi, points[0])
-        _derive(phi, [points[1]], multis[:2], settings, cache)
+        _derive(phi, [points[1]], multis, settings, cache)
+        for multi in multis[2:]:
+            del cache.derivs[points[1].tobytes(), multi, settings.radius_factor]
         return phi, cache
 
     phi, cache = prepared()
@@ -839,6 +953,12 @@ def test_mixed_cache_states_derive_as_one_call_per_point():
     assert repr(stacked.cells) == repr(single.cells)
     assert (cache.hits, cache.misses) == (one_cache.hits, one_cache.misses)
     assert _derivs_repr(cache) == _derivs_repr(one_cache)
+    # a cold cache reads every derivative off the same samples
+    cold_phi, cold_cache = FailingBatchPhi(spec, bad), DerivativeCache()
+    cold = verify(system, cold_phi, points=run, cache=cold_cache)
+    assert cold_phi.calls == 1
+    assert repr(cold.cells) == repr(stacked.cells)
+    assert _derivs_repr(cold_cache) == _derivs_repr(cache)
     # the failing rows err some derivatives at point 2 and none elsewhere
     errs = {k[0] for k, d in cache.derivs.items() if isinstance(d, EvaluationError)}
     assert errs == {points[2].tobytes()}
@@ -927,28 +1047,57 @@ class CountingPhi:
 # scenario's own settings; a hit is phi(a) looked up once per point, and
 # each derivative a cell's residual reads from the cache
 SHIPPED_EVAL_COUNTS = {
-    "gauss": (771, 27),
+    "gauss": (387, 27),
     "airy": (195, 15),
     "beta": (195, 12),
     "residue_circle": (99, 9),
-    "quadratic_root": (675, 30),
-    "gl_quadratic": (675, 30),
-    "gl_cubic": (1347, 54),
-    "cubic_root_parametric": (3939, 63),
-    "pochhammer": (771, 27),
-    "hesse_cubic": (1923, 33),
-    "torus_coefficient": (771, 33),
+    "quadratic_root": (483, 30),
+    "gl_quadratic": (483, 30),
+    "gl_cubic": (1155, 54),
+    "cubic_root_parametric": (3555, 63),
+    "pochhammer": (387, 27),
+    "hesse_cubic": (1635, 33),
+    "torus_coefficient": (387, 33),
 }
+
+
+@functools.cache
+def _shipped_run(name):
+    """One verify run of a shipped scenario at its own settings: its
+    counted phi, its cache and its report."""
+    spec = load_scenario(name)
+    phi = CountingPhi(PeriodFunction(scenario=spec))
+    cache = DerivativeCache()
+    report = verify(build_system(spec), phi, cache=cache)
+    return phi, cache, report
 
 
 def test_shipped_scenarios_keep_their_eval_counts():
     assert set(SHIPPED_EVAL_COUNTS) == set(builtin_scenario_names())
     for name, (count, hits) in SHIPPED_EVAL_COUNTS.items():
-        spec = load_scenario(name)
-        phi = CountingPhi(PeriodFunction(scenario=spec))
-        cache = DerivativeCache()
-        report = verify(build_system(spec), phi, cache=cache)
+        phi, cache, report = _shipped_run(name)
         assert report.passed, name
         assert phi.points == cache.misses == count, name
         assert cache.hits == hits, name
         assert phi.batches == 1, name
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_hosted_derivatives_agree_with_their_own_circles(name):
+    # a first derivative read off a mixed direction set, against d_v on
+    # its own coordinate circle, relative to the larger of |d_v phi| and
+    # the |phi| / rho_v its rounding noise scales with
+    phi, cache, report = _shipped_run(name)
+    settings = load_scenario(name).settings
+    multis = _shipped_multis(load_scenario(name))
+    hosted = [u for u in multis if direction_set(u, multis) != own_direction_set(u)]
+    points = [np.array(p) for p in report.points]
+    own = DerivativeCache()
+    # first derivatives alone: each on its own circle, in one batch
+    _derive(phi.phi, points, hosted, settings, own)
+    for a, phi0 in zip(points, report.phi_values):
+        for u in hosted:
+            key = (a.tobytes(), u, settings.radius_factor)
+            got, want = cache.derivs[key].value, own.derivs[key].value
+            rho = settings.radius_factor * max(1.0, abs(a[u.index(1)]))
+            assert abs(got - want) <= 1e-12 * max(abs(want), abs(phi0) / rho), (u, got, want)
