@@ -169,8 +169,13 @@ class ResolvedSegment:
 
 @dataclass(frozen=True)
 class ResolvedPath:
-    """A Path1D resolved at each of ``rows`` coefficient vectors; point()
-    and derivative() return one row per coefficient vector."""
+    """A Path1D resolved at each of ``rows`` coefficient vectors.
+
+    point() and derivative() return one row per coefficient vector, or a
+    single row that broadcasts against them when the path is row-shared:
+    no segment has a per-row endpoint (no RootAnchor), so every row has
+    the same geometry.
+    """
 
     segments: tuple
     closed: bool
@@ -180,6 +185,12 @@ class ResolvedPath:
     @property
     def nsegments(self) -> int:
         return len(self.segments)
+
+    @property
+    def shared(self) -> bool:
+        return not any(
+            isinstance(z, np.ndarray) for seg in self.segments for z in (seg.z0, seg.z1)
+        )
 
     def point(self, t):
         return self._piecewise(t, "point")
@@ -191,7 +202,7 @@ class ResolvedPath:
         t = np.asarray(t, dtype=float)
         idx = np.minimum(np.maximum(np.floor(t), 0), self.nsegments - 1).astype(int)
         s = t - idx
-        out = np.empty((self.rows,) + t.shape, dtype=complex)
+        out = np.empty((1 if self.shared else self.rows,) + t.shape, dtype=complex)
         for k, seg in enumerate(self.segments):
             mask = idx == k
             if np.any(mask):
@@ -211,7 +222,11 @@ class ResolvedPath:
         return ends, np.maximum(1.0, _abs(ends).max(axis=(0, 1)))
 
     def take(self, rows: np.ndarray) -> "ResolvedPath":
-        """The path at the given rows of its batch."""
+        """The path at the given rows of its batch; a row-shared path keeps
+        its segments as they are."""
+        if self.shared:
+            return replace(self, rows=len(rows))
+
         def pick(z):
             return z[rows] if isinstance(z, np.ndarray) else z
         segments = tuple(replace(s, z0=pick(s.z0), z1=pick(s.z1)) for s in self.segments)
@@ -422,7 +437,6 @@ def continued_logs(
         # failed rows continue as harmless ones and are blanked at the end
         values = values.copy()
         values[list(errors)] = 1.0
-    zero_floor = 1e-10 * np.max(np.abs(values), axis=1)
 
     pos = int(np.searchsorted(ts, anchor_t))
     virtual = not (
@@ -465,14 +479,16 @@ def continued_logs(
                     float(work_t[k + 1]),
                     complex(work_v[r, k + 1]),
                     _MAX_BISECT_DEPTH,
-                    zero_floor[r],
+                    1e-10 * np.max(np.abs(values[r])),
                 )
             except EvaluationError as exc:
                 errors[r] = exc
         increments[:, 1:] = d
     total = np.cumsum(increments, axis=1)
     arg = base[:, None] + (total - total[:, anchor_idx, None])
-    logs = np.log(np.abs(work_v)) + 1j * arg
+    logs = np.empty(work_v.shape, dtype=complex)
+    logs.real = np.log(np.abs(work_v))
+    logs.imag = arg
     if virtual:
         logs = np.delete(logs, anchor_idx, axis=1)
     if errors:
@@ -490,17 +506,19 @@ def integrand_values(
     """Values of the multivalued integrand on coordinate grids, row by row.
 
     ``a`` holds one coefficient vector per row and ``grids`` one array per
-    coordinate whose leading axis runs over the same rows; tracked logs
-    broadcast against them.  Power factors with tracked logs use
-    exp(lam * L); the others have integer lam (tracked_requirements tracks
-    every non-integer one) and are evaluated by direct powers.  Exp factors
-    contribute exp(f(x)); coordinate twists exp((beta-1) log x_p) use
-    tracked logs when present, integer powers otherwise.
+    coordinate; grids and tracked logs broadcast against each other and
+    against the rows (a leading axis of the rows or of 1), so a coordinate
+    shared by every row is powered once, not once per row.  Power factors
+    with tracked logs use exp(lam * L); the others have integer lam
+    (tracked_requirements tracks every non-integer one) and are evaluated
+    by direct powers.  Exp factors contribute exp(f(x)); coordinate twists
+    exp((beta-1) log x_p) use tracked logs when present, integer powers
+    otherwise.
 
     Returns the values and a dict mapping each row whose integrand
     overflows or is not finite to its EvaluationError; such rows hold 0.
     """
-    shape = grids[0].shape
+    shape = (len(a),) + np.broadcast_shapes(*(g.shape for g in grids))[1:]
     # coefficient k of every row, shaped to broadcast against the grids
     coeff_shape = (-1, shape[0]) + (1,) * (len(shape) - 1)
     # complex products keep their operand order (in place, never `x * temp`,
@@ -531,6 +549,7 @@ def integrand_values(
         wr = np.real(w)
         vals = np.exp(w) * direct
     errors: dict = {}
+    grids = [np.broadcast_to(g, shape) for g in grids]
     for r in np.nonzero(np.any((wr > _EXP_CAP).reshape(shape[0], -1), axis=1))[0]:
         k = np.unravel_index(int(np.argmax(wr[r])), shape[1:])
         loc = tuple(complex(g[r][k]) for g in grids)

@@ -39,6 +39,12 @@ __all__ = ["main"]
 REPORT_SCHEMA = "gkz-verify-report@1"
 
 
+def _max_line(max_relative: float, usable: bool) -> str:
+    # with no usable cell, max_relative is a placeholder 0, not a residual
+    shown = f"{max_relative:.3e}" if usable else "none (no usable cell)"
+    return f"max relative residual = {shown}"
+
+
 def _fmt_value(z: complex, digits: int = 12) -> str:
     """Human complex formatting, snapping parts below 1e-12 relative to zero."""
     z = complex(z)
@@ -233,7 +239,8 @@ def _cmd_verify(args) -> int:
             print(f"  {op:<28s} degenerate (operator terms vanish)")
     for w in doc["warnings"]:
         print(f"warning: {w}")
-    print(f"max relative residual = {rep.max_relative:.3e}")
+    usable = any(c.error is None and not c.degenerate for c in rep.cells)
+    print(_max_line(rep.max_relative, usable))
     batches = f"{cache.batches} batch{'es' if cache.batches != 1 else ''}"
     print(f"{'PASS' if rep.passed else 'FAIL'} ({elapsed:.2f}s, {cache.misses} phi "
           f"evals in {batches}, {cache.hits} cache hits)")
@@ -322,7 +329,11 @@ def _cmd_report(args) -> int:
             f"{row['relative']:>12.3e}  {' '.join(flags)}"
         )
     print()
-    print(f"max relative residual = {doc.get('max_relative'):.3e}")
+    usable = any(
+        not row.get("error") and not row.get("degenerate")
+        for row in doc.get("residuals", [])
+    )
+    print(_max_line(doc["max_relative"], usable))
     print("PASS" if doc.get("passed") else "FAIL")
     return 0
 

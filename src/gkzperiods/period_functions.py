@@ -303,23 +303,23 @@ def period_values(spec: ScenarioSpec, res: IntegralResult) -> list:
     """
     terms = res.diagnostics["terms"]
     short = np.any([d["short_rays"] for d in terms], axis=0)
-    tips = np.max([d["tip_ratio"] for d in terms], axis=0)
-    out: list = []
-    for value, estimate, converged, exc, cut, tip in zip(
-        res.value, res.error_estimate, res.row_converged, res.errors, short, tips
-    ):
-        if exc is None and cut:
+    failed = np.array([exc is not None for exc in res.errors], dtype=bool)
+    out: list = res.value.tolist()
+    for r in np.flatnonzero(failed | short | ~res.row_converged).tolist():
+        exc = res.errors[r]
+        if exc is None and short[r]:
+            tip = np.max([d["tip_ratio"][r] for d in terms])
             exc = UnconvergedQuadratureError(
                 f"a ray truncation is too short: its tip keeps {tip:.1e} of "
                 f"the integrand's peak magnitude"
             )
-        elif exc is None and not converged:
+        elif exc is None:
             exc = UnconvergedQuadratureError(
                 f"quadrature did not converge below tol {spec.settings.tol:g} "
                 f"within level cap {LEVEL_CAP} (error estimate "
-                f"{estimate:.3e})"
+                f"{res.error_estimate[r]:.3e})"
             )
-        out.append(complex(value) if exc is None else exc)
+        out[r] = exc
     return out
 
 

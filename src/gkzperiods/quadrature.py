@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -214,6 +214,24 @@ def _coarse_index(rules: tuple, level: int) -> tuple[np.ndarray, ...] | None:
     return _frozen(*index)
 
 
+@lru_cache(maxsize=128)
+def _shared_samples(
+    segments: tuple, rules: tuple[str, ...], level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and derivatives, one row each, of a row-shared path at its
+    level nodes.  Shared and read-only, like _axis_nodes; the cache is
+    bounded, since its keys come from the scenarios' paths."""
+    ts = _axis_nodes(rules, level)[0]
+    # closed and anchor_t do not enter point() or derivative()
+    path = ResolvedPath(segments=segments, closed=False, anchor_t=0.0, rows=1)
+    return _frozen(path.point(ts), path.derivative(ts))
+
+
+def _at(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    # rows ``owner`` of x; one row (a row-shared path's) broadcasts to all
+    return x if len(x) == 1 else x[owner]
+
+
 def branch_logs(
     spec: ScenarioSpec,
     a: np.ndarray,
@@ -228,14 +246,16 @@ def branch_logs(
     Each row of ``a`` is one coefficient vector.  ``rpaths[d]`` is axis d's
     path resolved at the same rows (resolve_path), ``axes_ts[d]`` the
     sorted global parameters of axis d, shared by every row, and
-    ``axes_pts[d]`` their points, one row per coefficient row.  A factor's
+    ``axes_pts[d]`` their points, one row per coefficient row or a single
+    row shared by all (a row-shared path).  A factor's
     logs fill each row's whole grid: transport runs along a comb, down the
     first axis with the other coordinates held at their anchors, then
     along each later axis starting from the already-transported log.  At
     axis d every (row, earlier-axis node) pair is one row of a single
     continued_logs call.  A coordinate's logs vary along its own axis only
-    and are shaped to broadcast against the grid.  Every branch is
-    principal at the path anchors.
+    and are shaped to broadcast against the grid; on a row-shared path they
+    are transported once, for every row.  Every branch is principal at the
+    path anchors.
 
     Returns factor logs shaped (rows, T_0, ..., T_{m-1}), coordinate logs,
     and a dict mapping each row that cannot be transported to its first
@@ -261,14 +281,14 @@ def branch_logs(
                 ax = (slice(None),) + (None,) * (np.ndim(x_d) - 1)
                 return tuple(
                     x_d if i == _d
-                    else (_fixed[i] if i < _d else anchors_x[i][_owner])[ax]
+                    else (_fixed[i] if i < _d else _at(anchors_x[i], _owner))[ax]
                     for i in range(m)
                 )
 
             def eval_at(t, _d=d, _owner=owner, _c=c, _coords=coords_at):
-                return fac.values(_c, _coords(rpaths[_d].point(t)[_owner]))
+                return fac.values(_c, _coords(_at(rpaths[_d].point(t), _owner)))
 
-            pts = axes_pts[d][owner]
+            pts = _at(axes_pts[d], owner)
             vals = fac.values(c[..., None], coords_at(pts))
             logs, errs = continued_logs(
                 axes_ts[d], vals, eval_at, rpaths[d].anchor_t, anchor_log=anchor_log
@@ -278,7 +298,9 @@ def branch_logs(
             if d < m - 1:
                 size = axes_ts[d].size
                 owner = np.repeat(owner, size)
-                fixed = [np.repeat(x, size) for x in fixed] + [pts.reshape(-1)]
+                fixed = [np.repeat(x, size) for x in fixed] + [
+                    np.broadcast_to(pts, logs.shape).reshape(-1)
+                ]
                 anchor_log = logs.reshape(-1)
         factor_logs[fi] = logs.reshape((n_rows,) + tuple(ts.size for ts in axes_ts))
 
@@ -287,8 +309,10 @@ def branch_logs(
         rp = rpaths[p - 1]
         logs, errs = continued_logs(axes_ts[p - 1], axes_pts[p - 1], rp.point, rp.anchor_t)
         for r, exc in errs.items():
-            errors.setdefault(r, exc)
-        shape = [n_rows] + [1] * m
+            # a row-shared path's one row fails for every row
+            for row in range(n_rows) if len(logs) == 1 else (r,):
+                errors.setdefault(row, exc)
+        shape = [len(logs)] + [1] * m
         shape[p] = logs.shape[1]
         coord_logs[p] = logs.reshape(shape)
     return factor_logs, coord_logs, errors
@@ -306,7 +330,10 @@ def _term_level_value(
     """One refinement level of a term at every row of ``a``.
 
     ``rpaths`` holds the term's paths resolved at the same rows.  All rows
-    share ``rules`` (one rule tuple per path), hence the nodes.
+    share ``rules`` (one rule tuple per path), hence the nodes.  A
+    row-shared path's points and derivatives come off one cached table
+    per (segments, rules, level), a single row that broadcasts against
+    the batch, as does its coordinate grid.
     Returns per-row values and clipped-tail estimates, the node count of
     one row, the integrand grid (rows first), a dict mapping failed rows to
     their EvaluationError (failed rows hold value 0), and, at level
@@ -320,9 +347,11 @@ def _term_level_value(
     rules = tuple(map(tuple, rules))
     axes = [_axis_nodes(r, level) for r in rules]
     axes_ts = [ax[0] for ax in axes]
-    axes_pts = [rp.point(ts) for rp, ts in zip(rpaths, axes_ts)]
-    axes_dz = [rp.derivative(ts) for rp, ts in zip(rpaths, axes_ts)]
-    grid_shape = (n_rows,) + tuple(ts.size for ts in axes_ts)
+    axes_pts, axes_dz = zip(*(
+        _shared_samples(rp.segments, r, level) if rp.shared
+        else (rp.point(ts), rp.derivative(ts))
+        for rp, r, ts in zip(rpaths, rules, axes_ts)
+    ))
 
     def on_axis(x: np.ndarray, d: int) -> np.ndarray:
         # (rows, T) or (T,) laid along grid axis d
@@ -330,7 +359,7 @@ def _term_level_value(
         shape[d + 1] = x.shape[-1]
         return x.reshape(shape)
 
-    grids = [np.broadcast_to(on_axis(p, d), grid_shape) for d, p in enumerate(axes_pts)]
+    grids = [on_axis(p, d) for d, p in enumerate(axes_pts)]
 
     factor_logs, coord_logs, errors = branch_logs(
         spec, a, rpaths, axes_ts, axes_pts, tracked_factors, tracked_coords

@@ -304,6 +304,18 @@ def test_integrand_values_airy_at_origin_is_one():
     assert abs(vals[k] - 1.0) < 1e-12
 
 
+def test_shared_grid_broadcasts_like_a_grid_per_row():
+    # a grid with one row serves every coefficient row, bit for bit
+    spec = builtin("beta")
+    rng = np.random.default_rng(3)
+    a = spec.coefficient_vector() + 0.1 * rng.standard_normal((7, spec.n_columns()))
+    grid = np.linspace(0.0, 1.0, 257)[None] + 0.01j
+    shared, errors = integrand_values(spec, a, [grid], {}, {})
+    assert not errors and shared.shape == (7, 257)
+    full, _ = integrand_values(spec, a, [np.broadcast_to(grid, (7, 257))], {}, {})
+    assert shared.tobytes() == full.tobytes()
+
+
 def test_integrand_values_beta_density():
     # integrand of the beta scenario is x (1 - x) on (0, 1)
     spec = builtin("beta")

@@ -467,6 +467,24 @@ def test_verify_radius_below_the_ulp_exits_2(tmp_path):
     assert all("evaluation error: FrozenStencilError: " in line for line in eulers)
 
 
+def test_no_usable_cell_shows_no_max_residual(tmp_path):
+    # every cell is a FrozenStencilError; the report's max_relative stays
+    # 0.0, which is no residual, so neither command prints it as one
+    doc = json.loads((SRC / "gkzperiods" / "scenarios" / "residue_circle.json").read_text())
+    doc["settings"] = {"radius_factor": 1e-300}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    line = "max relative residual = none (no usable cell)"
+    res = run_cli("verify", str(path), cwd=tmp_path)
+    assert res.returncode == 2
+    assert line in res.stdout.splitlines()
+    report = tmp_path / "tiny.report.json"
+    assert json.loads(report.read_text())["max_relative"] == 0.0
+    res = run_cli("report", str(report))
+    assert res.returncode == 0
+    assert line in res.stdout.splitlines()
+
+
 def test_verify_file_scenario_writes_report_beside_it(tmp_path):
     res0 = run_cli("system", "gl_quadratic", "--emit-normalized",
                    "--out", str(tmp_path / "local.json"))
@@ -482,7 +500,7 @@ def test_report_subcommand_pretty_prints(tmp_path):
     res = run_cli("report", str(tmp_path / "gl_quadratic.report.json"))
     assert res.returncode == 0
     assert "gl_quadratic" in res.stdout
-    assert "max relative residual" in res.stdout
+    assert re.search(r"^max relative residual = \d\.\d{3}e-\d\d$", res.stdout, re.M)
 
 
 def test_report_missing_file_is_input_error(tmp_path):

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from gkzperiods import quadrature
+from gkzperiods import build_system, quadrature, verify
 from gkzperiods.analytic_paths import (
     ArcSegment,
     CycleSpec,
     CycleTerm,
     EvaluationError,
+    IntegrandOverflowError,
     LineSegment,
     Path1D,
     PathSingularityError,
@@ -677,3 +678,73 @@ def test_empty_batch_integrates_to_no_rows():
         res = integrate_cycle(spec, np.zeros((0, spec.n_columns()), dtype=complex))
         assert res.value.shape == (0,) and res.nodes_used == 0 and res.errors == ()
         assert all(len(x) == 0 for t in res.diagnostics["terms"] for x in t.values())
+
+
+def per_row(rpath):
+    """``rpath`` with every endpoint a (rows, 1) column of equal values: the
+    same geometry, resolved row by row."""
+    def column(z):
+        return np.full((rpath.rows, 1), z, dtype=complex)
+    return dataclasses.replace(rpath, segments=tuple(
+        dataclasses.replace(seg, z0=column(seg.z0), z1=column(seg.z1))
+        for seg in rpath.segments
+    ))
+
+
+def resolve_per_row(monkeypatch):
+    # integrate_term resolves its paths through quadrature.resolve_path
+    def resolve(path, spec, a):
+        rpath, errors = resolve_path(path, spec, a)
+        assert rpath.shared
+        return per_row(rpath), errors
+    monkeypatch.setattr(quadrature, "resolve_path", resolve)
+
+
+@pytest.mark.parametrize(
+    "name", ["airy", "residue_circle", "hesse_cubic", "torus_coefficient"]
+)
+def test_row_shared_paths_integrate_like_per_row_paths(name, monkeypatch):
+    spec = builtin(name)
+    rows = np.array(verification_points(spec.coefficient_vector(), 4, seed=11, rel=0.2))
+    if name == "airy":
+        # exp(10 x^3) at the ray tips, |x| = 9, overflows
+        rows = np.insert(rows, 2, [0.0, 10.0], axis=0)
+    shared = [integrate_term(term, spec, rows) for term in spec.cycle.terms]
+    resolve_per_row(monkeypatch)
+    for term, want in zip(spec.cycle.terms, shared):
+        got = integrate_term(term, spec, rows)
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.error_estimate.tobytes() == want.error_estimate.tobytes()
+        assert got.row_converged.tobytes() == want.row_converged.tobytes()
+        assert got.nodes_used == want.nodes_used
+        assert got.diagnostics.keys() == want.diagnostics.keys()
+        for key, arr in want.diagnostics.items():
+            assert got.diagnostics[key].tobytes() == arr.tobytes(), key
+        assert list(map(repr, got.errors)) == list(map(repr, want.errors))
+    if name == "airy":
+        assert all(isinstance(res.errors[2], IntegrandOverflowError) for res in shared)
+        assert sum(exc is not None for res in shared for exc in res.errors) == 2
+
+
+@pytest.mark.parametrize("name", ["airy", "residue_circle", "pochhammer"])
+def test_row_shared_paths_keep_the_verify_report(name, monkeypatch):
+    # pochhammer's branch transport bisects around its anchors
+    spec = builtin(name)
+    system = build_system(spec)
+    shared = verify(system, PeriodFunction(spec))
+    resolve_per_row(monkeypatch)
+    assert repr(verify(system, PeriodFunction(spec))) == repr(shared)
+
+
+def test_take_of_a_row_shared_path_stays_shared():
+    spec = builtin("residue_circle")
+    rows = np.array(verification_points(spec.coefficient_vector(), 5, seed=11))
+    rpath, _ = resolve_path(spec.cycle.terms[0].paths[0], spec, rows)
+    part = rpath.take(np.array([1, 3]))
+    assert rpath.shared and part.shared
+    assert part.rows == 2 and part.segments is rpath.segments
+    ts = _axis_nodes(("trapezoid",), 5)[0]
+    assert part.point(ts).shape == part.derivative(ts).shape == (1, ts.size)
+    columns = per_row(rpath).take(np.array([1, 3]))
+    assert not columns.shared and columns.point(ts).shape == (2, ts.size)
+    assert columns.point(ts)[1].tobytes() == part.point(ts)[0].tobytes()
