@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -159,22 +160,23 @@ class ResolvedSegment:
 
     def derivative(self, s):
         if self.kind == "line":
-            return (self.z1 - self.z0) * np.ones_like(np.asarray(s, dtype=float))
+            return self.z1 - self.z0
         if self.kind == "arc":
             span = self.angle_end - self.angle_start
             ang = self.angle_start + s * span
             return 1j * self.radius * span * np.exp(1j * np.asarray(ang))
-        return self.length * self.direction * np.ones_like(np.asarray(s, dtype=float))
+        return self.length * self.direction
 
 
 @dataclass(frozen=True)
 class ResolvedPath:
     """A Path1D resolved at each of ``rows`` coefficient vectors.
 
-    point() and derivative() return one row per coefficient vector, or a
-    single row that broadcasts against them when the path is row-shared:
-    no segment has a per-row endpoint (no RootAnchor), so every row has
-    the same geometry.
+    point() and derivative() take a scalar t or a sorted 1-D array of
+    nodes and return one row per coefficient vector, or a single row that
+    broadcasts against them when the path is row-shared: no segment has a
+    per-row endpoint (no RootAnchor), so every row has the same geometry.
+    The derivative of a path of one line or ray is one (rows, 1) column.
     """
 
     segments: tuple
@@ -199,16 +201,22 @@ class ResolvedPath:
         return self._piecewise(t, "derivative")
 
     def _piecewise(self, t, method: str) -> np.ndarray:
+        # t is a scalar or sorted nodes, so segment k's nodes, k <= t < k + 1
+        # (the first and last segments also take all below and above), are a run
         t = np.asarray(t, dtype=float)
-        idx = np.minimum(np.maximum(np.floor(t), 0), self.nsegments - 1).astype(int)
-        s = t - idx
-        out = np.empty((1 if self.shared else self.rows,) + t.shape, dtype=complex)
-        for k, seg in enumerate(self.segments):
-            mask = idx == k
-            if np.any(mask):
-                # shared geometry broadcasts over the rows
-                out[..., mask] = getattr(seg, method)(s[mask])
-        return out
+        ts = t.reshape(-1)
+        cuts = [0, *np.searchsorted(ts, np.arange(1, self.nsegments)), ts.size]
+        parts = [
+            np.atleast_2d(getattr(seg, method)(ts[lo:hi] - k))
+            for k, (seg, lo, hi) in enumerate(zip(self.segments, cuts, cuts[1:]))
+        ]
+        rows = 1 if self.shared else self.rows
+        out = parts[0] if len(parts) == 1 else np.hstack([
+            np.broadcast_to(p, (rows, hi - lo)) for p, lo, hi in zip(parts, cuts, cuts[1:])
+        ])
+        # one row per coefficient vector, also from an arc of a per-row path
+        out = np.broadcast_to(out, (rows, out.shape[1]))
+        return out if t.ndim else out[:, 0]
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Each segment's start and end point, shaped (segments, 2, rows), and
@@ -521,35 +529,39 @@ def integrand_values(
     shape = (len(a),) + np.broadcast_shapes(*(g.shape for g in grids))[1:]
     # coefficient k of every row, shaped to broadcast against the grids
     coeff_shape = (-1, shape[0]) + (1,) * (len(shape) - 1)
-    # complex products keep their operand order (in place, never `x * temp`,
-    # which numpy may evaluate as temp *= x): numpy's complex product is not
-    # bitwise commutative, and a row's value must not depend on its batch
-    w = np.zeros(shape, dtype=complex)
-    direct = np.ones(shape, dtype=complex)
+    # complex products keep their operand order (np.multiply, never `x *
+    # temp`, which numpy may evaluate as temp *= x): numpy's complex product
+    # is not bitwise commutative, and a row's value must not depend on its batch
+    exponent, direct = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for fac in spec.factors:
             coeffs = spec.coefficients_for(a, fac.index).T.reshape(coeff_shape)
             if fac.kind == "exp":
-                w = w + fac.values(coeffs, tuple(grids))
+                exponent.append(fac.values(coeffs, tuple(grids)))
                 continue
             lam = complex(fac.lam)
             if fac.index in factor_logs:
-                w = w + lam * factor_logs[fac.index]
+                exponent.append(lam * factor_logs[fac.index])
                 continue
             # x ** 1 is x bit for bit, but numpy runs a full power loop for it
             vals = fac.values(coeffs, tuple(grids))
             k = int(lam.real)
-            direct *= vals if k == 1 else vals ** k
+            direct.append(vals if k == 1 else vals ** k)
         for p in range(1, spec.m + 1):
             beta = complex(spec.twist_beta[p - 1])
             if p in coord_logs:
-                w = w + (beta - 1.0) * coord_logs[p]
+                exponent.append((beta - 1.0) * coord_logs[p])
             elif k := int(beta.real) - 1:
-                direct *= grids[p - 1] if k == 1 else grids[p - 1] ** k
-        wr = np.real(w)
-        vals = np.exp(w) * direct
+                direct.append(grids[p - 1] if k == 1 else grids[p - 1] ** k)
+        # the sum and the product start from their first terms; every factor
+        # enters one of them, so vals spans the grid
+        vals = reduce(np.multiply, direct) if direct else None
+        if exponent:
+            w = reduce(np.add, exponent)
+            vals = np.exp(w) if vals is None else np.multiply(np.exp(w), vals)
     errors: dict = {}
     grids = [np.broadcast_to(g, shape) for g in grids]
+    wr = np.broadcast_to(np.real(w) if exponent else 0.0, shape)
     for r in np.nonzero(np.any((wr > _EXP_CAP).reshape(shape[0], -1), axis=1))[0]:
         k = np.unravel_index(int(np.argmax(wr[r])), shape[1:])
         loc = tuple(complex(g[r][k]) for g in grids)

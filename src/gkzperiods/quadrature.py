@@ -265,7 +265,7 @@ def branch_logs(
     m = len(rpaths)
     errors: dict = {}
     factor_logs = {}
-    anchors_x = [rp.point(rp.anchor_t) for rp in rpaths]
+    anchors_x = [rp.point(rp.anchor_t) for rp in rpaths] if factors else []
     for fi in factors:
         fac = spec.factors[fi - 1]
         coeffs = spec.coefficients_for(a, fi)

@@ -14,6 +14,7 @@ from gkzperiods.analytic_paths import (
     LineSegment,
     Path1D,
     PathSingularityError,
+    RaySegment,
     RootAnchor,
     continued_logs,
     integrand_values,
@@ -169,6 +170,62 @@ def test_root_anchor_follows_coefficients():
     assert abs(ends[-1, 1] - (-b[0] / b[1])) < 1e-10
     assert rp2.segments[0].anchored_start == 2
     assert rp2.segments[-1].anchored_end == 1
+
+
+def node_by_node(rpath, t, method):
+    """point() or derivative() of ``rpath`` at each node of ``t`` alone, by
+    the segment that owns it: floor(t), clipped to the segments."""
+    rows = 1 if rpath.shared else rpath.rows
+    columns = []
+    for tj in np.atleast_1d(t).tolist():
+        k = min(max(math.floor(tj), 0), rpath.nsegments - 1)
+        value = getattr(rpath.segments[k], method)(np.array([tj - k]))
+        columns.append(np.broadcast_to(value, (rows, 1)))
+    return np.concatenate(columns, axis=1)
+
+
+ANCHOR = RootAnchor(factor=1, near=1.0)
+QUARTER = ArcSegment(center=0.0, radius=2.0, angle_start=0.0, angle_end=0.5 * math.pi)
+UP = RaySegment(start=2.0j, direction=1.0j, length=3.0)
+
+
+@pytest.mark.parametrize("segments", [
+    (LineSegment(start=0.0, end=2.0),),
+    (QUARTER,),
+    (UP,),
+    (LineSegment(start=0.0, end=2.0), QUARTER),
+    (LineSegment(start=0.0, end=2.0), QUARTER, UP),
+    (LineSegment(start=0.0, end=ANCHOR),),
+    (LineSegment(start=ANCHOR, end=2.0), QUARTER),
+    (LineSegment(start=0.0, end=ANCHOR), LineSegment(start=ANCHOR, end=2.0), QUARTER),
+    (LineSegment(start=ANCHOR, end=2.0), QUARTER, UP),
+])
+def test_piecewise_samples_match_each_node_on_its_own_segment(segments):
+    # beta's factor 1 - x has its root, the anchor, near 1 at every row
+    spec = builtin("beta")
+    rng = np.random.default_rng(4)
+    a = spec.coefficient_vector() + 0.05 * rng.standard_normal((5, spec.n_columns()))
+    rpath, errors = resolve_path(Path1D(segments=segments), spec, a)
+    assert not errors
+    n = rpath.nsegments
+    rows = 1 if rpath.shared else len(a)
+    assert rpath.shared == all(ANCHOR not in vars(seg).values() for seg in segments)
+    # sorted nodes, every segment boundary t = k and the end t = n among them
+    ts = np.sort(np.concatenate([rng.uniform(0.0, n, 40), np.arange(n + 1.0)]))
+    for method in ("point", "derivative"):
+        got = getattr(rpath, method)(ts)
+        want = node_by_node(rpath, ts, method)
+        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes(), method
+        constant = method == "derivative" and n == 1 and segments[0] is not QUARTER
+        assert got.shape == (rows, 1 if constant else ts.size), method
+        # a scalar t, as bisection's eval_at asks for, gives one value per row
+        for t in (0.0, 0.3, 1.0, n - 0.5, float(n)):
+            got = getattr(rpath, method)(t)
+            assert got.shape == (rows,)
+            assert got.tobytes() == node_by_node(rpath, t, method)[:, 0].tobytes()
+    if segments == (LineSegment(start=0.0, end=ANCHOR),):
+        # a per-row line's derivative is one column, z1 - z0 at each row
+        assert rpath.derivative(ts).shape == (len(a), 1)
 
 
 def test_non_chaining_segments_rejected():

@@ -379,6 +379,29 @@ def test_quadrature_nodes_are_built_once_and_read_only():
             x[0] = 0.5
 
 
+def test_every_level_the_loop_runs_refines_the_level_before():
+    # a level with the nodes of the level before compares a rule with
+    # itself: the difference reads 0.0 and the row "converges" on the
+    # coarser value
+    def nodes(rule, level):
+        return set(_segment_nodes(rule, level)[0].tolist())
+
+    for rule in ("trapezoid", "gauss", "ray", "tanh-sinh"):
+        for level in range(quadrature.LEVEL_START, quadrature.LEVEL_CAP + 1):
+            assert nodes(rule, level) != nodes(rule, level - 1), (rule, level)
+    # gauss and ray levels up to 4 are one and the same 16-node panel
+    # (2**level // 16 panels, at least one), so levels 3 and 4 each repeat
+    # the level before: those rules cannot start below LEVEL_START = 5
+    for rule in ("gauss", "ray"):
+        for level in (3, 4):
+            assert nodes(rule, level) == nodes(rule, level - 1), (rule, level)
+    # every tanh-sinh node is a distinct s through level 10; from level 11
+    # on, nodes near the endpoints round to one s (3 duplicates at 11)
+    for level in range(1, 11):
+        s = _segment_nodes("tanh-sinh", level)[0]
+        assert np.unique(s).size == s.size, level
+
+
 NESTED_RULES = (
     (("trapezoid",),),
     (("tanh-sinh",),),
