@@ -9,17 +9,17 @@ its value to rounding, depend on the derivatives asked for with it.
 Which coordinates each sample moves, by which radius, unit step and
 circle node, which samples merge into one row, and each stencil's row
 index and phases do not depend on the point: ``_template`` builds them
-once per tuple of multi-indices, with one lexsort, and caches them.  A
-SampleTable writes the rows of P points on that template with one
-scatter and takes every circle sum of every point with the products and
-left-to-right additions of a sample-by-sample loop, so each sum is
-bit-identical to that loop.  Samples merge by structure, never by the
-bits of their rows, so given its direction set no value depends on which
-other samples a table holds.  The table is the
-one place rows are deduplicated: ``DerivativeCache.evaluate`` sends the
-rows it is given to phi in one batch call and keeps none of them, and
-``batch_of`` makes a plain callable a row loop that returns each row's
-error as its entry.
+once per tuple of multi-indices, in one dict keyed by each sample's
+radius, node and units, and caches them.  A SampleTable writes the rows
+of P points on that template with one scatter and takes every circle
+sum of every point with the products and left-to-right additions of a
+sample-by-sample loop, so each sum is bit-identical to that loop.
+Samples merge by structure, never by the bits of their rows, so given
+its direction set no value depends on which other samples a table
+holds.  The table is the one place rows are deduplicated:
+``DerivativeCache.evaluate`` sends the rows it is given to phi in one
+batch call and keeps none of them, and ``batch_of`` makes a plain
+callable a row loop that returns each row's error as its entry.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def _directions(multi: tuple, support: tuple, sizes: tuple):
     single coordinate there is one direction: the plain coordinate circle.
 
     Returns the support, the m_i (16 for s0), every sample's phase, and
-    per sample and support coordinate, sample-major: the sample, the
-    coordinate, the unit step (1 for s0) and the circle node.
+    per sample and support coordinate, sample-major: the coordinate, the
+    unit step (1 for s0) and the circle node.
     """
     order = sum(multi)
     theta = 2.0 * math.pi * np.arange(_DIFF_NODES) / _DIFF_NODES
@@ -191,7 +191,6 @@ def _directions(multi: tuple, support: tuple, sizes: tuple):
     samples = len(units) * _DIFF_NODES
     arrays = (
         _mul(np.array(coefs)[:, None], node_phases).ravel(),
-        np.repeat(np.arange(samples), len(support)),
         np.tile(support, samples),
         np.repeat(units, _DIFF_NODES, axis=0).ravel(),
         np.repeat(np.tile(rot, len(units)), len(support)),
@@ -205,21 +204,21 @@ class _Template:
     """The part of a sample table that does not depend on the point.
 
     Derivative j of ``multis`` owns stencils 2j (full radius) and 2j + 1
-    (half radius), the same samples at two radii.  A sample's key is its
-    circle node, by which every coordinate it moves turns, and each
-    coordinate's unit step (0 where it does not move).  Samples with
-    equal keys and radius give bit-equal rows
-    at any point, so they are merged, and samples at different radii
-    never are.  A coincidental bit equality between different keys only
-    costs one more evaluation.  Rows come in order of first occurrence
-    over the stencils, after the point's own row 0: derivative j's new
-    samples at full radius, then the same at half radius.
+    (half radius), the same samples at two radii.  One dict keys every
+    sample by its radius, circle node and the (coordinate, unit step) of
+    each coordinate it moves; a new key takes the next row after the
+    point's own row 0, so rows come in order of first occurrence:
+    derivative j's new samples at full radius, then the same at half
+    radius.  Equal keys give bit-equal rows at any point, and equal key
+    values are equal bits: every node and unit is exp(2 pi i x) at an
+    exact binary fraction x (k/16 or j/m), and no part is -0.0.  A
+    coincidental bit equality of different keys costs one more evaluation.
 
     ``index[t, k]`` is the row of stencil t's sample k, padded with row 0
-    past ``lengths[t]``, and ``phases`` its phase.  The merged rows are
-    written by scattering ``point[col] + radius[slot] * unit * node`` to
-    ``pos`` in a point's flattened block of ``block`` rows, where ``slot``
-    picks a radius from the point's full radii followed by its half radii.
+    past ``lengths[t]``, and ``phases`` its phase.  The rows are written
+    by scattering ``point[col] + radius[slot] * unit * node`` to ``pos``
+    in a point's flattened block of ``block`` rows, where ``slot`` picks
+    a radius from the point's full radii followed by its half radii.
     ``prefactors`` holds what each stencil's prefactor takes of it.
     ``probe`` holds, per coordinate and radius, the 16 positions that
     ``SampleTable.frozen`` reads, and ``probe_of`` which of them each
@@ -230,48 +229,29 @@ class _Template:
     """
 
     def __init__(self, multis: tuple, among: tuple):
-        n, count = len(multis[0]), len(multis)
+        n = len(multis[0])
         sets = _direction_sets(among)
         dirs = [_directions(multi, *sets[multi]) for multi in multis]
-        sizes = np.array([len(d[2]) for d in dirs])
-        starts = sizes.cumsum() - sizes
-        phase, sample, column, unit, node = map(
-            np.concatenate, zip(*(d[2:] for d in dirs)))
-        sample = sample + starts.repeat([len(d[3]) for d in dirs])
-
-        total = sizes.sum()
-        units = np.zeros((total, n), dtype=complex)
-        units[sample, column] = unit
-        keys = np.empty((total, 2 + 2 * n), dtype=np.uint64)
-        keys[sample, :2] = node.view(np.uint64).reshape(-1, 2)
-        keys[:, 2:] = units.view(np.uint64)
-        first, inverse = _first_occurrences(keys)
-        # each merged sample's rows at full and half radius: after the
-        # rows of the derivatives before the one it first occurs in
-        owner = np.arange(count).repeat(sizes)[first]
-        new = np.bincount(owner, minlength=count)
-        full = 1 + np.arange(len(owner)) + (new.cumsum() - new)[owner]
-        rows_at = (full, full + new[owner])
-        self.block = 1 + 2 * len(owner)
-
-        self.lengths = sizes.repeat(2)
-        width = sizes.max()
-        into = np.arange(total) + (2 * width * np.arange(count) - starts).repeat(sizes)
-        self.index = np.zeros(2 * count * width, dtype=np.intp)
-        self.phases = np.zeros(2 * count * width, dtype=complex)
-        for half, rows in enumerate(rows_at):
-            self.index[into + half * width] = rows[inverse]
-            self.phases[into + half * width] = phase
-        self.index = self.index.reshape(-1, width)
-        self.phases = self.phases.reshape(-1, width)
-
-        keep = first[sample]
-        col, merged = column[keep], inverse[sample[keep]]
-        self.col = np.concatenate([col, col])
-        self.slot = np.concatenate([col, col + n])
-        self.pos = np.concatenate([rows[merged] for rows in rows_at]) * n + self.col
-        self.unit = np.concatenate([unit[keep]] * 2)
-        self.node = np.concatenate([node[keep]] * 2)
+        self.lengths = np.array([len(d[2]) for d in dirs]).repeat(2)
+        self.index = np.zeros((len(self.lengths), self.lengths.max()), dtype=np.intp)
+        self.phases = np.zeros(self.index.shape, dtype=complex)
+        rows = {}
+        for j, (support, _, phase, column, unit, node) in enumerate(dirs):
+            s = len(support)
+            moves = list(zip(column.tolist(), unit.tolist()))
+            nodes = node.tolist()
+            for half in (0, 1):
+                index = [rows.setdefault((half, nodes[e], *moves[e:e + s]), len(rows) + 1)
+                         for e in range(0, len(moves), s)]
+                self.index[2 * j + half, :len(index)] = index
+                self.phases[2 * j + half, :len(index)] = phase
+        self.block = 1 + len(rows)
+        # every row's moved coordinates, full-radius rows first
+        halves, at, self.col, self.unit, self.node = map(np.array, zip(*sorted(
+            ((half, row, v, u, node) for (half, node, *moves), row in rows.items()
+             for v, u in moves), key=lambda entry: entry[0])))
+        self.slot = self.col + n * halves
+        self.pos = at * n + self.col
 
         # each stencil's multi, support, circle counts and radius offset
         self.prefactors = [(multi, d[0], d[1], half)
@@ -280,7 +260,7 @@ class _Template:
         # radius in the rows of a first direction that moves it: every
         # stencil moving the coordinate gives it the same 16 values there
         probes = {}
-        for t in range(2 * count):
+        for t in range(len(self.index)):
             for v in dirs[t // 2][0]:
                 probes.setdefault((v, t % 2), self.index[t, :_DIFF_NODES] * n + v)
         self.probe = np.array(list(probes.values()))
@@ -364,20 +344,3 @@ class SampleTable:
                  & (rows.imag != at.imag).any(axis=2))
         return (tpl.probe_of & ~moved[:, None]).any(axis=2)
 
-
-def _first_occurrences(keys: np.ndarray):
-    """Which rows of a uint64 key matrix come first among their equals,
-    and each row's rank among those first rows in order.  One lexsort and
-    no np.unique, which imports numpy.ma, nor a second sort, whose SIMD
-    code adds to RSS."""
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    starts = np.ones(len(keys), dtype=bool)
-    (ordered[1:] != ordered[:-1]).any(axis=1, out=starts[1:])
-    # lexsort is stable: each run of equal keys starts at its first occurrence
-    first = np.zeros(len(keys), dtype=bool)
-    first[order[starts]] = True
-    rank = first.cumsum() - 1
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = rank[order[starts]][starts.cumsum() - 1]
-    return first, inverse

@@ -36,7 +36,7 @@ class ScenarioError(ValueError):
     """Scenario data violates a structural rule.
 
     ``where`` is a dotted/indexed path into the scenario document, for
-    example ``factors[0].support``.
+    example ``factors[0].monomials[2]``.
     """
 
     def __init__(self, where: str, message: str):
@@ -239,26 +239,26 @@ def _validate_factor(fac: FactorSupport, m: int, function_kind: str) -> None:
     if fac.kind not in FACTOR_KINDS:
         raise ScenarioError(where + ".kind", f"unknown factor kind {fac.kind!r}")
     if not fac.monomials:
-        raise ScenarioError(where + ".support", "empty factor support")
+        raise ScenarioError(where + ".monomials", "empty factor support")
     seen: set[Monomial] = set()
     for k, mono in enumerate(fac.monomials):
         if len(mono) != m:
             raise ScenarioError(
-                where + f".support[{k}]",
+                where + f".monomials[{k}]",
                 f"monomial has {len(mono)} exponents, scenario has m={m}",
             )
         if any((not isinstance(e, int)) or e < 0 for e in mono):
             raise ScenarioError(
-                where + f".support[{k}]",
+                where + f".monomials[{k}]",
                 "monomial exponents must be nonnegative integers",
             )
         if mono in seen:
             raise ScenarioError(
-                where + ".support", f"duplicate monomial in factor {fac.index}"
+                where + ".monomials", f"duplicate monomial in factor {fac.index}"
             )
         seen.add(mono)
     if list(fac.monomials) != sorted(fac.monomials):
-        raise ScenarioError(where + ".support", "monomials not in lex order")
+        raise ScenarioError(where + ".monomials", "monomials not in lex order")
     if len(fac.coefficients) != len(fac.monomials):
         raise ScenarioError(
             where + ".coefficients",

@@ -299,8 +299,8 @@ def loads_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
         doc, {"schema", "name", "m", "factors", "twist_beta", "function", "settings"}, ""
     )
     m = doc.get("m")
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ScenarioError("m", "expected an integer")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ScenarioError("m", "m must be a positive integer")
     factors_node = _want(doc.get("factors"), list, "factors", "a factor list")
     factors = tuple(
         _factor_in(f, f"factors[{k}]", k + 1, m) for k, f in enumerate(factors_node)

@@ -369,10 +369,12 @@ class PointSampleTable:
         self.lengths = np.array([len(d[2]) for d in dirs])
         starts = 1 + np.cumsum(self.lengths) - self.lengths
 
-        phase, sample, column, unit, node = map(
+        phase, column, unit, node = map(
             np.concatenate, zip(*(d[2:] for d in dirs)))
         entries = [len(d[3]) for d in dirs]
-        sample = sample + np.repeat(starts, entries)
+        # each entry's row in flat: every sample moves its support's coordinates
+        sample = np.repeat(np.arange(1, 1 + self.lengths.sum()),
+                           np.repeat([len(d[0]) for d in dirs], self.lengths))
         halves = np.repeat(np.arange(len(dirs)) % 2, entries)
         radius = np.array(self.radii + halved, dtype=complex)[column + n * halves]
         flat = np.empty((1 + self.lengths.sum(), n), dtype=complex)

@@ -1,5 +1,6 @@
-"""Command line interface: ``cli.main`` run in the test process, plus two
-real subprocesses for ``python -m gkzperiods`` and its import path."""
+"""Command line interface: ``cli.main`` run in the test process, plus real
+subprocesses for ``python -m gkzperiods``, its import path and the
+modules a fresh process's verify imports."""
 
 import contextlib
 import io
@@ -112,6 +113,26 @@ def test_child_in_another_directory_imports_the_source(tmp_path):
     assert json.loads((tmp_path / "norm.json").read_text())["name"] == "quadratic_root"
 
 
+# np.unique imports numpy.ma, a cost in every fresh process's start-up
+# time and peak memory; the sample-table merge and the root finder avoid
+# it, so no verify may import it
+FRESH_VERIFY = """
+import sys
+from gkzperiods import PeriodFunction, build_system, load_scenario, verify
+for name in ("gauss", "gl_cubic", "quadratic_root", "residue_circle"):
+    spec = load_scenario(name)
+    assert verify(build_system(spec), PeriodFunction(scenario=spec)).passed, name
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_fresh_verify_never_imports_numpy_ma():
+    res = subprocess.run([sys.executable, "-c", FRESH_VERIFY], capture_output=True,
+                         text=True, env=child_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def test_system_prints_matrix_and_kernel():
     res = run_cli("system", "quadratic_root")
     assert res.returncode == 0
@@ -132,7 +153,7 @@ def test_duplicate_monomial_is_input_error(tmp_path):
     res = run_cli("system", str(f))
     assert res.returncode == 2
     assert res.stdout == ""
-    assert "error: factors[0].support: duplicate monomial in factor 1" in res.stderr
+    assert "error: factors[0].monomials: duplicate monomial in factor 1" in res.stderr
 
 
 def test_unknown_scenario_is_input_error():

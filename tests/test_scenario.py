@@ -199,9 +199,27 @@ def test_error_string_carries_document_path():
     try:
         loads_scenario(json.dumps(doc))
     except ScenarioError as exc:
-        assert str(exc).startswith("factors[0].support:")
+        assert str(exc).startswith("factors[0].monomials:")
     else:
         pytest.fail("expected ScenarioError")
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1.5, True, "1"])
+def test_bad_m_reports_m_not_the_monomials(m):
+    doc = minimal_root_doc()
+    doc["m"] = m
+    with pytest.raises(ScenarioError) as info:
+        loads_scenario(json.dumps(doc))
+    assert str(info.value) == "m: m must be a positive integer"
+
+
+def test_empty_monomial_list_reports_the_monomials_key():
+    doc = minimal_root_doc()
+    doc["factors"][0]["monomials"] = []
+    doc["factors"][0]["coefficients"] = []
+    with pytest.raises(ScenarioError) as info:
+        loads_scenario(json.dumps(doc))
+    assert str(info.value) == "factors[0].monomials: empty factor support"
 
 
 def test_period_scenario_requires_cycle():

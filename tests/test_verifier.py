@@ -311,12 +311,42 @@ def _oracle_points(n: int, rng) -> np.ndarray:
     return np.concatenate([unit, spread, equal])
 
 
-@pytest.mark.parametrize("name", builtin_scenario_names())
-def test_stacked_table_matches_one_table_per_point_bit_for_bit(name):
-    spec = load_scenario(name)
-    settings = spec.settings
-    multis = _shipped_multis(spec)
-    points = _oracle_points(spec.coefficient_vector().size, np.random.default_rng(23))
+# derivatives no shipped scenario asks for: n = 4 and 5, orders 1 to 6,
+# first derivatives read off a mixed set (as its first coordinate and as
+# one it turns) or kept on their own circle beside a higher pure power,
+# and the quartic pair of ROADMAP item 12's K3 period
+OTHER_MULTIS = {
+    "n4_hosted": [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (2, 0, 1, 0),
+                  (0, 0, 0, 3), (0, 0, 1, 0)],
+    "n5_orders_1_to_6": [(0, 0, 0, 1, 0), (0, 0, 3, 3, 0), (1, 2, 3, 0, 0),
+                         (0, 1, 0, 0, 5), (6, 0, 0, 0, 0), (0, 0, 2, 0, 2),
+                         (1, 0, 0, 0, 0)],
+    "n5_quartic_pair": [(1, 0, 1, 1, 1), (0, 4, 0, 0, 0)],
+}
+
+
+def _table_case(case):
+    """(n, multis, settings) of a shipped scenario or an OTHER_MULTIS case."""
+    if case in OTHER_MULTIS:
+        multis = OTHER_MULTIS[case]
+        return len(multis[0]), multis, DIFF
+    spec = load_scenario(case)
+    return spec.coefficient_vector().size, _shipped_multis(spec), spec.settings
+
+
+def test_other_multis_host_first_derivatives_on_mixed_sets():
+    for case, want in [("n4_hosted", {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)}),
+                       ("n5_orders_1_to_6", {(0, 0, 0, 1, 0)})]:
+        multis = OTHER_MULTIS[case]
+        sets = _direction_sets(tuple(multis))
+        hosted = {u for u in multis if len(sets[u][0]) > sum(u)}
+        assert hosted == want, case
+
+
+@pytest.mark.parametrize("case", builtin_scenario_names() + list(OTHER_MULTIS))
+def test_stacked_table_matches_one_table_per_point_bit_for_bit(case):
+    n, multis, settings = _table_case(case)
+    points = _oracle_points(n, np.random.default_rng(23))
     table = SampleTable(points, multis, settings)
     for a, rows, prefs, amps in zip(points, table.rows, table.prefs, table.amps):
         want = PointSampleTable(a, multis, settings)
