@@ -1,9 +1,11 @@
 """Internal helper: roots of stacks of dense univariate polynomials.
 
-Starting roots from closed forms for degrees 1 to 3 and from
-companion-matrix eigenvalues above, followed by a few Newton polish
-steps, and the Horner evaluation they share with root continuation and
-residue sums.
+Rows of degree 1 to 3 start from closed forms and take at most a few
+Newton polish steps; rows of degree 4 and above start on the circles of
+their Newton polygon and take Aberth-Ehrlich steps.  Both iterations stop
+a root, without taking its step, once its residual is within Horner's
+rounding floor, and they share the Horner evaluation with root
+continuation and residue sums.
 Kept separate so path resolution, root continuation and residue
 evaluation share one implementation.  Everything works on stacks, one
 polynomial per row, and a row's results do not depend on the rest of its
@@ -18,8 +20,16 @@ import numpy as np
 
 __all__ = ["univariate_roots", "eval_with_derivative"]
 
-# Newton polish steps after the starting roots.
+# Newton polish steps after the closed-form starts, at most
 _POLISH_STEPS = 8
+# Aberth-Ehrlich steps from the Newton-polygon starts, at most (simple
+# roots of degree 4 to 9 rows stop within 15, multiple roots within 20)
+_ABERTH_STEPS = 64
+# unit roundoff of double precision, for Horner's rounding floor
+_EPS = 2.0**-53
+# angle (radians) by which the Newton-polygon starts are turned off the
+# real axis, Bini's 0.7
+_TURN = 0.7
 # the cube roots of unity, one per branch of Cardano's formula
 _OMEGA = np.array([1.0, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5))])
 
@@ -41,21 +51,25 @@ def eval_with_derivative(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]
     return f, df
 
 
-def _polish(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Newton steps on each root of each row; a root stops on its own.
+def _newton(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton corrections f(x) / f'(x) at the roots x[r] of row coeffs[r],
+    and which roots are finished.
 
-    Row r's roots x[r] belong to coeffs[r].  A root stops when its
-    derivative vanishes or its step falls below 1e-16 * max(1, |x|).
-    Where a term |c_k x^k| of the stack could near overflow, each root
-    runs in its own variable y = x / 2^e, 2^e near its start, on its row
-    scaled by the power of two that brings its largest term at |y| = 1 to
-    about 1.  Powers of two scale exactly: in the normal range the scaled
-    steps are the unscaled ones, bit for bit.
+    A root is finished once f'(x) vanishes or |f(x)| is within Horner's
+    rounding floor, 2 d eps sum_k |c_k| |x|^k at degree d and eps = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, section 5.1): below it the residual is rounding noise, and a
+    step would only dither.  Where a term |c_k x^k| of the stack could
+    near overflow, each root is evaluated in its own variable y = x / 2^e,
+    2^e near it, on its row scaled by the power of two that brings its
+    largest term at |y| = 1 to about 1.  Powers of two scale exactly: in
+    the normal range the scaled corrections and floors are the unscaled
+    ones, bit for bit.
     """
     e = np.frexp(np.abs(x))[1]
     size = np.frexp(np.abs(coeffs))[1]
     degree = coeffs.shape[1] - 1
-    c, y, unit = coeffs[:, None, :], x, 1.0
+    c, y = coeffs[:, None, :], x
     scaled = size.max(initial=0) + degree * max(int(e.max(initial=0)), 0) >= 1000
     if scaled:
         size[coeffs == 0] = -(2**20)
@@ -63,18 +77,79 @@ def _polish(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         # each root's largest term, k by k: numpy reduces a short axis slowly
         top = reduce(np.maximum, [size[:, None, k] + ek[..., k] for k in range(degree + 1)])
         c = _ldexp(c, ek - top[..., None])
-        # the stop rule in y: 1e-16 max(1, |x|) = 2^e 1e-16 max(2^-e, |y|)
-        y, unit = _ldexp(x, -e), np.ldexp(1.0, -e)
+        y = _ldexp(x, -e)
+    f, df = eval_with_derivative(c, y)
+    # the floor is one real Horner pass on |c| at |y|
+    abs_c, abs_y = np.abs(c), np.abs(y)
+    floor = abs_c[..., degree]
+    for k in range(degree - 1, -1, -1):
+        floor = floor * abs_y + abs_c[..., k]
+    done = (df == 0) | (np.abs(f) <= 2 * degree * _EPS * floor)
+    step = f / df
+    return (_ldexp(step, e) if scaled else step), done
+
+
+def _polish(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Newton steps on each root of each row; a root stops on its own.
+
+    Row r's roots x[r] belong to coeffs[r].  A root stops, without taking
+    the step, once _newton finds it finished; one that is still moving
+    after _POLISH_STEPS steps is returned as it stands.
+    """
     live = np.ones(x.shape, dtype=bool)
     for _ in range(_POLISH_STEPS):
-        f, df = eval_with_derivative(c, y)
-        live &= df != 0
-        step = np.where(live, f / df, 0.0)
-        y = y - step
-        live &= ~(np.abs(step) < 1e-16 * np.maximum(unit, np.abs(y)))
+        step, done = _newton(coeffs, x)
+        live &= ~done
         if not live.any():
             break
-    return _ldexp(y, e) if scaled else y
+        x = x - np.where(live, step, 0.0)
+    return x
+
+
+def _aberth(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Aberth-Ehrlich steps on all roots of each row at once.
+
+    Root i's Newton correction N is deflated by the row's other roots,
+    N / (1 - N sum_{j != i} 1 / (x_i - x_j)), which converges to all
+    roots at once and keeps the roots apart while it does (Bini, Numer.
+    Algorithms 13 (1996)).  A root stops under _newton's rule, and the
+    others keep moving against it; one still moving after _ABERTH_STEPS
+    steps is returned as it stands.
+    """
+    live = np.ones(x.shape, dtype=bool)
+    others = ~np.eye(x.shape[1], dtype=bool)
+    for _ in range(_ABERTH_STEPS):
+        step, done = _newton(coeffs, x)
+        live &= ~done
+        if not live.any():
+            break
+        pull = np.sum(1.0 / (x[:, :, None] - x[:, None, :]), axis=2, where=others)
+        x = x - np.where(live, step / (1.0 - step * pull), 0.0)
+    return x
+
+
+def _polygon_starts(coeffs: np.ndarray) -> np.ndarray:
+    """Starting roots of rows of degree d, (N, d), on their Newton polygon.
+
+    Over each unit interval (m, m + 1) the upper convex hull of the points
+    (k, log2 |c_k|) has a slope s: the least, over i <= m, of the largest
+    slope from point i to a point j > m.  At |x| = 2^-s the two terms that
+    end that hull edge balance, so an edge of length l carries about l
+    roots of that modulus (Bini 1996), and interval m's root starts on
+    that circle at angle 2 pi m / d + _TURN.  Zero low coefficients put as
+    many starts at 0, where those roots are exact.
+    """
+    d = coeffs.shape[1] - 1
+    k = np.arange(d + 1)
+    height = np.log2(np.abs(coeffs))
+    # slope[:, i, j] from point i to point j: infinite where one of them is
+    # a zero coefficient, nan where both are, which fmin and fmax pass over
+    slope = (height[:, None, :] - height[:, :, None]) / (k - k[:, None])
+    hull = np.stack([
+        np.fmin.reduce(np.fmax.reduce(slope[:, : m + 1, m + 1 :], axis=2), axis=1)
+        for m in range(d)
+    ], axis=1)
+    return np.exp2(-hull) * np.exp(1j * (2 * np.pi * np.arange(d) / d + _TURN))
 
 
 def _closed_form_roots(monic: np.ndarray) -> np.ndarray:
@@ -96,7 +171,7 @@ def _closed_form_roots(monic: np.ndarray) -> np.ndarray:
     d = monic.shape[1] - 1
     if d == 1:
         return -monic[:, :1]
-    # int32 exponents, as frexp gives _polish: np.ldexp casts int64 slowly
+    # int32 exponents, as frexp gives _newton: np.ldexp casts int64 slowly
     k = np.arange(d, dtype=np.int32)
     e = np.rint(np.max(np.log2(np.abs(monic[:, :d])) / (d - k), axis=1))
     e = np.where(np.isfinite(e), e, 0.0).astype(np.int32)
@@ -137,12 +212,14 @@ def univariate_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
 
     Trailing (high-degree) zero coefficients of a row are trimmed first,
     and rows of equal trimmed degree are solved together.  Rows of degree
-    1 to 3 start from closed forms (_closed_form_roots), rows of degree 4
-    and above from one stacked companion eigvals call; all then get the
-    same Newton polish.  Returns the roots, (N, D) with row r's in its
-    first deg[r] entries and nan after them, and the trimmed degrees deg,
-    -1 for the zero polynomial.  A row with non-finite coefficients keeps
-    nan roots.
+    1 to 3 start from closed forms (_closed_form_roots) and get Newton
+    polish (_polish), rows of degree 4 and above start from their Newton
+    polygon (_polygon_starts) and take stacked Aberth-Ehrlich steps
+    (_aberth); both iterations stop a root at Horner's rounding floor
+    (_newton).  Returns the roots, (N, D) with row r's in its first
+    deg[r] entries and nan after them, and the trimmed degrees deg, -1 for
+    the zero polynomial.  A row with non-finite coefficients keeps nan
+    roots.
     """
     c = np.asarray(coeffs, dtype=complex)
     n, width = c.shape
@@ -157,12 +234,8 @@ def univariate_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
             # a row with non-finite coefficients keeps nan roots
             ok = np.isfinite(monic).all(axis=1)
             if d <= 3:
-                start = _closed_form_roots(monic[ok])
+                found = _polish(cd[ok], _closed_form_roots(monic[ok]))
             else:
-                comp = np.zeros((ok.sum(), d, d), dtype=complex)
-                comp[:, 1:, :-1] = np.eye(d - 1)
-                comp[:, :, -1] = -monic[ok, :d]
-                start = np.linalg.eigvals(comp)
-            rows = np.nonzero(deg == d)[0][ok]
-            roots[rows, :d] = _polish(cd[ok], start)
+                found = _aberth(cd[ok], _polygon_starts(cd[ok]))
+            roots[np.nonzero(deg == d)[0][ok], :d] = found
     return roots, deg

@@ -252,7 +252,8 @@ def _anchor_points(
     """Each row's root of the anchor's factor nearest ``anchor.near``.
 
     ``roots`` caches univariate_roots per factor, so anchors on one factor
-    share one call.  Returns the points and a dict mapping each row whose
+    share one call; each root it returns stops at Horner's rounding floor,
+    so a start that is already there costs one Horner pass.  Returns the points and a dict mapping each row whose
     factor has no finite root to its PathSingularityError.
     """
     if anchor.factor not in roots:

@@ -132,8 +132,8 @@ def _segment_nodes(rule: str, level: int) -> tuple[np.ndarray, np.ndarray, np.nd
     tanh-sinh segment, where it converts that node's contribution into an
     estimate of the mass lost to endpoint clipping.  Level refinement
     cannot see that mass (the clip point is level-independent), so it has
-    to enter the error estimate separately.  Built once per (rule, level)
-    and shared, so the arrays are read-only.
+    to enter the error estimate separately.  The nodes strictly increase.
+    Built once per (rule, level) and shared, so the arrays are read-only.
     """
     if rule == "trapezoid":
         n = 2**level
@@ -160,6 +160,10 @@ def _segment_nodes(rule: str, level: int) -> tuple[np.ndarray, np.ndarray, np.nd
             tail[0] = 2.0 / (h * 0.5 * math.pi * math.cosh(tk[0]))
             tail[-1] = 2.0 / (h * 0.5 * math.pi * math.cosh(tk[-1]))
         s, w = (x[keep] + 1.0) / 2.0, w[keep] / 2.0
+        # from level 11 on, several t next to a clip point round to one s:
+        # each such run becomes one node, its weights and tail factors added
+        first = np.flatnonzero(np.diff(s, prepend=-1.0) > 0)
+        s, w, tail = s[first], np.add.reduceat(w, first), np.add.reduceat(tail, first)
     else:
         raise ValueError(f"unknown rule {rule!r}")
     return _frozen(s, w, tail)
@@ -189,9 +193,9 @@ def _coarse_index(rules: tuple, level: int) -> tuple[np.ndarray, ...] | None:
     None unless every rule nests: each segment's level - 1 nodes are every
     other one of its level nodes, bit for bit, with exactly twice their
     weight.  Then the level - 1 integral is 2**m times the level grid's
-    contributions summed over that sub-grid, exactly.  (Matched by
-    position, not by value: near a tanh-sinh endpoint several nodes round
-    to one s.)
+    contributions summed over that sub-grid, exactly.  (From level 11 on a
+    tanh-sinh segment merges the nodes that round to one s, and it does
+    not nest.)
     """
     if any(rule not in _NESTED for axis in rules for rule in axis):
         return None

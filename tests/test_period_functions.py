@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from gkzperiods import _roots
 from gkzperiods._roots import univariate_roots
 from gkzperiods.analytic_paths import (
     EvaluationError,
@@ -32,7 +33,7 @@ from gkzperiods.scenario import (
     ScenarioSpec,
     validate_scenario,
 )
-from gkzperiods.verifier import verification_points
+from gkzperiods.verifier import verification_points, verify
 
 from oracles import direction_circles, quadratic_formula_root, track_root
 
@@ -275,6 +276,108 @@ def test_polish_keeps_far_apart_roots_in_range():
     found = sorted(roots[0], key=abs)
     for got, want in zip(found, [1.0, 2.0, 1e240]):
         assert abs(got - want) <= 1e-15 * want
+
+
+def mpmath_roots(row):
+    """The roots of sum_k row[k] x^k at 40 digits, rounded to complex."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c = [mpmath.mpc(complex(z)) for z in np.trim_zeros(np.asarray(row), "b")[::-1]]
+        return np.array([complex(r) for r in mpmath.polyroots(c, maxsteps=100, extraprec=100)])
+
+
+def assert_roots_match(row, found, expected, rel=None):
+    """found is ``expected`` (simple roots) as a multiset: each expected
+    root's nearest found root is a different one, within its
+    root_tolerance and, if ``rel`` is given, within rel times its size."""
+    nearest = [int(np.argmin(np.abs(found - r))) for r in expected]
+    assert sorted(nearest) == list(range(len(found))), (row, found, expected)
+    for q, r in zip(nearest, expected):
+        assert abs(found[q] - r) <= root_tolerance(row, r, 1), (row, found, expected)
+        assert rel is None or abs(found[q] - r) <= rel * abs(r), (row, found, expected)
+
+
+def spread_stack():
+    # 64 complex normal rows of degree 6; every seventh row's coefficients
+    # scaled by 10^U(-30, 30) each
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal((64, 7)) + 1j * rng.standard_normal((64, 7))
+    c[::7] *= 10.0 ** rng.uniform(-30, 30, size=c[::7].shape)
+    return c
+
+
+@pytest.mark.parametrize("row", [7, 63])
+def test_spread_row_keeps_its_roots_apart(row):
+    # companion eigenvalues started rows 7 and 63 with one root five times,
+    # and Newton kept them merged; the Newton-polygon starts do not
+    stack = spread_stack()
+    roots, deg = univariate_roots(stack)
+    assert deg[row] == 6
+    assert_roots_match(stack[row], roots[row], mpmath_roots(stack[row]), rel=1e-12)
+
+
+def test_spread_stack_roots_match_mpmath():
+    stack = spread_stack()
+    roots, deg = univariate_roots(stack)
+    assert (deg == 6).all()
+    for row, found in zip(stack, roots):
+        # no root comes out twice
+        gaps = np.abs(found[:, None] - found[None, :]) + np.eye(6)
+        assert (gaps > 0).all(), (row, found)
+        assert_roots_match(row, found, mpmath_roots(row), rel=1e-12)
+        # a row's roots do not depend on the rest of its stack
+        alone, _ = univariate_roots(row[None])
+        assert np.array_equal(alone[0], found)
+
+
+@pytest.mark.parametrize("d", range(4, 10))
+def test_roots_far_apart_at_degree_4_to_9(d):
+    # roots of sizes 1e-30, 1 and 1e30 in one row, random phases; the roots
+    # the row was built from are within root_tolerance of its own
+    rng = np.random.default_rng(40 + d)
+    for _ in range(20):
+        size = 10.0 ** rng.choice([-30, 0, 30], size=d)
+        exact = size * np.exp(2j * np.pi * rng.uniform(size=d))
+        row = np.poly(exact)[::-1]
+        roots, deg = univariate_roots(row[None])
+        assert deg.tolist() == [d]
+        assert_roots_match(row, roots[0], exact)
+    # a root of 1e240: Horner runs in each root's own scaled variable
+    exact = [*range(1, d), 1e240]
+    row = np.poly(exact)[::-1]
+    assert_roots_match(row, univariate_roots(row[None])[0][0], exact)
+
+
+@pytest.mark.parametrize("name", ["gl_cubic", "gl_quadratic"])
+def test_shipped_roots_stop_at_horners_floor(monkeypatch, name):
+    # every root a shipped verify finds is within Horner's rounding floor
+    # |f(x)| <= 2 d 2^-53 sum_k |c_k| |x|^k, and its closed-form start is
+    # already there: each polish evaluates once and takes no step
+    calls, evals = [], []
+    polish, horner = _roots._polish, _roots.eval_with_derivative
+
+    def counted_polish(coeffs, x):
+        evals.clear()
+        out = polish(coeffs, x)
+        calls.append((coeffs, out, len(evals)))
+        return out
+
+    def counted_horner(coeffs, x):
+        evals.append(1)
+        return horner(coeffs, x)
+
+    monkeypatch.setattr(_roots, "_polish", counted_polish)
+    monkeypatch.setattr(_roots, "eval_with_derivative", counted_horner)
+    spec = builtin(name)
+    assert verify(build_system(spec), PeriodFunction(spec)).passed
+    assert [n for _, _, n in calls] == [1]
+    for coeffs, roots, _ in calls:
+        d = coeffs.shape[1] - 1
+        f, _ = horner(coeffs[:, None, :], roots)
+        floor = np.zeros(roots.shape)
+        for k in range(d, -1, -1):
+            floor = floor * np.abs(roots) + np.abs(coeffs[:, None, k])
+        assert (np.abs(f) <= 2 * d * 2.0**-53 * floor).all()
 
 
 # ---------------------------------------------------------------------------

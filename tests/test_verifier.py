@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gkzperiods.verifier
-from gkzperiods._stencils import SampleTable, _direction_sets, _template
+from gkzperiods._stencils import SampleTable, _Template, _direction_sets, _template
 from gkzperiods.analytic_paths import EvaluationError, PathSingularityError
 from gkzperiods.gkz_system import (
     BoxOperator,
@@ -995,7 +995,7 @@ def test_mixed_cache_states_derive_as_one_call_per_point():
     assert stacked.phi_values[2] is not None
 
 
-def test_warm_template_builds_one_table_per_group_without_sorting(monkeypatch):
+def test_warm_verify_builds_one_table_per_group_and_no_template(monkeypatch):
     spec = builtin("gl_quadratic")
     system = build_system(spec)
     points = verification_points(spec.coefficient_vector(), 3, seed=9)
@@ -1004,31 +1004,34 @@ def test_warm_template_builds_one_table_per_group_without_sorting(monkeypatch):
         return BatchOnly(lambda a: cmath.exp(a[0]) / a[2] + a[1] ** 3)
 
     verify(system, phi(), points=points)
-    tables, sorts = [], []
+    tables, templates = [], []
 
     class CountedTable(SampleTable):
         def __init__(self, points, *args):
             tables.append(len(points))
             super().__init__(points, *args)
 
-    lexsort = np.lexsort
+    build = _Template.__init__
 
-    def counted_lexsort(*args, **kwargs):
-        sorts.append(1)
-        return lexsort(*args, **kwargs)
+    def counted_build(self, multis, among):
+        templates.append(multis)
+        build(self, multis, among)
 
     monkeypatch.setattr(gkzperiods.verifier, "SampleTable", CountedTable)
-    monkeypatch.setattr(np, "lexsort", counted_lexsort)
+    monkeypatch.setattr(_Template, "__init__", counted_build)
     before = _template.cache_info()
     verify(system, phi(), points=points)
-    assert (tables, sorts) == ([3], [])
+    assert (tables, templates) == ([3], [])
     # quadratic_root's operators take the same derivatives
     other = builtin("quadratic_root")
     assert _shipped_multis(other) == _shipped_multis(spec)
     verify(build_system(other), phi(), points=points)
     after = _template.cache_info()
-    assert (tables, sorts) == ([3, 3], [])
+    assert (tables, templates) == ([3, 3], [])
     assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    # a template the cache has not seen is counted
+    _template(((0, 0, 5),), ((0, 0, 5),))
+    assert templates == [((0, 0, 5),)]
 
 
 @pytest.mark.parametrize("radius_factor", [1e-300, 1e300])
