@@ -1,11 +1,11 @@
 """Internal helper: roots of stacks of dense univariate polynomials.
 
-Rows of degree 1 to 3 start from closed forms and take at most a few
-Newton polish steps; rows of degree 4 and above start on the circles of
-their Newton polygon and take Aberth-Ehrlich steps.  Both iterations stop
-a root, without taking its step, once its residual is within Horner's
-rounding floor, and they share the Horner evaluation with root
-continuation and residue sums.
+Rows of degree 1 to 3 start from closed forms, rows of degree 4 and
+above on the circles of their Newton polygon, and every row takes
+Aberth-Ehrlich steps from there.  The iteration stops a root, without
+taking its step, once its residual is within Horner's rounding floor,
+and it shares the Horner evaluation with root continuation and residue
+sums.
 Kept separate so path resolution, root continuation and residue
 evaluation share one implementation.  Everything works on stacks, one
 polynomial per row, and a row's results do not depend on the rest of its
@@ -20,9 +20,7 @@ import numpy as np
 
 __all__ = ["univariate_roots", "eval_with_derivative"]
 
-# Newton polish steps after the closed-form starts, at most
-_POLISH_STEPS = 8
-# Aberth-Ehrlich steps from the Newton-polygon starts, at most (simple
+# Aberth-Ehrlich steps, at most (from the Newton-polygon starts, simple
 # roots of degree 4 to 9 rows stop within 15, multiple roots within 20)
 _ABERTH_STEPS = 64
 # unit roundoff of double precision, for Horner's rounding floor
@@ -89,32 +87,18 @@ def _newton(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (_ldexp(step, e) if scaled else step), done
 
 
-def _polish(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Newton steps on each root of each row; a root stops on its own.
-
-    Row r's roots x[r] belong to coeffs[r].  A root stops, without taking
-    the step, once _newton finds it finished; one that is still moving
-    after _POLISH_STEPS steps is returned as it stands.
-    """
-    live = np.ones(x.shape, dtype=bool)
-    for _ in range(_POLISH_STEPS):
-        step, done = _newton(coeffs, x)
-        live &= ~done
-        if not live.any():
-            break
-        x = x - np.where(live, step, 0.0)
-    return x
-
-
 def _aberth(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Aberth-Ehrlich steps on all roots of each row at once.
 
-    Root i's Newton correction N is deflated by the row's other roots,
-    N / (1 - N sum_{j != i} 1 / (x_i - x_j)), which converges to all
-    roots at once and keeps the roots apart while it does (Bini, Numer.
-    Algorithms 13 (1996)).  A root stops under _newton's rule, and the
-    others keep moving against it; one still moving after _ABERTH_STEPS
-    steps is returned as it stands.
+    Row r's roots x[r] belong to coeffs[r].  Root i's Newton correction
+    N is deflated by the row's other roots, N / (1 - N sum_{j != i} 1 /
+    (x_i - x_j)), which converges to all roots at once and keeps the
+    roots apart while it does (Bini, Numer. Algorithms 13 (1996)); a row
+    of degree 1 has no other root, and its step is Newton's.  A root
+    stops under _newton's rule, and the others keep moving against it; a
+    start already within the floor costs one Horner pass and takes no
+    step.  A root still moving after _ABERTH_STEPS steps is returned as
+    it stands.
     """
     live = np.ones(x.shape, dtype=bool)
     others = ~np.eye(x.shape[1], dtype=bool)
@@ -166,7 +150,7 @@ def _closed_form_roots(monic: np.ndarray) -> np.ndarray:
     other roots come from Vieta's formulas on the unscaled row, c0 / r for
     degree 2 and the roots of the quadratic with product -c0 / r and sum
     (c1 - product) / r for degree 3, so a root many orders of magnitude
-    smaller than r is still within reach of the Newton polish.
+    smaller than r is still within reach of the Aberth steps.
     """
     d = monic.shape[1] - 1
     if d == 1:
@@ -212,14 +196,13 @@ def univariate_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
 
     Trailing (high-degree) zero coefficients of a row are trimmed first,
     and rows of equal trimmed degree are solved together.  Rows of degree
-    1 to 3 start from closed forms (_closed_form_roots) and get Newton
-    polish (_polish), rows of degree 4 and above start from their Newton
-    polygon (_polygon_starts) and take stacked Aberth-Ehrlich steps
-    (_aberth); both iterations stop a root at Horner's rounding floor
-    (_newton).  Returns the roots, (N, D) with row r's in its first
-    deg[r] entries and nan after them, and the trimmed degrees deg, -1 for
-    the zero polynomial.  A row with non-finite coefficients keeps nan
-    roots.
+    1 to 3 start from closed forms (_closed_form_roots), rows of degree 4
+    and above from their Newton polygon (_polygon_starts), and all take
+    stacked Aberth-Ehrlich steps (_aberth), which stop a root at Horner's
+    rounding floor (_newton).  Returns the roots, (N, D) with row r's in
+    its first deg[r] entries and nan after them, and the trimmed degrees
+    deg, -1 for the zero polynomial.  A row with non-finite coefficients
+    keeps nan roots.
     """
     c = np.asarray(coeffs, dtype=complex)
     n, width = c.shape
@@ -233,9 +216,6 @@ def univariate_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
             monic = cd / cd[:, d, None]
             # a row with non-finite coefficients keeps nan roots
             ok = np.isfinite(monic).all(axis=1)
-            if d <= 3:
-                found = _polish(cd[ok], _closed_form_roots(monic[ok]))
-            else:
-                found = _aberth(cd[ok], _polygon_starts(cd[ok]))
-            roots[np.nonzero(deg == d)[0][ok], :d] = found
+            starts = _closed_form_roots(monic[ok]) if d <= 3 else _polygon_starts(cd[ok])
+            roots[np.nonzero(deg == d)[0][ok], :d] = _aberth(cd[ok], starts)
     return roots, deg

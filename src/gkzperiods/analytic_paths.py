@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "Path1D",
     "CycleTerm",
     "CycleSpec",
-    "ResolvedSegment",
     "ResolvedPath",
     "resolve_path",
     "tracked_requirements",
@@ -79,10 +78,23 @@ class RootAnchor:
     near: complex
 
 
+# point(s) and derivative(s) of a segment take local parameters s in
+# [0, 1] and return complex values, also between real endpoints
+
+
 @dataclass(frozen=True)
 class LineSegment:
-    start: Union[complex, RootAnchor]
-    end: Union[complex, RootAnchor]
+    """From start to end; resolve_path makes a RootAnchor end each row's
+    root, a (rows, 1) column."""
+
+    start: Union[complex, RootAnchor, np.ndarray]
+    end: Union[complex, RootAnchor, np.ndarray]
+
+    def point(self, s):
+        return self.start + np.multiply(s, self.end - self.start, dtype=complex)
+
+    def derivative(self, s):
+        return np.subtract(self.end, self.start, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -92,12 +104,29 @@ class ArcSegment:
     angle_start: float
     angle_end: float
 
+    def point(self, s):
+        ang = self.angle_start + s * (self.angle_end - self.angle_start)
+        return self.center + self.radius * np.exp(1j * np.asarray(ang))
+
+    def derivative(self, s):
+        span = self.angle_end - self.angle_start
+        ang = self.angle_start + s * span
+        return 1j * self.radius * span * np.exp(1j * np.asarray(ang))
+
 
 @dataclass(frozen=True)
 class RaySegment:
+    """From start along direction, of unit length once resolved."""
+
     start: complex
     direction: complex
     length: float
+
+    def point(self, s):
+        return self.start + np.multiply(s, self.length * self.direction, dtype=complex)
+
+    def derivative(self, s):
+        return complex(self.length * self.direction)
 
 
 PathSegment = Union[LineSegment, ArcSegment, RaySegment]
@@ -133,49 +162,18 @@ class CycleSpec:
 
 
 @dataclass(frozen=True)
-class ResolvedSegment:
-    """One segment of a path at every row of a batch: a line endpoint
-    resolved from a RootAnchor is a (rows, 1) array, all else is shared."""
-
-    kind: str
-    z0: complex = 0.0
-    z1: complex = 0.0
-    center: complex = 0.0
-    radius: float = 0.0
-    angle_start: float = 0.0
-    angle_end: float = 0.0
-    direction: complex = 1.0
-    length: float = 0.0
-    # factor indices of the RootAnchors the endpoints resolved from, or 0
-    anchored_start: int = 0
-    anchored_end: int = 0
-
-    def point(self, s):
-        if self.kind == "line":
-            return self.z0 + s * (self.z1 - self.z0)
-        if self.kind == "arc":
-            ang = self.angle_start + s * (self.angle_end - self.angle_start)
-            return self.center + self.radius * np.exp(1j * np.asarray(ang))
-        return self.z0 + s * (self.length * self.direction)
-
-    def derivative(self, s):
-        if self.kind == "line":
-            return self.z1 - self.z0
-        if self.kind == "arc":
-            span = self.angle_end - self.angle_start
-            ang = self.angle_start + s * span
-            return 1j * self.radius * span * np.exp(1j * np.asarray(ang))
-        return self.length * self.direction
-
-
-@dataclass(frozen=True)
 class ResolvedPath:
     """A Path1D resolved at each of ``rows`` coefficient vectors.
 
+    ``segments`` are the path's own, but for the ones resolution changes:
+    a line with a RootAnchor end holds each row's root there, a (rows, 1)
+    column, and a ray's direction has unit length.  ``anchored`` holds
+    each segment's (start, end) factor indices of the RootAnchors it was
+    resolved from, 0 where an end has none.
     point() and derivative() take a scalar t or a sorted 1-D array of
     nodes and return one row per coefficient vector, or a single row that
-    broadcasts against them when the path is row-shared: no segment has a
-    per-row endpoint (no RootAnchor), so every row has the same geometry.
+    broadcasts against them when the path is row-shared: no segment holds
+    a per-row array (no RootAnchor), so every row has the same geometry.
     The derivative of a path of one line or ray is one (rows, 1) column.
     """
 
@@ -183,15 +181,17 @@ class ResolvedPath:
     closed: bool
     anchor_t: float
     rows: int
+    anchored: tuple
 
     @property
     def nsegments(self) -> int:
         return len(self.segments)
 
-    @property
+    @cached_property
     def shared(self) -> bool:
+        # the segments are frozen, so one look serves every later call
         return not any(
-            isinstance(z, np.ndarray) for seg in self.segments for z in (seg.z0, seg.z1)
+            isinstance(z, np.ndarray) for seg in self.segments for z in vars(seg).values()
         )
 
     def point(self, t):
@@ -235,9 +235,12 @@ class ResolvedPath:
         if self.shared:
             return replace(self, rows=len(rows))
 
-        def pick(z):
-            return z[rows] if isinstance(z, np.ndarray) else z
-        segments = tuple(replace(s, z0=pick(s.z0), z1=pick(s.z1)) for s in self.segments)
+        def pick(seg):
+            columns = {
+                k: z[rows] for k, z in vars(seg).items() if isinstance(z, np.ndarray)
+            }
+            return replace(seg, **columns) if columns else seg
+        segments = tuple(map(pick, self.segments))
         return replace(self, segments=segments, rows=len(rows))
 
 
@@ -252,9 +255,10 @@ def _anchor_points(
     """Each row's root of the anchor's factor nearest ``anchor.near``.
 
     ``roots`` caches univariate_roots per factor, so anchors on one factor
-    share one call; each root it returns stops at Horner's rounding floor,
-    so a start that is already there costs one Horner pass.  Returns the points and a dict mapping each row whose
-    factor has no finite root to its PathSingularityError.
+    share one call; its Aberth steps stop each root at Horner's rounding
+    floor, so a start that is already there costs one Horner pass.
+    Returns the points and a dict mapping each row whose factor has no
+    finite root to its PathSingularityError.
     """
     if anchor.factor not in roots:
         roots[anchor.factor] = univariate_roots(spec.dense_univariate(a, anchor.factor))
@@ -290,47 +294,33 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
     anchors: dict = {}
     roots: dict = {}
 
-    def endpoint(pt) -> tuple:
-        if not isinstance(pt, RootAnchor):
-            return complex(pt), 0
+    def factor(pt) -> int:
+        # factor indices start at 1, so 0 marks an end without an anchor
+        return pt.factor if isinstance(pt, RootAnchor) else 0
+
+    def endpoint(pt):
+        if not factor(pt):
+            return pt
         if pt not in anchors:
             anchors[pt], errs = _anchor_points(pt, spec, rows, roots)
             for r, exc in errs.items():
                 errors.setdefault(r, exc)
-        return anchors[pt][:, None], pt.factor
+        return anchors[pt][:, None]
 
-    segs: list[ResolvedSegment] = []
+    segs, anchored = [], []
     for seg in path.segments:
-        if isinstance(seg, LineSegment):
-            (z0, f0), (z1, f1) = endpoint(seg.start), endpoint(seg.end)
-            segs.append(
-                ResolvedSegment(
-                    kind="line", z0=z0, z1=z1, anchored_start=f0, anchored_end=f1
-                )
-            )
-        elif isinstance(seg, ArcSegment):
-            segs.append(
-                ResolvedSegment(
-                    kind="arc",
-                    center=complex(seg.center),
-                    radius=float(seg.radius),
-                    angle_start=float(seg.angle_start),
-                    angle_end=float(seg.angle_end),
-                )
-            )
-        else:
+        line = isinstance(seg, LineSegment)
+        anchored.append((factor(seg.start), factor(seg.end)) if line else (0, 0))
+        if any(anchored[-1]):
+            seg = LineSegment(endpoint(seg.start), endpoint(seg.end))
+        elif isinstance(seg, RaySegment) and abs(abs(seg.direction) - 1.0) > 1e-9:
             d = complex(seg.direction)
-            if abs(abs(d) - 1.0) > 1e-9:
-                d = d / abs(d)
-            segs.append(
-                ResolvedSegment(
-                    kind="ray", z0=complex(seg.start), direction=d,
-                    length=float(seg.length),
-                )
-            )
+            seg = replace(seg, direction=d / abs(d))
+        segs.append(seg)
     anchor_t = float(path.anchor_t)
     rpath = ResolvedPath(
-        segments=tuple(segs), closed=path.closed, anchor_t=anchor_t, rows=len(rows)
+        segments=tuple(segs), closed=path.closed, anchor_t=anchor_t, rows=len(rows),
+        anchored=tuple(anchored),
     )
     ends, scale = rpath.endpoints()
     with np.errstate(invalid="ignore"):

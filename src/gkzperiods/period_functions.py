@@ -211,9 +211,9 @@ def eval_root(spec: ScenarioSpec, a: np.ndarray) -> list:
 def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray) -> list:
     """Sum of r^(beta-1) / f'(r) over all roots r of the factor.
 
-    Roots come from _roots.univariate_roots: closed forms and Newton
-    polish for degrees 1 to 3, Aberth-Ehrlich steps from Newton-polygon
-    starts above, each root stopped at Horner's rounding floor.  For
+    Roots come from _roots.univariate_roots: Aberth-Ehrlich steps from
+    closed-form starts for degrees 1 to 3 and from Newton-polygon starts
+    above, each root stopped at Horner's rounding floor.  For
     non-integer beta the power uses the principal branch; a root on (or
     hugging) the negative real axis makes that choice ambiguous, an error
     for that row.  The roots of all rows of the (N, n) array ``a`` are

@@ -23,7 +23,9 @@ from functools import cache, lru_cache, reduce
 import numpy as np
 
 from .analytic_paths import (
+    ArcSegment,
     CycleTerm,
+    RaySegment,
     ResolvedPath,
     _abs,
     continued_logs,
@@ -89,7 +91,7 @@ def _path_rules(
     if (
         rpath.closed
         and rpath.nsegments == 1
-        and seg.kind == "arc"
+        and isinstance(seg, ArcSegment)
         and abs(abs(seg.angle_end - seg.angle_start) - 2 * math.pi) < 1e-12
         and not tracked_factors
         and not tracked_coords
@@ -98,8 +100,7 @@ def _path_rules(
     ends, geom_scale = rpath.endpoints()
     # factor indices start at 1, so an unanchored endpoint (0) never matches
     singular = np.zeros(ends.shape, dtype=bool) | np.array([
-        [[seg.anchored_start in tracked_factors], [seg.anchored_end in tracked_factors]]
-        for seg in rpath.segments
+        [[f0 in tracked_factors], [f1 in tracked_factors]] for f0, f1 in rpath.anchored
     ])
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.m == 1:
@@ -114,7 +115,7 @@ def _path_rules(
                 singular |= _abs(val) < 1e-9 * np.maximum(scale, 1e-300)
         if tracked_coords:
             singular |= _abs(ends) < 1e-9 * geom_scale
-    rays = np.array([seg.kind == "ray" for seg in rpath.segments])
+    rays = np.array([isinstance(seg, RaySegment) for seg in rpath.segments])
     return np.where(rays, "ray", np.where(singular.any(axis=1), "tanh-sinh", "gauss").T)
 
 
@@ -161,9 +162,14 @@ def _segment_nodes(rule: str, level: int) -> tuple[np.ndarray, np.ndarray, np.nd
             tail[-1] = 2.0 / (h * 0.5 * math.pi * math.cosh(tk[-1]))
         s, w = (x[keep] + 1.0) / 2.0, w[keep] / 2.0
         # from level 11 on, several t next to a clip point round to one s:
-        # each such run becomes one node, its weights and tail factors added
+        # each such run becomes one node, its weights added, and a run of
+        # two or more takes the tail factor sum_j w_j tail_j / sum_j w_j,
+        # which keeps the run's clipped-tail estimate
         first = np.flatnonzero(np.diff(s, prepend=-1.0) > 0)
-        s, w, tail = s[first], np.add.reduceat(w, first), np.add.reduceat(tail, first)
+        runs = np.diff(first, append=s.size)
+        merged = np.add.reduceat(w, first)
+        tail = np.where(runs > 1, np.add.reduceat(w * tail, first) / merged, tail[first])
+        s, w = s[first], merged
     else:
         raise ValueError(f"unknown rule {rule!r}")
     return _frozen(s, w, tail)
@@ -226,8 +232,8 @@ def _shared_samples(
     level nodes.  Shared and read-only, like _axis_nodes; the cache is
     bounded, since its keys come from the scenarios' paths."""
     ts = _axis_nodes(rules, level)[0]
-    # closed and anchor_t do not enter point() or derivative()
-    path = ResolvedPath(segments=segments, closed=False, anchor_t=0.0, rows=1)
+    # closed, anchor_t and anchored do not enter point() or derivative()
+    path = ResolvedPath(segments=segments, closed=False, anchor_t=0.0, rows=1, anchored=())
     return _frozen(path.point(ts), path.derivative(ts))
 
 
@@ -555,9 +561,6 @@ def integrate_cycle(spec: ScenarioSpec, a: np.ndarray) -> IntegralResult:
     Errors are added in quadrature; a row keeps the error of the first
     term that failed on it.
     """
-    cycle = spec.cycle
-    if not cycle.terms:
-        raise ValueError("cycle has no terms")
     a = spec.coefficient_rows(a)
     n_rows = a.shape[0]
     total = np.zeros(n_rows, dtype=complex)
@@ -566,7 +569,7 @@ def integrate_cycle(spec: ScenarioSpec, a: np.ndarray) -> IntegralResult:
     converged = np.ones(n_rows, dtype=bool)
     errors: list = [None] * n_rows
     term_diags = []
-    for term in cycle.terms:
+    for term in spec.cycle.terms:
         res = integrate_term(term, spec, a=a)
         total += res.value
         err_sq += res.error_estimate**2

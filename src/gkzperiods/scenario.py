@@ -281,15 +281,18 @@ def _validate_factor(fac: FactorSupport, m: int, function_kind: str) -> None:
 
 
 def _validate_cycle(spec: ScenarioSpec) -> None:
-    """The cycle rules that hold whatever the coefficients: m paths per
-    term, non-empty paths of known segments, nonzero ray directions,
-    root anchors only at m = 1 and on a power factor, anchor_t in range."""
+    """The cycle rules that hold whatever the coefficients: at least one
+    term, m paths per term, non-empty paths of known segments, nonzero ray
+    directions, root anchors only at m = 1 and on a power factor, anchor_t
+    in range."""
     # the path types import this module
     from .analytic_paths import ArcSegment, LineSegment, RaySegment, RootAnchor
 
     def fail(message: str):
         raise ScenarioError("cycle", message)
 
+    if not spec.cycle.terms:
+        fail("cycle has no terms")
     for term in spec.cycle.terms:
         if len(term.paths) != spec.m:
             fail(f"term has {len(term.paths)} path factors, scenario has m = {spec.m}")

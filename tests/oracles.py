@@ -17,7 +17,6 @@ from gkzperiods.analytic_paths import (
     LineSegment,
     RaySegment,
     ResolvedPath,
-    ResolvedSegment,
     RootAnchor,
     _anchor_points,
 )
@@ -439,8 +438,8 @@ def resolve_row(path, anchors: dict, r: int):
     """Row r of a path's resolution, built segment by segment in scalars.
 
     ``anchors`` maps each RootAnchor of the path to its points at every row.
-    Returns a one-row ResolvedPath, or raises ScenarioError where the path
-    does not chain or close.
+    Returns a one-row ResolvedPath of scalar segments, or raises
+    ScenarioError where the path does not chain or close.
     """
 
     def endpoint(pt):
@@ -448,27 +447,25 @@ def resolve_row(path, anchors: dict, r: int):
             return complex(anchors[pt][r]), pt.factor
         return complex(pt), 0
 
-    segs = []
+    segs, anchored = [], []
     for seg in path.segments:
+        f0 = f1 = 0
         if isinstance(seg, LineSegment):
             z0, f0 = endpoint(seg.start)
             z1, f1 = endpoint(seg.end)
-            segs.append(ResolvedSegment(
-                kind="line", z0=z0, z1=z1, anchored_start=f0, anchored_end=f1
-            ))
+            seg = LineSegment(z0, z1)
         elif isinstance(seg, ArcSegment):
-            segs.append(ResolvedSegment(
-                kind="arc", center=complex(seg.center), radius=float(seg.radius),
-                angle_start=float(seg.angle_start), angle_end=float(seg.angle_end),
-            ))
+            seg = ArcSegment(
+                complex(seg.center), float(seg.radius),
+                float(seg.angle_start), float(seg.angle_end),
+            )
         elif isinstance(seg, RaySegment):
             d = complex(seg.direction)
             if abs(abs(d) - 1.0) > 1e-9:
                 d = d / abs(d)
-            segs.append(ResolvedSegment(
-                kind="ray", z0=complex(seg.start), direction=d,
-                length=float(seg.length),
-            ))
+            seg = RaySegment(complex(seg.start), d, float(seg.length))
+        segs.append(seg)
+        anchored.append((f0, f1))
     scale = max(
         1.0, max(abs(start_point(s)) for s in segs), max(abs(end_point(s)) for s in segs)
     )
@@ -482,7 +479,7 @@ def resolve_row(path, anchors: dict, r: int):
     if path.closed and abs(end_point(segs[-1]) - start_point(segs[0])) > 1e-9 * scale:
         raise ScenarioError("cycle", "closed path does not return to its start")
     return ResolvedPath(segments=tuple(segs), closed=path.closed,
-                        anchor_t=float(path.anchor_t), rows=1)
+                        anchor_t=float(path.anchor_t), rows=1, anchored=tuple(anchored))
 
 
 def start_point(seg) -> complex:
@@ -493,10 +490,10 @@ def end_point(seg) -> complex:
     return complex(seg.point(1.0))
 
 
-def endpoint_is_singular(seg, which, spec, a, tracked_factors, tracked_coords,
-                         geom_scale) -> bool:
-    """Whether one endpoint of a one-row segment sits on a tracked zero."""
-    anchored = seg.anchored_start if which == "start" else seg.anchored_end
+def endpoint_is_singular(seg, which, anchored, spec, a, tracked_factors,
+                         tracked_coords, geom_scale) -> bool:
+    """Whether one endpoint of a one-row segment sits on a tracked zero;
+    ``anchored`` is the factor of the RootAnchor it was resolved from, or 0."""
     if anchored and anchored in tracked_factors:
         return True
     z = start_point(seg) if which == "start" else end_point(seg)
@@ -523,7 +520,7 @@ def path_rules(rpath, spec, a, tracked_factors, tracked_coords) -> list:
     if (
         rpath.closed
         and rpath.nsegments == 1
-        and seg.kind == "arc"
+        and isinstance(seg, ArcSegment)
         and abs(abs(seg.angle_end - seg.angle_start) - 2 * math.pi) < 1e-12
         and not tracked_factors
         and not tracked_coords
@@ -535,14 +532,14 @@ def path_rules(rpath, spec, a, tracked_factors, tracked_coords) -> list:
         max(abs(end_point(s)) for s in rpath.segments),
     )
     rules = []
-    for seg in rpath.segments:
-        if seg.kind == "ray":
+    for seg, (f0, f1) in zip(rpath.segments, rpath.anchored):
+        if isinstance(seg, RaySegment):
             rules.append("ray")
             continue
         singular = endpoint_is_singular(
-            seg, "start", spec, a, tracked_factors, tracked_coords, geom_scale
+            seg, "start", f0, spec, a, tracked_factors, tracked_coords, geom_scale
         ) or endpoint_is_singular(
-            seg, "end", spec, a, tracked_factors, tracked_coords, geom_scale
+            seg, "end", f1, spec, a, tracked_factors, tracked_coords, geom_scale
         )
         rules.append("tanh-sinh" if singular else "gauss")
     return rules

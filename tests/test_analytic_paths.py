@@ -168,8 +168,8 @@ def test_root_anchor_follows_coefficients():
     ends = rp2.endpoints()[0][:, :, 0]
     assert abs(ends[0, 0] - (-b[2] / b[3])) < 1e-10
     assert abs(ends[-1, 1] - (-b[0] / b[1])) < 1e-10
-    assert rp2.segments[0].anchored_start == 2
-    assert rp2.segments[-1].anchored_end == 1
+    assert rp2.anchored[0][0] == 2
+    assert rp2.anchored[-1][1] == 1
 
 
 def node_by_node(rpath, t, method):

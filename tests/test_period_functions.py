@@ -270,7 +270,7 @@ def test_stacked_roots_match_np_roots_per_row():
 
 def test_polish_keeps_far_apart_roots_in_range():
     # Horner on the unscaled row at x = 1e240 overflows; each root is
-    # polished in its own scaled variable, so all three come out
+    # evaluated in its own scaled variable, so all three come out
     roots, deg = univariate_roots(np.poly([1e240, 1.0, 2.0])[::-1][None])
     assert deg.tolist() == [3]
     found = sorted(roots[0], key=abs)
@@ -330,12 +330,11 @@ def test_spread_stack_roots_match_mpmath():
         assert np.array_equal(alone[0], found)
 
 
-@pytest.mark.parametrize("d", range(4, 10))
-def test_roots_far_apart_at_degree_4_to_9(d):
+def assert_far_apart_roots_found(d, count):
     # roots of sizes 1e-30, 1 and 1e30 in one row, random phases; the roots
     # the row was built from are within root_tolerance of its own
     rng = np.random.default_rng(40 + d)
-    for _ in range(20):
+    for _ in range(count):
         size = 10.0 ** rng.choice([-30, 0, 30], size=d)
         exact = size * np.exp(2j * np.pi * rng.uniform(size=d))
         row = np.poly(exact)[::-1]
@@ -348,17 +347,30 @@ def test_roots_far_apart_at_degree_4_to_9(d):
     assert_roots_match(row, univariate_roots(row[None])[0][0], exact)
 
 
+@pytest.mark.parametrize("d", range(1, 4))
+def test_roots_far_apart_at_degree_1_to_3(d):
+    # Aberth steps from the closed-form starts
+    assert_far_apart_roots_found(d, 200)
+
+
+@pytest.mark.parametrize("d", range(4, 10))
+def test_roots_far_apart_at_degree_4_to_9(d):
+    # Aberth steps from the Newton-polygon starts
+    assert_far_apart_roots_found(d, 20)
+
+
 @pytest.mark.parametrize("name", ["gl_cubic", "gl_quadratic"])
 def test_shipped_roots_stop_at_horners_floor(monkeypatch, name):
     # every root a shipped verify finds is within Horner's rounding floor
     # |f(x)| <= 2 d 2^-53 sum_k |c_k| |x|^k, and its closed-form start is
-    # already there: each polish evaluates once and takes no step
+    # already there: each Aberth call on closed-form starts (degree <= 3)
+    # evaluates once and takes no step
     calls, evals = [], []
-    polish, horner = _roots._polish, _roots.eval_with_derivative
+    aberth, horner = _roots._aberth, _roots.eval_with_derivative
 
-    def counted_polish(coeffs, x):
+    def counted_aberth(coeffs, x):
         evals.clear()
-        out = polish(coeffs, x)
+        out = aberth(coeffs, x)
         calls.append((coeffs, out, len(evals)))
         return out
 
@@ -366,11 +378,11 @@ def test_shipped_roots_stop_at_horners_floor(monkeypatch, name):
         evals.append(1)
         return horner(coeffs, x)
 
-    monkeypatch.setattr(_roots, "_polish", counted_polish)
+    monkeypatch.setattr(_roots, "_aberth", counted_aberth)
     monkeypatch.setattr(_roots, "eval_with_derivative", counted_horner)
     spec = builtin(name)
     assert verify(build_system(spec), PeriodFunction(spec)).passed
-    assert [n for _, _, n in calls] == [1]
+    assert [n for coeffs, _, n in calls if coeffs.shape[1] <= 4] == [1]
     for coeffs, roots, _ in calls:
         d = coeffs.shape[1] - 1
         f, _ = horner(coeffs[:, None, :], roots)

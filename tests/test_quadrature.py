@@ -410,6 +410,27 @@ def test_every_rules_nodes_strictly_increase():
     assert sizes == [995, 1991 - 3, 3981 - 19, 7963 - 71, 15927 - 237]
 
 
+@pytest.mark.parametrize("level", range(quadrature.LEVEL_START, quadrature.LEVEL_CAP + 1))
+def test_merged_tanh_sinh_nodes_keep_the_clipped_tail_estimate(level):
+    # the unmerged rule, rebuilt: a node's clipped-tail estimate is its
+    # weight times its tail factor, nonzero at the outermost kept t only;
+    # a merged node's estimate is its run's sum of those
+    h = 2.0 * quadrature._TS_TMAX / 2**level
+    t = np.arange(-(2**level) // 2, 2**level // 2 + 1) * h
+    u = 0.5 * math.pi * np.sinh(t)
+    keep = 1.0 - np.abs(np.tanh(u)) > quadrature._TS_EDGE
+    t, u = t[keep], u[keep]
+    w = 0.25 * h * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    tail = np.zeros(t.size)
+    tail[[0, -1]] = 2.0 / (0.5 * h * math.pi * np.cosh(t[[0, -1]]))
+    unique, run = np.unique((np.tanh(u) + 1.0) / 2.0, return_inverse=True)
+    s, ws, tails = _segment_nodes("tanh-sinh", level)
+    assert s.tobytes() == unique.tobytes()
+    want = np.bincount(run, weights=w * tail)
+    assert np.allclose(ws * tails, want, rtol=1e-12, atol=0.0)
+    assert np.count_nonzero(tails) == 2
+
+
 NESTED_RULES = (
     (("trapezoid",),),
     (("tanh-sinh",),),
@@ -719,12 +740,16 @@ def test_empty_batch_integrates_to_no_rows():
 
 
 def per_row(rpath):
-    """``rpath`` with every endpoint a (rows, 1) column of equal values: the
+    """``rpath`` with each segment's defining points (a line's ends, an
+    arc's center, a ray's start) (rows, 1) columns of equal values: the
     same geometry, resolved row by row."""
     def column(z):
         return np.full((rpath.rows, 1), z, dtype=complex)
+    points = {
+        LineSegment: ("start", "end"), ArcSegment: ("center",), RaySegment: ("start",)
+    }
     return dataclasses.replace(rpath, segments=tuple(
-        dataclasses.replace(seg, z0=column(seg.z0), z1=column(seg.z1))
+        dataclasses.replace(seg, **{k: column(getattr(seg, k)) for k in points[type(seg)]})
         for seg in rpath.segments
     ))
 

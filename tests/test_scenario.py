@@ -292,6 +292,15 @@ def test_cycle_rules_without_coefficients_rejected(name, path, paths, message):
         assert str(exc.value) == f"cycle: {message}"
 
 
+def test_cycle_without_terms_rejected_on_construction():
+    # integrate_cycle would otherwise be the first to notice, at batch time
+    broken = replace(builtin("beta"), cycle=CycleSpec(terms=()))
+    for check in (validate_scenario, PeriodFunction):
+        with pytest.raises(ScenarioError) as exc:
+            check(broken)
+        assert (exc.value.where, str(exc.value)) == ("cycle", "cycle: cycle has no terms")
+
+
 def test_settings_defaults():
     s = EvalSettings()
     assert s.tol == 1e-10
