@@ -3,9 +3,10 @@
 Rows of degree 1 to 3 start from closed forms, rows of degree 4 and
 above on the circles of their Newton polygon, and every row takes
 Aberth-Ehrlich steps from there.  The iteration stops a root, without
-taking its step, once its residual is within Horner's rounding floor,
-and it shares the Horner evaluation with root continuation and residue
-sums.
+taking its step, once its residual is within Horner's rounding floor.
+Root continuation takes its Newton corrections, and the same floor, from
+_newton, and residue sums share the Horner evaluation and the magnitude
+sum behind the floor.
 Kept separate so path resolution, root continuation and residue
 evaluation share one implementation.  Everything works on stacks, one
 polynomial per row, and a row's results do not depend on the rest of its
@@ -18,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-__all__ = ["univariate_roots", "eval_with_derivative"]
+__all__ = ["univariate_roots", "eval_with_derivative", "magnitude_sum"]
 
 # Aberth-Ehrlich steps, at most (from the Newton-polygon starts, simple
 # roots of degree 4 to 9 rows stop within 15, multiple roots within 20)
@@ -49,20 +50,31 @@ def eval_with_derivative(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]
     return f, df
 
 
+def magnitude_sum(coeffs: np.ndarray, r) -> np.ndarray:
+    """sum_k |coeffs[..., k]| r^k for real r >= 0, by one real Horner pass;
+    the leading axes of ``coeffs`` broadcast against r."""
+    mags = np.abs(coeffs)
+    s = mags[..., -1]
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        s = s * r + mags[..., k]
+    return s
+
+
 def _newton(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton corrections f(x) / f'(x) at the roots x[r] of row coeffs[r],
-    and which roots are finished.
+    and which roots are at Horner's rounding floor.
 
-    A root is finished once f'(x) vanishes or |f(x)| is within Horner's
-    rounding floor, 2 d eps sum_k |c_k| |x|^k at degree d and eps = 2^-53
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    2002, section 5.1): below it the residual is rounding noise, and a
-    step would only dither.  Where a term |c_k x^k| of the stack could
-    near overflow, each root is evaluated in its own variable y = x / 2^e,
-    2^e near it, on its row scaled by the power of two that brings its
-    largest term at |y| = 1 to about 1.  Powers of two scale exactly: in
-    the normal range the scaled corrections and floors are the unscaled
-    ones, bit for bit.
+    A root is at the floor once |f(x)| <= 2 d eps sum_k |c_k| |x|^k at
+    degree d and eps = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 5.1): below it the residual is
+    rounding noise, and a step would only dither.  Where f'(x) vanishes
+    off the floor, the correction is not finite.  The Aberth steps and
+    root continuation both take their corrections and floor from here.
+    Where a term |c_k x^k| of the stack could near overflow, each root is
+    evaluated in its own variable y = x / 2^e, 2^e near it, on its row
+    scaled by the power of two that brings its largest term at |y| = 1 to
+    about 1.  Powers of two scale exactly: in the normal range the scaled
+    corrections and floors are the unscaled ones, bit for bit.
     """
     e = np.frexp(np.abs(x))[1]
     size = np.frexp(np.abs(coeffs))[1]
@@ -77,12 +89,7 @@ def _newton(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = _ldexp(c, ek - top[..., None])
         y = _ldexp(x, -e)
     f, df = eval_with_derivative(c, y)
-    # the floor is one real Horner pass on |c| at |y|
-    abs_c, abs_y = np.abs(c), np.abs(y)
-    floor = abs_c[..., degree]
-    for k in range(degree - 1, -1, -1):
-        floor = floor * abs_y + abs_c[..., k]
-    done = (df == 0) | (np.abs(f) <= 2 * degree * _EPS * floor)
+    done = np.abs(f) <= 2 * degree * _EPS * magnitude_sum(c, np.abs(y))
     step = f / df
     return (_ldexp(step, e) if scaled else step), done
 
@@ -95,16 +102,17 @@ def _aberth(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     (x_i - x_j)), which converges to all roots at once and keeps the
     roots apart while it does (Bini, Numer. Algorithms 13 (1996)); a row
     of degree 1 has no other root, and its step is Newton's.  A root
-    stops under _newton's rule, and the others keep moving against it; a
-    start already within the floor costs one Horner pass and takes no
-    step.  A root still moving after _ABERTH_STEPS steps is returned as
-    it stands.
+    stops at Horner's rounding floor (_newton), or where its Newton
+    correction is not finite (f'(x) = 0), and the others keep moving
+    against it; a start already within the floor costs one Horner pass
+    and takes no step.  A root still moving after _ABERTH_STEPS steps is
+    returned as it stands.
     """
     live = np.ones(x.shape, dtype=bool)
     others = ~np.eye(x.shape[1], dtype=bool)
     for _ in range(_ABERTH_STEPS):
         step, done = _newton(coeffs, x)
-        live &= ~done
+        live &= ~done & np.isfinite(step)
         if not live.any():
             break
         pull = np.sum(1.0 / (x[:, :, None] - x[:, None, :]), axis=2, where=others)

@@ -167,9 +167,9 @@ class ResolvedPath:
 
     ``segments`` are the path's own, but for the ones resolution changes:
     a line with a RootAnchor end holds each row's root there, a (rows, 1)
-    column, and a ray's direction has unit length.  ``anchored`` holds
-    each segment's (start, end) factor indices of the RootAnchors it was
-    resolved from, 0 where an end has none.
+    column, and a ray's direction has unit length.  An anchored end keeps
+    no mark of its anchor: it is a root at Horner's rounding floor, and
+    the quadrature's endpoint test finds it on its factor's zero by value.
     point() and derivative() take a scalar t or a sorted 1-D array of
     nodes and return one row per coefficient vector, or a single row that
     broadcasts against them when the path is row-shared: no segment holds
@@ -181,7 +181,6 @@ class ResolvedPath:
     closed: bool
     anchor_t: float
     rows: int
-    anchored: tuple
 
     @property
     def nsegments(self) -> int:
@@ -294,12 +293,8 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
     anchors: dict = {}
     roots: dict = {}
 
-    def factor(pt) -> int:
-        # factor indices start at 1, so 0 marks an end without an anchor
-        return pt.factor if isinstance(pt, RootAnchor) else 0
-
     def endpoint(pt):
-        if not factor(pt):
+        if not isinstance(pt, RootAnchor):
             return pt
         if pt not in anchors:
             anchors[pt], errs = _anchor_points(pt, spec, rows, roots)
@@ -307,11 +302,10 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
                 errors.setdefault(r, exc)
         return anchors[pt][:, None]
 
-    segs, anchored = [], []
+    segs = []
     for seg in path.segments:
         line = isinstance(seg, LineSegment)
-        anchored.append((factor(seg.start), factor(seg.end)) if line else (0, 0))
-        if any(anchored[-1]):
+        if line and (isinstance(seg.start, RootAnchor) or isinstance(seg.end, RootAnchor)):
             seg = LineSegment(endpoint(seg.start), endpoint(seg.end))
         elif isinstance(seg, RaySegment) and abs(abs(seg.direction) - 1.0) > 1e-9:
             d = complex(seg.direction)
@@ -319,8 +313,7 @@ def resolve_path(path: Path1D, spec: ScenarioSpec, a: np.ndarray) -> tuple:
         segs.append(seg)
     anchor_t = float(path.anchor_t)
     rpath = ResolvedPath(
-        segments=tuple(segs), closed=path.closed, anchor_t=anchor_t, rows=len(rows),
-        anchored=tuple(anchored),
+        segments=tuple(segs), closed=path.closed, anchor_t=anchor_t, rows=len(rows)
     )
     ends, scale = rpath.endpoints()
     with np.errstate(invalid="ignore"):

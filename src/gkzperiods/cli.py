@@ -71,16 +71,10 @@ def _load(arg: str) -> tuple:
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
     updates = {}
-    for field_name, arg_name in (
-        ("tol", "tol"),
-        ("threshold", "threshold"),
-        ("seed", "seed"),
-        ("points", "points"),
-        ("degree_bound", "degree_bound"),
-    ):
-        val = getattr(args, arg_name, None)
+    for name in ("tol", "threshold", "seed", "points", "degree_bound"):
+        val = getattr(args, name, None)
         if val is not None:
-            updates[field_name] = val
+            updates[name] = val
     if not updates:
         return spec
     return replace(spec, settings=replace(spec.settings, **updates))

@@ -11,8 +11,10 @@ numerical differentiation:
 Every evaluator takes an (N, n) array of coefficient vectors and returns
 one entry per row: its value or its own EvaluationError.  All three kinds
 evaluate a batch together: roots and residue sums share the stacked root
-kernel of ``_roots``.  PeriodFunction is the single-vector entry: a call
-is a batch of one row that raises the row's error.
+kernel of ``_roots``, and every root, found or continued, is accepted
+under its one rule, Horner's rounding floor.  PeriodFunction is the
+single-vector entry: a call is a batch of one row that raises the row's
+error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import eval_with_derivative, univariate_roots
+from ._roots import _newton, eval_with_derivative, magnitude_sum, univariate_roots
 from .analytic_paths import EvaluationError
 from .quadrature import LEVEL_CAP, IntegralResult, integrate_cycle
 from .scenario import ScenarioSpec, is_real_integer, validate_scenario
@@ -68,15 +70,8 @@ class BranchAmbiguityError(PeriodEvaluationError):
 # ---------------------------------------------------------------------------
 # root continuation
 
-
-def _poly_scale(dense: np.ndarray, x) -> np.ndarray:
-    # sum_k |dense[..., k]| max(1, |x|)^k, by Horner
-    m = np.maximum(1.0, np.abs(x))
-    mags = np.abs(dense)
-    s = np.zeros(np.broadcast_shapes(dense.shape[:-1], m.shape))
-    for k in range(dense.shape[-1] - 1, -1, -1):
-        s = s * m + mags[..., k]
-    return s
+# Newton steps per correction, at most, before its continuation step is halved
+_CORRECTIONS = 10
 
 
 def _degenerate_lead(dense: np.ndarray) -> np.ndarray:
@@ -85,27 +80,28 @@ def _degenerate_lead(dense: np.ndarray) -> np.ndarray:
     return mags[:, -1] < 1e-10 * np.maximum(mags.max(axis=1), 1e-300)
 
 
-def _newton(dense: np.ndarray, x: np.ndarray, tol_rel: float = 1e-13,
-            max_iter: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on each row's root; returns the roots and which converged.
+def _correct(dense: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on row r's root x[r] of dense[r]; returns the roots and which
+    reached Horner's rounding floor.
 
-    Row r is accepted once |f| <= tol_rel * coefficient scale, and fails
-    when f' vanishes or a step exceeds (1 + |x|) / 2.
+    The corrections and the floor are _roots._newton's.  A row fails
+    where f' vanishes (its correction is not finite), where a step
+    exceeds (1 + |x|) / 2, or where _CORRECTIONS steps leave it above
+    the floor.
     """
+    x = x[:, None]
     live = np.ones(x.shape, dtype=bool)
     ok = np.zeros(x.shape, dtype=bool)
-    for _ in range(max_iter):
-        f, df = eval_with_derivative(dense, x)
-        done = live & (np.abs(f) <= tol_rel * _poly_scale(dense, x))
-        ok |= done
-        step = f / df
-        live &= ~done & (df != 0) & ~(np.abs(step) > 0.5 * (1.0 + np.abs(x)))
+    for _ in range(_CORRECTIONS):
+        step, done = _newton(dense, x)
+        ok |= live & done
+        live &= ~done & np.isfinite(step) & (np.abs(step) <= 0.5 * (1.0 + np.abs(x)))
         if not live.any():
-            return x, ok
+            break
         x = np.where(live, x - step, x)
-    f, _ = eval_with_derivative(dense, x)
-    ok |= live & (np.abs(f) <= tol_rel * _poly_scale(dense, x))
-    return x, ok
+    else:
+        ok |= live & _newton(dense, x)[1]
+    return x[:, 0], ok[:, 0]
 
 
 def _continue_root_segment(
@@ -114,9 +110,11 @@ def _continue_root_segment(
 ) -> tuple[np.ndarray, dict]:
     """Track row r's root of (1-t) dense0[r] + t dense1[r] from t=0 to t=1.
 
-    Each row keeps its own parameter, step and root: a failed Newton
-    correction halves that row's step, an accepted one grows it.  Returns
-    the roots at t=1 and a dict mapping each failed row to its error.
+    Each row keeps its own parameter, step and root.  A step predicts
+    the root along its tangent and corrects it by Newton (_correct),
+    which accepts it at Horner's rounding floor; a failed correction
+    halves that row's step, an accepted one grows it.  Returns the roots
+    at t=1 and a dict mapping each failed row to its error.
     """
     ddense = dense1 - dense0
     n = x.shape[0]
@@ -134,7 +132,7 @@ def _continue_root_segment(
         fdot, _ = eval_with_derivative(dd, xl)
         _, df = eval_with_derivative(d0 + tl[:, None] * dd, xl)
         pred = np.where(df != 0, xl - dtl * fdot / df, xl)
-        corrected, ok = _newton(dense_t, pred)
+        corrected, ok = _correct(dense_t, pred)
         ok &= ~escaped
         failed = ~ok & ~escaped
         dtl = np.where(failed, 0.5 * dtl, dtl)
@@ -168,10 +166,10 @@ def _continue_root_segment(
 
 
 def _base_root(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    # base dense coefficients (one row), the polished base root, escape radius
+    # base dense coefficients (one row), the corrected base root, escape radius
     dense = spec.dense_univariate(spec.coefficient_vector()[None])
     x0 = complex(spec.base_root)
-    x, ok = _newton(dense, np.array([x0]))
+    x, ok = _correct(dense, np.array([x0]))
     if not ok[0]:
         raise PeriodEvaluationError(
             "base root does not satisfy the base coefficients"
@@ -182,10 +180,11 @@ def _base_root(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, float]:
 def eval_root(spec: ScenarioSpec, a: np.ndarray) -> list:
     """Analytic continuation of the base root to each row of ``a``.
 
-    The path is the straight segment from the scenario base coefficients.
-    The rows of the (N, n) array ``a`` are continued together, each with
-    its own step control; one complex or EvaluationError per row is
-    returned.
+    The path is the straight segment from the scenario base coefficients;
+    the base root and each step's root are corrected to Horner's rounding
+    floor (_correct).  The rows of the (N, n) array ``a`` are continued
+    together, each with its own step control; one complex or
+    EvaluationError per row is returned.
     """
     a = spec.coefficient_rows(a)
     with np.errstate(all="ignore"):
@@ -239,7 +238,9 @@ def eval_gl_residue(spec: ScenarioSpec, a: np.ndarray) -> list:
         order = np.lexsort((roots.imag, roots.real), axis=-1)
         roots = np.take_along_axis(roots, order, axis=1)
         _, df = eval_with_derivative(d[:, None, :], roots)
-        scale = _poly_scale(d[:, None, :], roots) / np.maximum(1.0, np.abs(roots))
+        # nearly multiple: |f'| < 1e-8 sum_k |c_k| max(1, |r|)^(k-1)
+        size = np.maximum(1.0, np.abs(roots))
+        scale = magnitude_sum(d[:, None, :], size) / size
         multiple = np.abs(df) < 1e-8 * scale
         # roots whose weight r^(beta-1) is infinite or on an ambiguous branch
         if is_real_integer(beta):

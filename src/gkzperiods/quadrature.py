@@ -98,10 +98,7 @@ def _path_rules(
     ):
         return np.full((rpath.rows, 1), "trapezoid")
     ends, geom_scale = rpath.endpoints()
-    # factor indices start at 1, so an unanchored endpoint (0) never matches
-    singular = np.zeros(ends.shape, dtype=bool) | np.array([
-        [[f0 in tracked_factors], [f1 in tracked_factors]] for f0, f1 in rpath.anchored
-    ])
+    singular = np.zeros(ends.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.m == 1:
             size = np.maximum(1.0, _abs(ends))
@@ -232,8 +229,8 @@ def _shared_samples(
     level nodes.  Shared and read-only, like _axis_nodes; the cache is
     bounded, since its keys come from the scenarios' paths."""
     ts = _axis_nodes(rules, level)[0]
-    # closed, anchor_t and anchored do not enter point() or derivative()
-    path = ResolvedPath(segments=segments, closed=False, anchor_t=0.0, rows=1, anchored=())
+    # closed and anchor_t do not enter point() or derivative()
+    path = ResolvedPath(segments=segments, closed=False, anchor_t=0.0, rows=1)
     return _frozen(path.point(ts), path.derivative(ts))
 
 

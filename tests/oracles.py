@@ -443,17 +443,12 @@ def resolve_row(path, anchors: dict, r: int):
     """
 
     def endpoint(pt):
-        if isinstance(pt, RootAnchor):
-            return complex(anchors[pt][r]), pt.factor
-        return complex(pt), 0
+        return complex(anchors[pt][r]) if isinstance(pt, RootAnchor) else complex(pt)
 
-    segs, anchored = [], []
+    segs = []
     for seg in path.segments:
-        f0 = f1 = 0
         if isinstance(seg, LineSegment):
-            z0, f0 = endpoint(seg.start)
-            z1, f1 = endpoint(seg.end)
-            seg = LineSegment(z0, z1)
+            seg = LineSegment(endpoint(seg.start), endpoint(seg.end))
         elif isinstance(seg, ArcSegment):
             seg = ArcSegment(
                 complex(seg.center), float(seg.radius),
@@ -465,7 +460,6 @@ def resolve_row(path, anchors: dict, r: int):
                 d = d / abs(d)
             seg = RaySegment(complex(seg.start), d, float(seg.length))
         segs.append(seg)
-        anchored.append((f0, f1))
     scale = max(
         1.0, max(abs(start_point(s)) for s in segs), max(abs(end_point(s)) for s in segs)
     )
@@ -479,7 +473,7 @@ def resolve_row(path, anchors: dict, r: int):
     if path.closed and abs(end_point(segs[-1]) - start_point(segs[0])) > 1e-9 * scale:
         raise ScenarioError("cycle", "closed path does not return to its start")
     return ResolvedPath(segments=tuple(segs), closed=path.closed,
-                        anchor_t=float(path.anchor_t), rows=1, anchored=tuple(anchored))
+                        anchor_t=float(path.anchor_t), rows=1)
 
 
 def start_point(seg) -> complex:
@@ -514,8 +508,18 @@ def endpoint_is_singular(seg, which, anchored, spec, a, tracked_factors,
     return False
 
 
-def path_rules(rpath, spec, a, tracked_factors, tracked_coords) -> list:
-    """The quadrature rule of each segment of a one-row path at vector ``a``."""
+def anchor_factors(seg) -> tuple[int, int]:
+    """The factors of an unresolved segment's RootAnchor ends, (start, end),
+    0 where an end has none."""
+    if not isinstance(seg, LineSegment):
+        return 0, 0
+    return tuple(pt.factor if isinstance(pt, RootAnchor) else 0 for pt in (seg.start, seg.end))
+
+
+def path_rules(path, rpath, spec, a, tracked_factors, tracked_coords) -> list:
+    """The quadrature rule of each segment of ``rpath``, the one-row
+    resolution of ``path`` at vector ``a``; an end resolved from a
+    RootAnchor of a tracked factor is singular, whatever its value."""
     seg = rpath.segments[0]
     if (
         rpath.closed
@@ -532,7 +536,7 @@ def path_rules(rpath, spec, a, tracked_factors, tracked_coords) -> list:
         max(abs(end_point(s)) for s in rpath.segments),
     )
     rules = []
-    for seg, (f0, f1) in zip(rpath.segments, rpath.anchored):
+    for seg, (f0, f1) in zip(rpath.segments, map(anchor_factors, path.segments)):
         if isinstance(seg, RaySegment):
             rules.append("ray")
             continue

@@ -2,8 +2,10 @@
 
 For each shipped scenario, one line: its name, the sha256 of
 repr(verify(build_system(spec), PeriodFunction(spec))), the points phi was
-evaluated at, the cache hits and PASS or FAIL.  Two trees whose lines
-agree produced the same reports, bit for bit.  Not collected by pytest;
+evaluated at, the cache hits, the largest relative residual
+(max_relative) and PASS or FAIL.  Two trees whose lines agree produced the
+same reports, bit for bit; where a hash moves, max_relative shows how far
+the report's margin moved with it.  Not collected by pytest;
 run it from the repository root with
 
     PYTHONPATH=src python tests/report_hashes.py
@@ -23,7 +25,10 @@ def main() -> None:
         report = verify(build_system(spec), PeriodFunction(spec), cache=cache)
         digest = hashlib.sha256(repr(report).encode()).hexdigest()
         verdict = "PASS" if report.passed else "FAIL"
-        print(f"{name:22} {digest} evals={cache.misses} hits={cache.hits} {verdict}")
+        print(
+            f"{name:22} {digest} evals={cache.misses} hits={cache.hits} "
+            f"max_relative={report.max_relative:.3e} {verdict}"
+        )
 
 
 if __name__ == "__main__":

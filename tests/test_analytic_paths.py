@@ -21,7 +21,7 @@ from gkzperiods.analytic_paths import (
     resolve_path,
     tracked_requirements,
 )
-from gkzperiods.quadrature import branch_logs
+from gkzperiods.quadrature import _path_rules, branch_logs
 from gkzperiods.scenario import (
     FactorSupport,
     ScenarioError,
@@ -168,8 +168,10 @@ def test_root_anchor_follows_coefficients():
     ends = rp2.endpoints()[0][:, :, 0]
     assert abs(ends[0, 0] - (-b[2] / b[3])) < 1e-10
     assert abs(ends[-1, 1] - (-b[0] / b[1])) < 1e-10
-    assert rp2.anchored[0][0] == 2
-    assert rp2.anchored[-1][1] == 1
+    # the ends keep no mark of their anchors: the quadrature finds them on
+    # the zeros of their factors by value and takes tanh-sinh toward them
+    rules = _path_rules(rp2, spec, b[None], *tracked_requirements(spec))
+    assert rules.tolist() == [["tanh-sinh"]]
 
 
 def node_by_node(rpath, t, method):

@@ -22,6 +22,7 @@ from gkzperiods.period_functions import (
     NearDiscriminantError,
     PeriodFunction,
     RootEscapeError,
+    _continue_root_segment,
     eval_gl_residue,
     eval_period,
     eval_root,
@@ -268,16 +269,6 @@ def test_stacked_roots_match_np_roots_per_row():
         assert np.array_equal(alone[0], found, equal_nan=True)
 
 
-def test_polish_keeps_far_apart_roots_in_range():
-    # Horner on the unscaled row at x = 1e240 overflows; each root is
-    # evaluated in its own scaled variable, so all three come out
-    roots, deg = univariate_roots(np.poly([1e240, 1.0, 2.0])[::-1][None])
-    assert deg.tolist() == [3]
-    found = sorted(roots[0], key=abs)
-    for got, want in zip(found, [1.0, 2.0, 1e240]):
-        assert abs(got - want) <= 1e-15 * want
-
-
 def mpmath_roots(row):
     """The roots of sum_k row[k] x^k at 40 digits, rounded to complex."""
     mpmath = pytest.importorskip("mpmath")
@@ -384,12 +375,42 @@ def test_shipped_roots_stop_at_horners_floor(monkeypatch, name):
     assert verify(build_system(spec), PeriodFunction(spec)).passed
     assert [n for coeffs, _, n in calls if coeffs.shape[1] <= 4] == [1]
     for coeffs, roots, _ in calls:
-        d = coeffs.shape[1] - 1
         f, _ = horner(coeffs[:, None, :], roots)
-        floor = np.zeros(roots.shape)
-        for k in range(d, -1, -1):
-            floor = floor * np.abs(roots) + np.abs(coeffs[:, None, k])
-        assert (np.abs(f) <= 2 * d * 2.0**-53 * floor).all()
+        assert (np.abs(f) <= horner_floor(coeffs[:, None, :], roots)).all()
+
+
+def horner_floor(coeffs, x):
+    """Horner's rounding floor 2 d 2^-53 sum_k |c_k| |x|^k of ascending
+    coefficients coeffs[..., k] at x; the leading axes broadcast."""
+    d = coeffs.shape[-1] - 1
+    floor = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], x.shape))
+    for k in range(d, -1, -1):
+        floor = floor * np.abs(x) + np.abs(coeffs[..., k])
+    return 2 * d * 2.0**-53 * floor
+
+
+@pytest.mark.parametrize("name", ["quadratic_root", "cubic_root_parametric"])
+def test_continued_roots_stop_at_horners_floor(name):
+    # continuation accepts a root under the rule the root kernel stops at
+    spec = builtin(name)
+    rows = np.array(verification_points(spec.coefficient_vector(), 200, seed=5))
+    roots = np.array(eval_root(spec, rows))
+    dense = spec.dense_univariate(rows)
+    f, _ = _roots.eval_with_derivative(dense, roots)
+    assert (np.abs(f) <= horner_floor(dense, roots)).all()
+
+
+def test_continuation_rejects_an_iterate_whose_magnitude_sum_overflows():
+    # at x = 1e200 both |f(x)| and sum_k |c_k| |x|^k of quadratic_root's
+    # base row x^2 + 0.1 x - 1 overflow to inf, and |f| <= tol * inf would
+    # accept it; the floor, taken in x's own scaled variable, does not
+    spec = builtin("quadratic_root")
+    dense = spec.dense_univariate(spec.coefficient_vector()[None])
+    assert dense.tolist() == [[-1.0, 0.1, 1.0]]
+    with np.errstate(all="ignore"):
+        _, errors = _continue_root_segment(dense, dense, np.array([1e200 + 0j]), np.inf)
+    assert list(errors) == [0]
+    assert isinstance(errors[0], NearDiscriminantError)
 
 
 # ---------------------------------------------------------------------------

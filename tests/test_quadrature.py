@@ -629,7 +629,7 @@ def resolution_against_oracle(spec, path, rows):
             (start_point(seg), end_point(seg)) for seg in expected.segments
         ]
         assert list(rules[r]) == path_rules(
-            expected, spec, rows[r], tracked_factors, tracked_coords
+            path, expected, spec, rows[r], tracked_factors, tracked_coords
         )
     return rules
 
